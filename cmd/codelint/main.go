@@ -4,40 +4,26 @@
 // bypass the internal/cli exit-code contract (G002), dropped or
 // shadowed context.Context arguments (G003), impure calls inside
 // deterministic engine packages (G004), error-hygiene defects (G005),
-// exported symbols in API-bearing packages missing leading-name godoc
-// comments (G006), allocations reachable from the measured engine
-// loops (G007), goroutine discipline (G008), lock discipline (G009),
-// unsynchronized worker-state sharing (G010), engine option fields
-// missing from the serve cache key (G011), unbounded handler-reachable
-// loops that never poll their context (G012), engine reads of mutable
-// state outside the cache key (G013), resources not released on every
-// path (G014), durability discipline in the journal-owning packages
-// (G015), and streaming-handler discipline (G016).
+// allocations reachable from the measured engine loops (G007), engine
+// option fields missing from the serve cache key (G011), unbounded
+// handler-reachable loops that never poll their context (G012),
+// durability discipline in the journal-owning packages (G015), and
+// streaming-handler discipline (G016).
 //
 // Inputs are positional package patterns — directory paths, module
 // import paths, or "/..." wildcards — defaulting to ./... from the
 // enclosing module root. The exit code is 0 when the tree is clean at
 // the -fail severity, 1 when any finding reaches it (default: warning,
 // stricter than cmd/lint because this gate runs in CI), and 2 on bad
-// usage or packages that fail to load or type-check.
-//
-// -baseline FILE suppresses findings whose fingerprints the file lists
-// (see internal/golint/baseline.go), so CI can gate new findings at
-// -fail error while existing debt is paid down; -write-baseline FILE
-// records the current findings as that file. -fix applies the
-// suggested fixes that some findings carry and exits 0; with -dry-run
-// it prints the unified diffs instead of writing. -list prints the
+// usage or packages that fail to load or type-check. -list prints the
 // rule registry and exits.
 //
 // Examples:
 //
 //	codelint ./...
 //	codelint -json ./internal/serve
-//	codelint -sarif ./... > codelint.sarif
 //	codelint -severity info -fail error ./cmd/...
-//	codelint -only g007,g010 ./internal/fsim
-//	codelint -fail error -baseline .codelint-baseline ./...
-//	codelint -fix -dry-run ./...
+//	codelint -only g007,g011 ./internal/fsim
 //	codelint -list -json
 package main
 
@@ -47,8 +33,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"sort"
 	"strings"
 
 	"repro/internal/cli"
@@ -57,32 +41,21 @@ import (
 
 func main() {
 	var (
-		jsonOut   = flag.Bool("json", false, "emit findings as JSON")
-		sarifOut  = flag.Bool("sarif", false, "emit findings as SARIF 2.1.0 (mutually exclusive with -json)")
-		sevName   = flag.String("severity", "info", "minimum severity to report: info | warning | error")
-		failName  = flag.String("fail", "warning", "minimum severity that fails the run: info | warning | error")
-		only      = flag.String("only", "", "comma-separated rule IDs to run (e.g. g007,g010); default all")
-		dir       = flag.String("C", ".", "directory whose enclosing module is analyzed")
-		fix       = flag.Bool("fix", false, "apply suggested fixes to the source tree and exit 0")
-		dryRun    = flag.Bool("dry-run", false, "with -fix, print unified diffs instead of writing files")
-		baseline  = flag.String("baseline", "", "suppress findings whose fingerprints this baseline file lists")
-		writeBase = flag.String("write-baseline", "", "write the current findings as a baseline file and exit 0")
-		list      = flag.Bool("list", false, "print the rule registry (id, severity, summary) and exit")
+		jsonOut  = flag.Bool("json", false, "emit findings as JSON")
+		sevName  = flag.String("severity", "info", "minimum severity to report: info | warning | error")
+		failName = flag.String("fail", "warning", "minimum severity that fails the run: info | warning | error")
+		only     = flag.String("only", "", "comma-separated rule IDs to run (e.g. g007,g011); default all")
+		list     = flag.Bool("list", false, "print the rule registry (id, severity, summary) and exit")
 	)
 	flag.Parse()
 	failed, err := run(os.Stdout, config{
-		dir:       *dir,
-		patterns:  flag.Args(),
-		jsonOut:   *jsonOut,
-		sarifOut:  *sarifOut,
-		sevName:   *sevName,
-		failName:  *failName,
-		only:      *only,
-		fix:       *fix,
-		dryRun:    *dryRun,
-		baseline:  *baseline,
-		writeBase: *writeBase,
-		list:      *list,
+		dir:      ".",
+		patterns: flag.Args(),
+		jsonOut:  *jsonOut,
+		sevName:  *sevName,
+		failName: *failName,
+		only:     *only,
+		list:     *list,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "codelint:", err)
@@ -95,18 +68,14 @@ func main() {
 
 // config gathers one invocation's settings.
 type config struct {
-	dir       string
-	patterns  []string
-	jsonOut   bool
-	sarifOut  bool
-	sevName   string
-	failName  string
-	only      string
-	fix       bool
-	dryRun    bool
-	baseline  string
-	writeBase string
-	list      bool
+	// dir is the directory whose enclosing module is analyzed.
+	dir      string
+	patterns []string
+	jsonOut  bool
+	sevName  string
+	failName string
+	only     string
+	list     bool
 }
 
 // jsonReport is the stable JSON shape: module, severity counts, and
@@ -130,12 +99,6 @@ type ruleInfo struct {
 // run analyzes the requested packages and reports whether any finding
 // reached the failure severity.
 func run(w io.Writer, cfg config) (bool, error) {
-	if cfg.jsonOut && cfg.sarifOut {
-		return false, fmt.Errorf("-json and -sarif are mutually exclusive")
-	}
-	if cfg.dryRun && !cfg.fix {
-		return false, fmt.Errorf("-dry-run requires -fix")
-	}
 	minSev, err := golint.ParseSeverity(cfg.sevName)
 	if err != nil {
 		return false, err
@@ -164,38 +127,11 @@ func run(w io.Writer, cfg config) (bool, error) {
 	}
 	rep := golint.Run(loader, pkgs, analyzers)
 
-	fps := golint.Fingerprints(loader.ModRoot, rep.Findings)
-	suppressed, stale := 0, []string(nil)
-	if cfg.baseline != "" {
-		bl, err := readBaseline(cfg.baseline)
-		if err != nil {
-			return false, err
-		}
-		rep.Findings, fps, suppressed, stale = bl.Apply(rep.Findings, fps)
-	}
-	if cfg.writeBase != "" {
-		if err := writeBaselineFile(cfg.writeBase, rep.Findings, fps); err != nil {
-			return false, err
-		}
-		fmt.Fprintf(w, "codelint: wrote %d baseline entr%s to %s\n",
-			len(rep.Findings), plural(len(rep.Findings), "y", "ies"), cfg.writeBase)
-		return false, nil
-	}
-	if cfg.fix {
-		return false, applyFixes(w, loader.ModRoot, rep.Findings, cfg.dryRun)
-	}
-
 	failed := false
 	if s, ok := rep.MaxSeverity(); ok && s >= failSev {
 		failed = true
 	}
 	counts := rep.CountBySeverity()
-	if cfg.sarifOut {
-		if err := golint.WriteSARIF(w, rep, analyzers, minSev, fps); err != nil {
-			return false, err
-		}
-		return failed, nil
-	}
 	if cfg.jsonOut {
 		findings := rep.Filter(minSev)
 		if findings == nil {
@@ -219,10 +155,6 @@ func run(w io.Writer, cfg config) (bool, error) {
 	for _, f := range rep.Filter(minSev) {
 		fmt.Fprintf(w, "  %s\n", f)
 	}
-	if cfg.baseline != "" {
-		fmt.Fprintf(w, "baseline: %d suppressed, %d stale entr%s\n",
-			suppressed, len(stale), plural(len(stale), "y", "ies"))
-	}
 	return failed, nil
 }
 
@@ -244,67 +176,4 @@ func listRules(w io.Writer, analyzers []*golint.Analyzer, jsonOut bool) error {
 		}
 	}
 	return nil
-}
-
-// applyFixes applies (or, in dry-run mode, prints as unified diffs)
-// the suggested fixes the findings carry. Fixing is not a gate: the
-// run exits 0 so CI can fix-then-verify without masking exit codes.
-func applyFixes(w io.Writer, modRoot string, findings []golint.Finding, dryRun bool) error {
-	fixed, err := golint.ApplyFixes(modRoot, findings)
-	if err != nil {
-		return err
-	}
-	paths := make([]string, 0, len(fixed))
-	for p := range fixed {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	if dryRun {
-		for _, p := range paths {
-			old, err := os.ReadFile(filepath.Join(modRoot, filepath.FromSlash(p)))
-			if err != nil {
-				return err
-			}
-			fmt.Fprint(w, golint.UnifiedDiff(p, old, fixed[p]))
-		}
-		return nil
-	}
-	if err := golint.WriteFixes(modRoot, fixed); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "codelint: fixed %d file(s)\n", len(fixed))
-	return nil
-}
-
-// readBaseline opens and parses a baseline file.
-func readBaseline(path string) (*golint.Baseline, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return golint.ParseBaseline(f)
-}
-
-// writeBaselineFile records the findings (post-suppression, so
-// combining -baseline and -write-baseline compacts stale entries) as
-// a baseline file.
-func writeBaselineFile(path string, findings []golint.Finding, fps []string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := golint.WriteBaseline(f, findings, fps); err != nil {
-		_ = f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// plural picks the singular or plural suffix for n.
-func plural(n int, one, many string) string {
-	if n == 1 {
-		return one
-	}
-	return many
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -26,8 +25,8 @@ func fixture(t *testing.T, name string) string {
 // output must be order-deterministic and byte-stable, the same
 // contract the serve cache enforces on engine responses.
 func TestGoldenJSON(t *testing.T) {
-	for _, rule := range []string{"g001", "g002", "g003", "g004", "g005", "g006", "g007", "g008",
-		"g009", "g010", "g011", "g012", "g013", "g014", "g015", "g016"} {
+	for _, rule := range []string{"g001", "g002", "g003", "g004", "g005", "g007",
+		"g011", "g012", "g015", "g016"} {
 		t.Run(rule, func(t *testing.T) {
 			want, err := os.ReadFile(fixture(t, rule+".golden.json"))
 			if err != nil {
@@ -51,33 +50,6 @@ func TestGoldenJSON(t *testing.T) {
 				t.Errorf("JSON diverges from golden\ngot:\n%s\nwant:\n%s", out.Bytes(), want)
 			}
 		})
-	}
-}
-
-// TestGoldenSARIF pins the exact -sarif bytes for one fixture: the
-// SARIF log carries the full rule table plus one result per finding,
-// and must stay as byte-stable as the JSON mode.
-func TestGoldenSARIF(t *testing.T) {
-	want, err := os.ReadFile(fixture(t, "g011.golden.sarif"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	failed, err := run(&out, config{
-		dir:      ".",
-		patterns: []string{fixture(t, "g011")},
-		sarifOut: true,
-		sevName:  "info",
-		failName: "warning",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !failed {
-		t.Error("g011 fixture did not fail at warning severity")
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("SARIF diverges from golden\ngot:\n%s\nwant:\n%s", out.Bytes(), want)
 	}
 }
 
@@ -135,39 +107,39 @@ func TestOnlySelection(t *testing.T) {
 	var out bytes.Buffer
 	failed, err := run(&out, config{
 		dir:      ".",
-		patterns: []string{fixture(t, "g007"), fixture(t, "g008")},
+		patterns: []string{fixture(t, "g007"), fixture(t, "g011")},
 		sevName:  "info",
 		failName: "warning",
-		only:     "g007,g010",
+		only:     "g007,g012",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !failed {
-		t.Error("-only g007,g010 should still fail on the g007 fixture")
+		t.Error("-only g007,g012 should still fail on the g007 fixture")
 	}
 	text := out.String()
 	if !bytes.Contains([]byte(text), []byte("G007")) {
 		t.Errorf("selected rule G007 missing from output:\n%s", text)
 	}
-	if bytes.Contains([]byte(text), []byte("G008")) {
-		t.Errorf("unselected rule G008 leaked into output:\n%s", text)
+	if bytes.Contains([]byte(text), []byte("G011")) {
+		t.Errorf("unselected rule G011 leaked into output:\n%s", text)
 	}
 
 	// Deselecting the fixture's rule turns the run clean.
 	out.Reset()
 	failed, err = run(&out, config{
 		dir:      ".",
-		patterns: []string{fixture(t, "g008")},
+		patterns: []string{fixture(t, "g011")},
 		sevName:  "info",
 		failName: "warning",
-		only:     "g009",
+		only:     "g012",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if failed {
-		t.Errorf("-only g009 on the g008 fixture should be clean:\n%s", out.String())
+		t.Errorf("-only g012 on the g011 fixture should be clean:\n%s", out.String())
 	}
 }
 
@@ -178,9 +150,9 @@ func TestUsageErrors(t *testing.T) {
 		{dir: ".", sevName: "loud", failName: "error"},
 		{dir: ".", sevName: "info", failName: "silent"},
 		{dir: ".", sevName: "info", failName: "error", patterns: []string{"/nonexistent/pkg"}},
-		{dir: ".", sevName: "info", failName: "error", only: "g999"},                  // unknown rule
-		{dir: "/", sevName: "info", failName: "error"},                                // no enclosing module
-		{dir: ".", sevName: "info", failName: "error", jsonOut: true, sarifOut: true}, // exclusive output modes
+		{dir: ".", sevName: "info", failName: "error", only: "g999"}, // unknown rule
+		{dir: ".", sevName: "info", failName: "error", only: "g014"}, // retired rule
+		{dir: "/", sevName: "info", failName: "error"},               // no enclosing module
 	} {
 		var out bytes.Buffer
 		_, err := run(&out, cfg)
@@ -239,39 +211,6 @@ func TestSelfLint(t *testing.T) {
 	}
 }
 
-// fixModule copies the g014 fixture into a fresh throwaway module that
-// preserves the testdata/codelint/g014 path suffix (the allowlists
-// match by suffix), so -fix tests never touch the real tree.
-func fixModule(t *testing.T) string {
-	t.Helper()
-	root := t.TempDir()
-	dir := filepath.Join(root, "testdata", "codelint", "g014")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	src, err := os.ReadFile(filepath.Join(fixture(t, "g014"), "dirty.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "dirty.go"), src, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module repro\n\ngo 1.22\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return root
-}
-
-// fixCfg is the shared invocation shape for the -fix tests.
-func fixCfg(root string) config {
-	return config{
-		dir:      root,
-		patterns: []string{"repro/testdata/codelint/g014"},
-		sevName:  "info",
-		failName: "warning",
-	}
-}
-
 // TestListRules pins the -list surface: every registered rule, in
 // registry order, in both text and JSON, composing with -only.
 func TestListRules(t *testing.T) {
@@ -281,10 +220,10 @@ func TestListRules(t *testing.T) {
 		t.Fatalf("list: failed=%v err=%v", failed, err)
 	}
 	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
-	if len(lines) != 16 {
-		t.Fatalf("-list printed %d rows, want 16:\n%s", len(lines), out.String())
+	if len(lines) != 10 {
+		t.Fatalf("-list printed %d rows, want 10:\n%s", len(lines), out.String())
 	}
-	if !strings.HasPrefix(lines[0], "G001  ") || !strings.HasPrefix(lines[15], "G016  ") {
+	if !strings.HasPrefix(lines[0], "G001  ") || !strings.HasPrefix(lines[9], "G016  ") {
 		t.Errorf("-list rows out of registry order:\n%s", out.String())
 	}
 	for _, line := range lines {
@@ -301,8 +240,8 @@ func TestListRules(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rows); err != nil {
 		t.Fatalf("-list -json did not decode: %v\n%s", err, out.String())
 	}
-	if len(rows) != 16 || rows[0].ID != "G001" || rows[15].ID != "G016" {
-		t.Errorf("-list -json rows = %d (%s..%s), want 16 G001..G016", len(rows), rows[0].ID, rows[len(rows)-1].ID)
+	if len(rows) != 10 || rows[0].ID != "G001" || rows[9].ID != "G016" {
+		t.Errorf("-list -json rows = %d (%s..%s), want 10 G001..G016", len(rows), rows[0].ID, rows[len(rows)-1].ID)
 	}
 	for _, r := range rows {
 		if r.Name == "" || r.Doc == "" || (r.Severity != golint.Error && r.Severity != golint.Warning) {
@@ -311,168 +250,10 @@ func TestListRules(t *testing.T) {
 	}
 
 	out.Reset()
-	if _, err := run(&out, config{dir: ".", sevName: "info", failName: "warning", list: true, only: "g014"}); err != nil {
+	if _, err := run(&out, config{dir: ".", sevName: "info", failName: "warning", list: true, only: "g015"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.TrimRight(out.String(), "\n"); strings.Count(got, "\n") != 0 || !strings.HasPrefix(got, "G014") {
-		t.Errorf("-list -only g014 = %q, want the single G014 row", got)
-	}
-}
-
-// TestFixDryRunGolden pins the -fix -dry-run diff byte-exactly: the
-// two insertable releases in the g014 fixture render as one unified
-// diff, and the source tree stays untouched.
-func TestFixDryRunGolden(t *testing.T) {
-	want, err := os.ReadFile(filepath.Join(fixture(t, ""), "g014.fix.diff"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	root := fixModule(t)
-	before, err := os.ReadFile(filepath.Join(root, "testdata", "codelint", "g014", "dirty.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := fixCfg(root)
-	cfg.fix, cfg.dryRun = true, true
-	var out bytes.Buffer
-	failed, err := run(&out, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failed {
-		t.Error("-fix -dry-run must exit 0; it is a preview, not a gate")
-	}
-	if !bytes.Equal(out.Bytes(), want) {
-		t.Errorf("dry-run diff diverges from golden\ngot:\n%s\nwant:\n%s", out.Bytes(), want)
-	}
-	after, err := os.ReadFile(filepath.Join(root, "testdata", "codelint", "g014", "dirty.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(before, after) {
-		t.Error("-dry-run modified the source tree")
-	}
-}
-
-// TestFixApplyIdempotent drives the full CLI loop: fix writes once,
-// the fixed findings are gone, and a second fix has nothing to do.
-func TestFixApplyIdempotent(t *testing.T) {
-	root := fixModule(t)
-	cfg := fixCfg(root)
-	cfg.fix = true
-	var out bytes.Buffer
-	failed, err := run(&out, cfg)
-	if err != nil || failed {
-		t.Fatalf("fix: failed=%v err=%v\n%s", failed, err, out.String())
-	}
-	if !strings.Contains(out.String(), "codelint: fixed 1 file(s)") {
-		t.Errorf("first -fix output = %q", out.String())
-	}
-
-	out.Reset()
-	if _, err := run(&out, cfg); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "codelint: fixed 0 file(s)") {
-		t.Errorf("second -fix output = %q, want a no-op", out.String())
-	}
-
-	// The surviving findings are the finding-only shapes.
-	out.Reset()
-	failed, err = run(&out, fixCfg(root))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !failed {
-		t.Error("finding-only defects vanished with the fix run")
-	}
-	if !strings.Contains(out.String(), "3 finding(s)") {
-		t.Errorf("post-fix report = %q, want 3 surviving findings", out.String())
-	}
-	if strings.Contains(out.String(), "is never released") {
-		t.Errorf("a fixed never-released finding survived:\n%s", out.String())
-	}
-}
-
-// TestBaselineRatchet drives the CLI ratchet loop: record the debt,
-// gate at error with the baseline (clean), fix some of it, and watch
-// the fixed entries go stale while the rest stay suppressed.
-func TestBaselineRatchet(t *testing.T) {
-	root := fixModule(t)
-	blFile := filepath.Join(root, ".codelint-baseline")
-
-	cfg := fixCfg(root)
-	cfg.writeBase = blFile
-	var out bytes.Buffer
-	failed, err := run(&out, cfg)
-	if err != nil || failed {
-		t.Fatalf("write-baseline: failed=%v err=%v", failed, err)
-	}
-	if !strings.Contains(out.String(), "wrote 5 baseline entries") {
-		t.Errorf("write-baseline output = %q", out.String())
-	}
-
-	// With the baseline, the module gates clean even at -fail error.
-	gated := fixCfg(root)
-	gated.failName = "error"
-	gated.baseline = blFile
-	out.Reset()
-	failed, err = run(&out, gated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failed {
-		t.Errorf("baselined run failed:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "baseline: 5 suppressed, 0 stale entries") {
-		t.Errorf("baselined output = %q", out.String())
-	}
-
-	// Fix the fixable pair; their entries go stale, the rest hold
-	// (fingerprints hash line text, so the inserted lines shift nothing).
-	fix := fixCfg(root)
-	fix.fix = true
-	if _, err := run(io.Discard, fix); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	failed, err = run(&out, gated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if failed {
-		t.Errorf("post-fix baselined run failed:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "baseline: 3 suppressed, 2 stale entries") {
-		t.Errorf("post-fix baselined output = %q", out.String())
-	}
-
-	// A brand-new finding is NOT suppressed: gate fails.
-	dirty := filepath.Join(root, "testdata", "codelint", "g014", "extra.go")
-	extra := "package g014\n\nimport \"os\"\n\n// Fresh leaks a new file handle the baseline has never seen.\nfunc Fresh() {\n\tf, err := os.Open(\"x\")\n\tif err != nil {\n\t\treturn\n\t}\n\t_ = f.Name()\n}\n"
-	if err := os.WriteFile(dirty, []byte(extra), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	failed, err = run(&out, gated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !failed {
-		t.Errorf("new finding slipped through the baseline:\n%s", out.String())
-	}
-}
-
-// TestBaselineUsageErrors pins the flag-combination contract around
-// the new modes.
-func TestBaselineUsageErrors(t *testing.T) {
-	if _, err := run(io.Discard, config{dir: ".", sevName: "info", failName: "warning", dryRun: true}); err == nil {
-		t.Error("-dry-run without -fix must be a usage error")
-	}
-	if _, err := run(io.Discard, config{
-		dir: ".", sevName: "info", failName: "warning",
-		patterns: []string{fixture(t, "g014")}, baseline: "/nonexistent/baseline",
-	}); err == nil {
-		t.Error("a missing -baseline file must be an error, not an empty suppression set")
+	if got := strings.TrimRight(out.String(), "\n"); strings.Count(got, "\n") != 0 || !strings.HasPrefix(got, "G015") {
+		t.Errorf("-list -only g015 = %q, want the single G015 row", got)
 	}
 }

@@ -4,6 +4,7 @@ package cli
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -62,7 +63,15 @@ func LoadCircuit(benchPath, genSpec string) (*netlist.Circuit, error) {
 //	rpr:seed=1,cones=3,width=12,glue=80 random-pattern-resistant circuit
 //	bshift:width=16                     logarithmic barrel shifter
 //	alu:width=8                         2-bit-opcode ALU slice
-func Generate(spec string) (c *netlist.Circuit, err error) {
+func Generate(spec string) (*netlist.Circuit, error) { return GenerateWithin(spec, 0) }
+
+// GenerateWithin is Generate with a size guard for callers that build
+// circuits from untrusted specs. When maxGates is positive and the
+// spec's worst-case gate count (primary inputs included, as
+// Circuit.NumGates counts them) exceeds it, the spec is rejected with a
+// usage error before anything is built. The circuit a spec produces
+// does not depend on the guard.
+func GenerateWithin(spec string, maxGates int) (c *netlist.Circuit, err error) {
 	// The generators panic on out-of-range parameters (they are library
 	// preconditions); surface those as usage errors at the CLI boundary —
 	// the offending value came straight from the user's -gen flag.
@@ -97,35 +106,83 @@ func Generate(spec string) (c *netlist.Circuit, err error) {
 		}
 		return def
 	}
+	size, build := plan(kind, get)
+	if build == nil {
+		return nil, Usage(fmt.Errorf("cli: unknown generator kind %q", kind))
+	}
+	if maxGates > 0 && size > float64(maxGates) {
+		return nil, Usage(fmt.Errorf("cli: generator spec %q may build up to %.0f gates, over the limit of %d", spec, size, maxGates))
+	}
+	return build(), nil
+}
+
+// plan reads one generator kind's arguments and returns an upper bound
+// on the gate count it builds (primary inputs included) together with
+// the deferred build, or a nil build for an unknown kind. The bound is
+// computed in float64 so huge arguments cannot overflow it; negative
+// arguments count as zero and are left to the generator's own
+// precondition panics.
+func plan(kind string, get func(key string, def int) int) (float64, func() *netlist.Circuit) {
+	size := func(v int) float64 { return math.Max(float64(v), 0) }
 	switch kind {
 	case "c17":
-		return gen.C17(), nil
+		return 11, gen.C17
 	case "tree":
-		return gen.RandomTree(int64(get("seed", 1)), get("leaves", 50), gen.TreeOptions{
-			MaxFanin: get("fanin", 0),
-		}), nil
+		// Each grouping gate retires at least one root and may carry an
+		// inverter: two gates per leaf at most, plus the leaves.
+		seed, leaves, fanin := get("seed", 1), get("leaves", 50), get("fanin", 0)
+		return 3 * size(leaves), func() *netlist.Circuit {
+			return gen.RandomTree(int64(seed), leaves, gen.TreeOptions{MaxFanin: fanin})
+		}
 	case "dag":
-		return gen.RandomDAG(int64(get("seed", 1)), get("inputs", 16), get("gates", 200), gen.DAGOptions{
-			MaxFanin: get("fanin", 0),
-		}), nil
+		// A gate draws up to fanin (default 3) inputs; wider gates are
+		// charged one gate per three fanin slots, which keeps the fanin
+		// edges within three per charged gate as well.
+		seed, inputs, gates, fanin := get("seed", 1), get("inputs", 16), get("gates", 200), get("fanin", 0)
+		slots := 3.0
+		if fanin > 1 {
+			slots = float64(fanin)
+		}
+		return size(inputs) + size(gates)*math.Ceil(slots/3), func() *netlist.Circuit {
+			return gen.RandomDAG(int64(seed), inputs, gates, gen.DAGOptions{MaxFanin: fanin})
+		}
 	case "cone":
-		return gen.AndCone(get("width", 16)), nil
+		width := get("width", 16)
+		return 2 * size(width), func() *netlist.Circuit { return gen.AndCone(width) }
 	case "parity":
-		return gen.ParityTree(get("width", 16)), nil
+		width := get("width", 16)
+		return 2 * size(width), func() *netlist.Circuit { return gen.ParityTree(width) }
 	case "rca":
-		return gen.RippleCarryAdder(get("width", 8)), nil
+		width := get("width", 8)
+		return 7*size(width) + 1, func() *netlist.Circuit { return gen.RippleCarryAdder(width) }
 	case "cmp":
-		return gen.Comparator(get("width", 8)), nil
+		width := get("width", 8)
+		return 4 * size(width), func() *netlist.Circuit { return gen.Comparator(width) }
 	case "decoder":
-		return gen.Decoder(get("bits", 4)), nil
+		bits := get("bits", 4)
+		return 2*size(bits) + math.Exp2(size(bits)), func() *netlist.Circuit { return gen.Decoder(bits) }
 	case "mul":
-		return gen.Multiplier(get("width", 6)), nil
+		// width² partial products plus five gates per full adder.
+		width := get("width", 6)
+		return 6 * size(width) * size(width), func() *netlist.Circuit { return gen.Multiplier(width) }
 	case "rpr":
-		return gen.RPResistant(int64(get("seed", 1)), get("cones", 3), get("width", 12), get("glue", 80)), nil
+		// Inputs, cone ANDs, glue, one OR per cone, and a parity sweep
+		// over whatever inputs and glue end up dangling.
+		seed, cones, width, glue := get("seed", 1), get("cones", 3), get("width", 12), get("glue", 80)
+		inputs := size(cones)*size(width)/2 + size(width)
+		return 2*(inputs+size(glue)) + size(cones)*size(width) + size(cones) + 4, func() *netlist.Circuit {
+			return gen.RPResistant(int64(seed), cones, width, glue)
+		}
 	case "bshift":
-		return gen.BarrelShifter(get("width", 16)), nil
+		// log2(width) stages of width four-gate muxes, plus buffers.
+		width := get("width", 16)
+		stages := math.Ceil(math.Log2(math.Max(size(width), 1)))
+		return size(width)*(4*stages+2) + stages, func() *netlist.Circuit { return gen.BarrelShifter(width) }
 	case "alu":
-		return gen.ALUSlice(get("width", 8)), nil
+		// Per bit: six logic and carry gates, three four-gate muxes and
+		// a buffer.
+		width := get("width", 8)
+		return 21*size(width) + 3, func() *netlist.Circuit { return gen.ALUSlice(width) }
 	}
-	return nil, Usage(fmt.Errorf("cli: unknown generator kind %q", kind))
+	return 0, nil
 }

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 func TestGenerateSpecs(t *testing.T) {
@@ -113,5 +114,67 @@ func TestLoadCircuitVerilog(t *testing.T) {
 	}
 	if c.NumGates() != 11 || c.NumInputs() != 5 {
 		t.Errorf("loaded %v", c)
+	}
+}
+
+// TestGenerateWithinBoundsGateCount pins the size guard's promise: the
+// per-kind estimate is an upper bound on the gate count the spec really
+// builds, so a spec admitted under a budget never exceeds it, and the
+// guarded build is the same circuit the unguarded one produces.
+func TestGenerateWithinBoundsGateCount(t *testing.T) {
+	for _, spec := range []string{
+		"c17", "tree", "dag", "cone", "parity", "rca", "cmp", "decoder", "mul", "rpr", "bshift", "alu",
+		"tree:leaves=2,seed=4", "tree:leaves=777,seed=5", "tree:leaves=300,fanin=9",
+		"dag:gates=1,inputs=2", "dag:gates=500,seed=3", "dag:gates=200,fanin=2", "dag:gates=150,fanin=40",
+		"cone:width=2", "cone:width=129", "parity:width=2", "parity:width=77",
+		"rca:width=1", "rca:width=31", "cmp:width=1", "cmp:width=19",
+		"decoder:bits=1", "decoder:bits=9", "mul:width=2", "mul:width=17",
+		"rpr:cones=1,width=2,glue=0", "rpr:cones=1,width=300", "rpr:cones=40,width=2,glue=5",
+		"rpr:cones=7,width=33,glue=400,seed=3",
+		"bshift:width=2", "bshift:width=128", "alu:width=2", "alu:width=64",
+	} {
+		want, err := Generate(spec)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		n := want.NumGates()
+		if _, err := GenerateWithin(spec, n-1); err == nil {
+			// The estimate may exceed the real count, but never fall
+			// below it: a budget one under the real size must refuse.
+			t.Errorf("%s builds %d gates but passed a budget of %d", spec, n, n-1)
+		}
+		got, err := GenerateWithin(spec, 1<<30)
+		if err != nil {
+			t.Errorf("%s: rejected under a generous budget: %v", spec, err)
+			continue
+		}
+		if got.NumGates() != n || got.Name() != want.Name() {
+			t.Errorf("%s: guarded build differs from unguarded one", spec)
+		}
+	}
+}
+
+// TestGenerateWithinRejectsBeforeBuilding pins that oversized specs —
+// including ones whose true size would overflow an int or take minutes
+// to build — fail fast with a usage error.
+func TestGenerateWithinRejectsBeforeBuilding(t *testing.T) {
+	for _, spec := range []string{
+		"dag:gates=1000000",
+		"dag:gates=5000,fanin=1000000",
+		"tree:leaves=1000000",
+		"mul:width=100000",
+		"mul:width=9223372036854775807",
+		"decoder:bits=4000",
+		"rpr:cones=100000,width=100000",
+		"cone:width=1000000000",
+	} {
+		start := time.Now()
+		_, err := GenerateWithin(spec, 10000)
+		if err == nil || ExitCode(err) != ExitUsage {
+			t.Errorf("%s: err = %v, want a usage error", spec, err)
+		}
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Errorf("%s: rejection took %v", spec, d)
+		}
 	}
 }

@@ -20,27 +20,6 @@ var engineContextPackages = []string{
 	"testdata/codelint/g003",
 }
 
-// docCommentPackages are the packages whose exported symbols must
-// carry leading-name godoc comments (G006): the engine and serving
-// packages whose APIs the README, DESIGN.md, and godoc render. The
-// testdata entry keeps the rule's golden fixture honest.
-var docCommentPackages = []string{
-	"internal/fsim",
-	"internal/atpg",
-	"internal/tpi",
-	"internal/implic",
-	"internal/fault",
-	"internal/netlist",
-	"internal/serve",
-	"internal/perf",
-	"testdata/codelint/g006",
-}
-
-// isDocCommentPackage reports whether G006 applies to the package.
-func isDocCommentPackage(path string) bool {
-	return pathMatchesAny(path, docCommentPackages)
-}
-
 // deterministicExtraPackages extends G004's deterministic-engine set
 // (every package under internal/) with paths outside internal/ that
 // must obey the same purity contract.
@@ -145,56 +124,6 @@ func hotAllocAllowed(pkgPath, fn string) bool {
 		}
 	}
 	return false
-}
-
-// goroutineAllowlist vets spawner functions whose goroutines are
-// joined by *another* method of the same type (G008). The per-spawn
-// analysis only trusts a join it can see in the spawning function —
-// a constructor that starts workers and hands the wg.Wait to a Close
-// method is invisible to it by design. Every entry must name the join
-// owner and the test that pins the join actually happening; the
-// self-check test pins this table.
-var goroutineAllowlist = []struct {
-	pkg, fn, why string
-}{
-	// The job manager's constructor starts the worker pool and the GC
-	// loop; both call m.wg.Done and Close joins them with m.wg.Wait.
-	// jobs.TestCloseJoinsWorkers pins that Close really waits.
-	{"internal/jobs", "New",
-		"workers and the GC loop are joined by Close via m.wg.Wait; pinned by TestCloseJoinsWorkers"},
-	// The fixture entry proves a listed spawner goes quiet while its
-	// unlisted neighbors still fire.
-	{"testdata/codelint/g008", "Vetted",
-		"fixture: vetted constructor-shaped spawn joined elsewhere"},
-}
-
-// goroutineJoinAllowed reports whether the function's spawns are
-// vetted for G008's join check. The context and loop-variable checks
-// still apply to listed functions — only the join is waived.
-func goroutineJoinAllowed(pkgPath, fn string) bool {
-	for _, e := range goroutineAllowlist {
-		if e.fn == fn && pathMatchesAny(pkgPath, []string{e.pkg}) {
-			return true
-		}
-	}
-	return false
-}
-
-// engineCallPackages are the packages whose entry points run engine
-// work: calling into them while holding a mutex serializes the engines
-// behind the lock (G009). The testdata entry is exercised by the g009
-// fixture through internal/implic.
-var engineCallPackages = []string{
-	"internal/fsim",
-	"internal/atpg",
-	"internal/tpi",
-	"internal/implic",
-}
-
-// isEngineCallPackage reports whether calls into the package count as
-// engine calls for G009.
-func isEngineCallPackage(path string) bool {
-	return pathMatchesAny(path, engineCallPackages)
 }
 
 // engineOptionStructs pins the option structs whose fields G011 audits
@@ -342,27 +271,6 @@ func ctxLoopAllowed(pkgPath, fn string) bool {
 	return false
 }
 
-// mutableStateAllowlist vets reads of mutable package state on the
-// cache-keyed path (G013). Entries must never feed a response body —
-// synchronization primitives and metrics only.
-var mutableStateAllowlist = []struct {
-	pkg, name, why string
-}{
-	{"testdata/codelint/g013", "scratch",
-		"fixture: vetted reusable scratch buffer whose content never reaches a response"},
-}
-
-// mutableStateAllowed reports whether the package-level variable is
-// vetted for G013.
-func mutableStateAllowed(pkgPath, name string) bool {
-	for _, e := range mutableStateAllowlist {
-		if e.name == name && pathMatchesAny(pkgPath, []string{e.pkg}) {
-			return true
-		}
-	}
-	return false
-}
-
 // allowedImpurity reports whether the qualified symbol (e.g.
 // "time.Now") is allowlisted for the package.
 func allowedImpurity(pkgPath, symbol string) bool {
@@ -373,30 +281,6 @@ func allowedImpurity(pkgPath, symbol string) bool {
 					return true
 				}
 			}
-		}
-	}
-	return false
-}
-
-// resourceOwnerAllowlist vets functions whose resource acquisitions
-// (G014) are ownership transfers the positional scan cannot see —
-// constructors that hand the resource to a long-lived owner, pools
-// that release on their own schedule. Entries suppress every G014
-// finding in the named function, so each one must say who the real
-// owner is.
-var resourceOwnerAllowlist = []struct {
-	pkg, fn, why string
-}{
-	{"testdata/codelint/g014", "Vetted",
-		"fixture: proves the allowlist silences a listed function while its neighbors still fire"},
-}
-
-// isResourceOwner reports whether the function's acquisitions are
-// vetted ownership transfers for G014/G016.
-func isResourceOwner(pkgPath, fn string) bool {
-	for _, e := range resourceOwnerAllowlist {
-		if e.fn == fn && pathMatchesAny(pkgPath, []string{e.pkg}) {
-			return true
 		}
 	}
 	return false

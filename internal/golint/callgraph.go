@@ -10,14 +10,14 @@ import (
 )
 
 // This file is the whole-module half of the framework: where the G001–
-// G006 analyzers judge one file at a time, the concurrency and
-// allocation rules (G007–G010) need to know what a function *reaches* —
-// an allocation is only a hot-path bug if the function holding it is
-// called from a measured loop, possibly through several layers of
-// helpers. ModuleFacts builds that view once per Run: an intra-module
-// static call graph with a per-function summary (allocation sites,
-// callees with loop context, goroutine spawns, lock use, captured-
-// variable writes) that every analyzer can query through Pass.Mod.
+// G005 analyzers judge one file at a time, the allocation rule (G007)
+// needs to know what a function *reaches* — an allocation is only a
+// hot-path bug if the function holding it is called from a measured
+// loop, possibly through several layers of helpers. ModuleFacts builds
+// that view once per Run: an intra-module static call graph with a
+// per-function summary (allocation sites, callees with loop context,
+// field reads and feeds, context polls, unbounded loops) that every
+// analyzer can query through Pass.Mod.
 
 // allocSite is one statically-identified allocation in a function body.
 type allocSite struct {
@@ -60,19 +60,6 @@ type feedSite struct {
 	value ast.Expr
 }
 
-// varUse is one occurrence (read or write position) of a module
-// package-level variable.
-type varUse struct {
-	obj *types.Var
-	pos token.Pos
-}
-
-// envCall is one ambient-environment read (os.Getenv and friends).
-type envCall struct {
-	name string
-	pos  token.Pos
-}
-
 // loopSite is one statically-unbounded for statement: `for {}`, a
 // cond-only `for x {}`, or a 3-clause loop with no condition. Range
 // loops and loops with a post statement are considered bounded by the
@@ -110,14 +97,6 @@ type funcFacts struct {
 	fieldReads []fieldUse
 	fieldFeeds []feedSite
 
-	// globalUses / globalWrites / envCalls record ambient-state contact
-	// for the purity rule (G013). globalWrites lists module package-level
-	// variables this function assigns, increments, or takes the address
-	// of.
-	globalUses   []varUse
-	globalWrites []*types.Var
-	envCalls     []envCall
-
 	// polls are direct context-poll sites: ctx.Err() calls and receives
 	// from struct{}-element channels (the ctx.Done()/done-channel
 	// convention every engine uses).
@@ -126,12 +105,6 @@ type funcFacts struct {
 	// body contains any loop at all (used for the compound test).
 	loops   []loopSite
 	hasLoop bool
-
-	// spawnsGoroutines / takesLocks / writesCaptured are the coarse
-	// flags the concurrency rules and future analyzers key on.
-	spawnsGoroutines bool
-	takesLocks       bool
-	writesCaptured   bool
 }
 
 // ModuleFacts is the whole-module analysis context shared by every
@@ -149,12 +122,10 @@ type ModuleFacts struct {
 	hot   map[*types.Func]string // lazily-built hot set, see hotFuncs
 	serve *serveGraph            // lazily-built serve dataflow, see taint.go
 
-	// released / dirSyncers / headerWriters are the lazily-built
-	// interprocedural summaries of the lifecycle rules — which functions
-	// release which parameters (lifecycle.go), fsync a directory
-	// (g015.go), and complete an error response on a ResponseWriter
-	// parameter (g016.go).
-	released      map[*types.Func]map[int]bool
+	// dirSyncers / headerWriters are the lazily-built interprocedural
+	// summaries of the lifecycle rules — which functions fsync a
+	// directory (g015.go) and complete an error response on a
+	// ResponseWriter parameter (g016.go).
 	dirSyncers    map[*types.Func]bool
 	headerWriters map[*types.Func]int
 }
@@ -191,19 +162,11 @@ func newModuleFacts(l *Loader, pkgs []*Package) *ModuleFacts {
 func (m *ModuleFacts) factsOf(fn *types.Func) *funcFacts { return m.funcs[fn] }
 
 // summarize fills ff by walking the function body once with an ancestor
-// stack, classifying allocation sites, resolving static callees, and
-// raising the concurrency flags.
+// stack, classifying allocation sites and resolving static callees.
 func summarize(l *Loader, pkg *Package, fd *ast.FuncDecl, ff *funcFacts) {
 	info := pkg.Info
 	inspectWithStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.GoStmt:
-			ff.spawnsGoroutines = true
-		case *ast.AssignStmt, *ast.IncDecStmt:
-			if innermostFuncLit(stack) != nil && writesEnclosingVar(info, n, stack) {
-				ff.writesCaptured = true
-			}
-			summarizeGlobalWrites(l, info, n, ff)
 		case *ast.ForStmt:
 			ff.hasLoop = true
 			if n.Cond == nil || n.Post == nil {
@@ -212,7 +175,7 @@ func summarize(l *Loader, pkg *Package, fd *ast.FuncDecl, ff *funcFacts) {
 		case *ast.RangeStmt:
 			ff.hasLoop = true
 		case *ast.Ident:
-			summarizeIdent(l, info, n, stack, ff)
+			summarizeRef(l, info, n, stack, ff)
 		case *ast.SelectorExpr:
 			summarizeFieldAccess(info, n, stack, ff)
 		case *ast.BinaryExpr:
@@ -225,11 +188,6 @@ func summarize(l *Loader, pkg *Package, fd *ast.FuncDecl, ff *funcFacts) {
 				if _, ok := n.X.(*ast.CompositeLit); ok {
 					ff.allocs = append(ff.allocs, newAllocSite(info, n.Pos(),
 						fmt.Sprintf("&%s{…} composite literal escapes to the heap", exprText(compositeTypeExpr(n.X.(*ast.CompositeLit)))), fd, stack))
-				}
-				if id := rootIdent(n.X); id != nil {
-					if v := packageLevelVar(l, info, id); v != nil {
-						ff.globalWrites = append(ff.globalWrites, v)
-					}
 				}
 			}
 			if n.Op == token.ARROW && isSignalChan(info.TypeOf(n.X)) {
@@ -248,8 +206,8 @@ func summarize(l *Loader, pkg *Package, fd *ast.FuncDecl, ff *funcFacts) {
 }
 
 // summarizeCall classifies one call expression: builtin allocators,
-// allocating conversions, known stdlib allocators, lock acquisition,
-// and statically-resolved module-internal callees.
+// allocating conversions, known stdlib allocators, context polls, and
+// statically-resolved module-internal callees.
 func summarizeCall(l *Loader, pkg *Package, fd *ast.FuncDecl, ff *funcFacts, call *ast.CallExpr, stack []ast.Node) {
 	info := pkg.Info
 	// Builtins: make and new always allocate; append allocates when it
@@ -290,19 +248,8 @@ func summarizeCall(l *Loader, pkg *Package, fd *ast.FuncDecl, ff *funcFacts, cal
 			ff.allocs = append(ff.allocs, newAllocSite(info, call.Pos(), reason, fd, stack))
 		}
 	}
-	if path, name := pkgQualified(info, call.Fun); path == "os" {
-		switch name {
-		case "Getenv", "LookupEnv", "Environ":
-			ff.envCalls = append(ff.envCalls, envCall{name: "os." + name, pos: call.Pos()})
-		}
-	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-		if (sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock") && isMutexType(info.TypeOf(sel.X)) {
-			ff.takesLocks = true
-		}
-		if sel.Sel.Name == "Err" && isContextType(info.TypeOf(sel.X)) {
-			ff.polls = append(ff.polls, call.Pos())
-		}
+	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Err" && isContextType(info.TypeOf(sel.X)) {
+		ff.polls = append(ff.polls, call.Pos())
 	}
 	// Statically-resolved module-internal callee.
 	callee := staticCallee(info, call)
@@ -325,38 +272,11 @@ func summarizeCall(l *Loader, pkg *Package, fd *ast.FuncDecl, ff *funcFacts, cal
 	}
 }
 
-// summarizeGlobalWrites records module package-level variables assigned
-// or incremented by the statement.
-func summarizeGlobalWrites(l *Loader, info *types.Info, n ast.Node, ff *funcFacts) {
-	record := func(e ast.Expr) {
-		if id := rootIdent(e); id != nil {
-			if v := packageLevelVar(l, info, id); v != nil {
-				ff.globalWrites = append(ff.globalWrites, v)
-			}
-		}
-	}
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		for _, lhs := range n.Lhs {
-			record(lhs)
-		}
-	case *ast.IncDecStmt:
-		record(n.X)
-	}
-}
-
-// summarizeIdent records function-value references (reachability edges)
-// and package-level variable occurrences.
-func summarizeIdent(l *Loader, info *types.Info, id *ast.Ident, stack []ast.Node, ff *funcFacts) {
-	switch obj := info.Uses[id].(type) {
-	case *types.Func:
-		if obj.Pkg() != nil && isModulePath(l.ModPath, obj.Pkg().Path()) && !isCallFun(stack, id) {
-			ff.refs = append(ff.refs, callSite{callee: obj, pos: id.Pos()})
-		}
-	case *types.Var:
-		if v := packageLevelVar(l, info, id); v != nil {
-			ff.globalUses = append(ff.globalUses, varUse{obj: v, pos: id.Pos()})
-		}
+// summarizeRef records function-value references (reachability edges).
+func summarizeRef(l *Loader, info *types.Info, id *ast.Ident, stack []ast.Node, ff *funcFacts) {
+	obj, ok := info.Uses[id].(*types.Func)
+	if ok && obj.Pkg() != nil && isModulePath(l.ModPath, obj.Pkg().Path()) && !isCallFun(stack, id) {
+		ff.refs = append(ff.refs, callSite{callee: obj, pos: id.Pos()})
 	}
 }
 
@@ -461,21 +381,6 @@ func isSignalChan(t types.Type) bool {
 	}
 	st, ok := ch.Elem().Underlying().(*types.Struct)
 	return ok && st.NumFields() == 0
-}
-
-// packageLevelVar resolves id to a module package-level variable, or nil.
-func packageLevelVar(l *Loader, info *types.Info, id *ast.Ident) *types.Var {
-	v, ok := info.Uses[id].(*types.Var)
-	if !ok || v.Pkg() == nil || v.IsField() {
-		return nil
-	}
-	if v.Parent() != v.Pkg().Scope() {
-		return nil
-	}
-	if !isModulePath(l.ModPath, v.Pkg().Path()) {
-		return nil
-	}
-	return v
 }
 
 // namedStructOf unwraps pointers and aliases down to a named type whose

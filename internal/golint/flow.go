@@ -6,10 +6,9 @@ import (
 	"go/types"
 )
 
-// This file holds the dataflow helpers shared by the concurrency and
-// allocation analyzers: ancestor-stack traversal, loop and cold-path
-// context, closure-capture resolution, and the syntactic lock-region
-// scan G009 and G010 both rest on.
+// This file holds the syntax helpers shared by the whole-module
+// analyzers: ancestor-stack traversal, loop and cold-path context, and
+// lvalue resolution.
 
 // inspectWithStack walks the AST under root calling fn with the current
 // ancestor stack (root's ancestors excluded; stack[len-1] is the direct
@@ -47,24 +46,6 @@ func inLoopAt(stack []ast.Node, pos token.Pos) bool {
 		}
 	}
 	return false
-}
-
-// enclosingLoop returns the innermost for/range statement on the stack
-// whose body contains pos, or nil.
-func enclosingLoop(stack []ast.Node, pos token.Pos) ast.Stmt {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch s := stack[i].(type) {
-		case *ast.ForStmt:
-			if s.Body.Pos() <= pos && pos < s.Body.End() {
-				return s
-			}
-		case *ast.RangeStmt:
-			if s.Body.Pos() <= pos && pos < s.Body.End() {
-				return s
-			}
-		}
-	}
-	return nil
 }
 
 // onColdPath reports whether the site sits in a block that directly
@@ -116,65 +97,6 @@ func innermostFuncLit(stack []ast.Node) *ast.FuncLit {
 	return nil
 }
 
-// writesEnclosingVar reports whether the assignment or inc/dec
-// statement writes (directly, or through an index/selector/deref
-// chain) a variable declared outside the innermost function literal on
-// the stack — a captured-by-reference write.
-func writesEnclosingVar(info *types.Info, n ast.Node, stack []ast.Node) bool {
-	lit := innermostFuncLit(stack)
-	if lit == nil {
-		return false
-	}
-	for _, obj := range writeRoots(info, n) {
-		if capturedBy(obj, lit) {
-			return true
-		}
-	}
-	return false
-}
-
-// capturedBy reports whether obj is declared outside the function
-// literal (so references inside it capture the variable by reference).
-func capturedBy(obj types.Object, lit *ast.FuncLit) bool {
-	if obj == nil {
-		return false
-	}
-	pos := obj.Pos()
-	return pos.IsValid() && (pos < lit.Pos() || pos >= lit.End())
-}
-
-// writeRoots returns the root variables written by an assignment or
-// inc/dec statement: for x, x[i], x.f, and *x forms the root is x.
-// Short variable declarations define rather than write, so their
-// newly-defined names are excluded.
-func writeRoots(info *types.Info, n ast.Node) []types.Object {
-	var out []types.Object
-	add := func(e ast.Expr, defining bool) {
-		id := rootIdent(e)
-		if id == nil {
-			return
-		}
-		if defining {
-			if _, isDef := info.Defs[id]; isDef {
-				return
-			}
-		}
-		if obj, ok := info.Uses[id].(*types.Var); ok {
-			out = append(out, obj)
-		}
-	}
-	switch n := n.(type) {
-	case *ast.AssignStmt:
-		defining := n.Tok == token.DEFINE
-		for _, lhs := range n.Lhs {
-			add(lhs, defining)
-		}
-	case *ast.IncDecStmt:
-		add(n.X, false)
-	}
-	return out
-}
-
 // rootIdent peels index, selector, paren, and deref layers off an
 // lvalue and returns its base identifier (nil when the base is not an
 // identifier, e.g. a call result).
@@ -208,218 +130,4 @@ func isByteOrRuneSlice(t types.Type) bool {
 	}
 	b, ok := s.Elem().Underlying().(*types.Basic)
 	return ok && (b.Kind() == types.Byte || b.Kind() == types.Rune || b.Kind() == types.Uint8 || b.Kind() == types.Int32)
-}
-
-// isSyncType reports whether t is sync.<name> or *sync.<name>.
-func isSyncType(t types.Type, name string) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj != nil && obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == name
-}
-
-// isMutexType reports whether t is a sync.Mutex or sync.RWMutex
-// (optionally behind a pointer), or a named type embedding one.
-func isMutexType(t types.Type) bool {
-	if isSyncType(t, "Mutex") || isSyncType(t, "RWMutex") {
-		return true
-	}
-	if t == nil {
-		return false
-	}
-	if p, ok := t.(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	if named, ok := t.(*types.Named); ok {
-		if st, ok := named.Underlying().(*types.Struct); ok {
-			for i := 0; i < st.NumFields(); i++ {
-				f := st.Field(i)
-				if f.Embedded() && (isSyncType(f.Type(), "Mutex") || isSyncType(f.Type(), "RWMutex")) {
-					return true
-				}
-			}
-		}
-	}
-	return false
-}
-
-// isWaitGroupType reports whether t is sync.WaitGroup or
-// *sync.WaitGroup.
-func isWaitGroupType(t types.Type) bool { return isSyncType(t, "WaitGroup") }
-
-// isChanType reports whether t is a channel type.
-func isChanType(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Chan)
-	return ok
-}
-
-// typeContainsMutex reports whether a value of type t carries a
-// sync.Mutex or sync.RWMutex by value (directly, in a struct field, or
-// in an array element) — copying such a value duplicates lock state.
-func typeContainsMutex(t types.Type) bool {
-	return typeContainsMutexRec(t, make(map[types.Type]bool))
-}
-
-func typeContainsMutexRec(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if isSyncType(t, "Mutex") || isSyncType(t, "RWMutex") {
-		if _, isPtr := t.(*types.Pointer); !isPtr {
-			return true
-		}
-		return false
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if typeContainsMutexRec(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return typeContainsMutexRec(u.Elem(), seen)
-	}
-	return false
-}
-
-// mutexCallTarget recognizes calls of the shape x.Lock / x.RLock /
-// x.Unlock / x.RUnlock on a mutex-typed receiver and returns the
-// receiver's source text (the region key) and the method name.
-func mutexCallTarget(info *types.Info, call *ast.CallExpr) (recv, method string) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return "", ""
-	}
-	switch sel.Sel.Name {
-	case "Lock", "RLock", "Unlock", "RUnlock":
-	default:
-		return "", ""
-	}
-	if !isMutexType(info.TypeOf(sel.X)) {
-		return "", ""
-	}
-	return exprText(sel.X), sel.Sel.Name
-}
-
-// containsMutexCall reports whether any call to the given methods on
-// the given receiver text appears under n, excluding calls inside defer
-// statements when skipDeferred is set (a deferred unlock does not end
-// the locked region) and excluding nested function literals (their
-// bodies run on their own schedule).
-func containsMutexCall(info *types.Info, n ast.Node, recv string, methods map[string]bool, skipDeferred bool) bool {
-	found := false
-	inspectWithStack(n, func(c ast.Node, stack []ast.Node) bool {
-		if found {
-			return false
-		}
-		if _, ok := c.(*ast.FuncLit); ok && c != n {
-			return false
-		}
-		if skipDeferred {
-			if _, ok := c.(*ast.DeferStmt); ok {
-				return false
-			}
-		}
-		call, ok := c.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		if r, m := mutexCallTarget(info, call); r == recv && methods[m] {
-			found = true
-		}
-		return true
-	})
-	return found
-}
-
-// posRange is a half-open source region.
-type posRange struct {
-	from, to token.Pos
-}
-
-// contains reports whether pos falls inside the range.
-func (r posRange) contains(pos token.Pos) bool { return r.from <= pos && pos < r.to }
-
-// lockHeldRanges computes, per block of one function frame, the source
-// ranges over which some mutex is syntactically held: from the
-// statement after x.Lock()/x.RLock() up to (exclusive) the first later
-// statement in the same block that contains a matching unlock anywhere
-// — the conservative cut, since a branch may release the lock — or to
-// the block's end when the unlock is deferred or absent. Nested
-// function literals are separate frames and are skipped entirely: a
-// closure *defined* under a lock does not *run* under it, and a
-// goroutine body does not inherit its creator's lock state. Callers
-// analyze each frame's body separately.
-func lockHeldRanges(info *types.Info, body *ast.BlockStmt) []posRange {
-	var out []posRange
-	unlockOf := map[string]string{"Lock": "Unlock", "RLock": "RUnlock"}
-	var scanBlock func(list []ast.Stmt)
-	scanBlock = func(list []ast.Stmt) {
-		for i, st := range list {
-			call, ok := exprCall(st)
-			if !ok {
-				continue
-			}
-			recv, method := mutexCallTarget(info, call)
-			if recv == "" || (method != "Lock" && method != "RLock") {
-				continue
-			}
-			end := token.Pos(0)
-			if len(list) > 0 {
-				end = list[len(list)-1].End()
-			}
-			for j := i + 1; j < len(list); j++ {
-				if containsMutexCall(info, list[j], recv, map[string]bool{unlockOf[method]: true}, true) {
-					end = list[j].Pos()
-					break
-				}
-			}
-			if st.End() < end {
-				out = append(out, posRange{from: st.End(), to: end})
-			}
-		}
-	}
-	ast.Inspect(body, func(n ast.Node) bool {
-		if _, ok := n.(*ast.FuncLit); ok {
-			return false
-		}
-		if block, ok := n.(*ast.BlockStmt); ok {
-			scanBlock(block.List)
-		}
-		return true
-	})
-	return out
-}
-
-// exprCall unwraps an expression statement holding a call.
-func exprCall(st ast.Stmt) (*ast.CallExpr, bool) {
-	es, ok := st.(*ast.ExprStmt)
-	if !ok {
-		return nil, false
-	}
-	call, ok := es.X.(*ast.CallExpr)
-	return call, ok
-}
-
-// inAnyRange reports whether pos falls in any of the ranges.
-func inAnyRange(ranges []posRange, pos token.Pos) bool {
-	for _, r := range ranges {
-		if r.contains(pos) {
-			return true
-		}
-	}
-	return false
 }

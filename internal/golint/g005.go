@@ -77,69 +77,15 @@ func checkErrorfWrap(p *Pass, call *ast.CallExpr) []Finding {
 	if err != nil || strings.Contains(format, "%w") {
 		return nil
 	}
-	for i, arg := range call.Args[1:] {
+	for _, arg := range call.Args[1:] {
 		t := info.TypeOf(arg)
 		if t != nil && isErrorType(t) {
-			f := p.finding(RuleErrorHygiene, Info, call.Pos(),
+			return []Finding{p.finding(RuleErrorHygiene, Info, call.Pos(),
 				fmt.Sprintf("fmt.Errorf interpolates error %s without %%w: the error chain is severed", exprText(arg)),
-				"use %w to keep errors.Is/As working, or keep %v deliberately to hide the cause")
-			f.Fix = wrapVerbFix(p, lit, i)
-			return []Finding{f}
+				"use %w to keep errors.Is/As working, or keep %v deliberately to hide the cause")}
 		}
 	}
 	return nil
-}
-
-// wrapVerbFix builds the %v→%w suggested fix for the argIdx-th format
-// argument. Only the unambiguous shape is offered (see DESIGN.md
-// "Autofix safety"): an escape-free double-quoted literal whose verbs
-// are all plain `%X` letters, with the error's verb being %v or %s —
-// anything fancier stays finding-only.
-func wrapVerbFix(p *Pass, lit *ast.BasicLit, argIdx int) *Fix {
-	raw := lit.Value
-	if len(raw) < 2 || raw[0] != '"' || strings.ContainsRune(raw, '\\') {
-		return nil
-	}
-	verb := -1 // byte offset of argIdx's verb letter within raw
-	n := 0
-	for i := 0; i+1 < len(raw); i++ {
-		if raw[i] != '%' {
-			continue
-		}
-		c := raw[i+1]
-		if c == '%' {
-			i++
-			continue
-		}
-		if c < 'a' || c > 'z' {
-			return nil // flags/width: not the unambiguous shape
-		}
-		if n == argIdx {
-			if c != 'v' && c != 's' {
-				return nil
-			}
-			verb = i + 1
-		}
-		n++
-		i++
-	}
-	if verb < 0 {
-		return nil
-	}
-	file := p.Loader.Fset.File(lit.Pos())
-	if file == nil {
-		return nil
-	}
-	start := file.Offset(lit.Pos()) + verb
-	return &Fix{
-		Description: "replace the error's %v with %w to keep the error chain",
-		Edits: []TextEdit{{
-			File:  p.relFile(lit.Pos()),
-			Start: start,
-			End:   start + 1,
-			Text:  "w",
-		}},
-	}
 }
 
 // returnsError reports whether the call's results include an error.

@@ -9,8 +9,8 @@ import (
 
 // G016 streaming-discipline: the serve-handler contracts that turn
 // into wire-level bugs — a panic on a wrapped ResponseWriter, a stream
-// a proxy buffers forever, a second status line after an error, a
-// leaked connection. Four checks:
+// a proxy buffers forever, a second status line after an error. Three
+// checks:
 //
 //	C1  a single-result `w.(http.Flusher)` assertion panics at runtime
 //	    when middleware wraps the writer; assert with the comma-ok form
@@ -25,30 +25,18 @@ import (
 //	    parameter — any later write to the writer in the same block is
 //	    a protocol error (and a direct WriteHeader followed by another
 //	    header write is a double status line).
-//	C4  *http.Response values from client calls must have their Body
-//	    closed on every path — the client-side mirror of G014, sharing
-//	    its positional path check and ownership-transfer rules.
 func analyzerG016() *Analyzer {
 	return &Analyzer{
 		ID:       RuleStreamingDiscipline,
 		Name:     "streaming-discipline",
-		Doc:      "bare Flusher asserts, unflushed NDJSON loops, writes after an error response, unclosed response bodies",
+		Doc:      "bare Flusher asserts, unflushed NDJSON loops, writes after an error response",
 		Severity: Error,
 		Run:      runG016,
 	}
 }
 
-// g016ClientAcquisitions is the C4 acquisition table: package-level
-// http helpers. Method calls on *http.Client are matched separately.
-var g016ClientAcquisitions = map[string]acqSpec{
-	"net/http.Get":  {resIdx: 0, errIdx: 1, what: "http.Get response", release: "Body.Close"},
-	"net/http.Post": {resIdx: 0, errIdx: 1, what: "http.Post response", release: "Body.Close"},
-	"net/http.Head": {resIdx: 0, errIdx: 1, what: "http.Head response", release: "Body.Close"},
-}
-
 func runG016(p *Pass) []Finding {
 	var out []Finding
-	rel := p.Mod.releaseOracleOf()
 	writers := p.Mod.headerWriterSummaries()
 	for _, file := range p.Pkg.Files {
 		for _, fd := range funcDecls(file) {
@@ -58,9 +46,6 @@ func runG016(p *Pass) []Finding {
 			out = append(out, checkFlusherAsserts(p, fd)...)
 			out = append(out, checkStreamLoops(p, fd)...)
 			out = append(out, checkWriteAfterError(p, fd, writers)...)
-			if !isResourceOwner(p.Pkg.Path, fd.Name.Name) {
-				out = append(out, checkResponseBodies(p, fd, rel)...)
-			}
 		}
 	}
 	return out
@@ -392,72 +377,6 @@ func stmtWritesResponse(info *types.Info, st ast.Stmt) bool {
 	return found
 }
 
-// checkResponseBodies runs the shared lifecycle check (C4) over client
-// response acquisitions: package-level http helpers and method calls
-// on *http.Client values.
-func checkResponseBodies(p *Pass, fd *ast.FuncDecl, rel releaseOracle) []Finding {
-	info := p.Pkg.Info
-	var out []Finding
-	inspectWithStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
-		assign, ok := n.(*ast.AssignStmt)
-		if !ok || len(assign.Rhs) != 1 || len(assign.Lhs) < 1 {
-			return true
-		}
-		call, ok := assign.Rhs[0].(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		spec, ok := clientAcqSpec(info, call)
-		if !ok || len(assign.Lhs) <= spec.resIdx {
-			return true
-		}
-		id, ok := assign.Lhs[spec.resIdx].(*ast.Ident)
-		if !ok {
-			return true
-		}
-		frame := fd.Body
-		if lit := innermostFuncLit(stack); lit != nil {
-			frame = lit.Body
-		}
-		acq := resourceAcq{pos: assign.Pos(), stmt: assign, what: spec.what, release: spec.release}
-		if id.Name != "_" {
-			acq.obj = assignedObject(info, id)
-		}
-		if spec.errIdx >= 0 && spec.errIdx < len(assign.Lhs) {
-			if eid, ok := assign.Lhs[spec.errIdx].(*ast.Ident); ok && eid.Name != "_" {
-				acq.errObj = assignedObject(info, eid)
-			}
-		}
-		out = append(out, checkAcquisitionAs(p, frame, acq, rel, RuleStreamingDiscipline)...)
-		return true
-	})
-	return out
-}
-
-// clientAcqSpec matches a client call that returns (*http.Response,
-// error): the package-level http helpers or Get/Post/Do/Head/PostForm
-// methods on an *http.Client.
-func clientAcqSpec(info *types.Info, call *ast.CallExpr) (acqSpec, bool) {
-	path, name := pkgQualified(info, call.Fun)
-	if spec, ok := g016ClientAcquisitions[path+"."+name]; ok {
-		return spec, true
-	}
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return acqSpec{}, false
-	}
-	switch sel.Sel.Name {
-	case "Do", "Get", "Post", "Head", "PostForm":
-	default:
-		return acqSpec{}, false
-	}
-	if !isHTTPClient(info.TypeOf(sel.X)) {
-		return acqSpec{}, false
-	}
-	return acqSpec{resIdx: 0, errIdx: 1,
-		what: "http.Client." + sel.Sel.Name + " response", release: "Body.Close"}, true
-}
-
 // headerWriterSummaries computes (once per Run) the module functions
 // that complete a response on a ResponseWriter parameter: they call
 // WriteHeader on it and write a body. The value is the parameter
@@ -511,18 +430,6 @@ func isFlusherType(t types.Type) bool {
 // isResponseWriter reports whether t is net/http.ResponseWriter.
 func isResponseWriter(t types.Type) bool {
 	return isNamedType(t, "net/http", "ResponseWriter")
-}
-
-// isHTTPClient reports whether t is net/http.Client (possibly through
-// a pointer).
-func isHTTPClient(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		t = p.Elem()
-	}
-	return isNamedType(t, "net/http", "Client")
 }
 
 // isNamedType reports whether t is the named type pkgPath.name.

@@ -8,7 +8,9 @@
 // The framework is stdlib-only: a hand-rolled driver (see Loader) loads
 // and type-checks every package in the module with go/parser and
 // go/types, then runs a set of analyzers over the typed syntax. Each
-// analyzer encodes one repo invariant:
+// analyzer encodes one repo invariant that the Go toolchain's own
+// checks (go vet, the -race test job) do not cover, and each has either
+// caught a real defect in this tree or guards a repo-specific contract:
 //
 //	G001 nondeterministic-iteration  map iteration order leaking into
 //	     output or collected slices — the bug class that breaks the
@@ -23,56 +25,34 @@
 //	     the vetted package allowlist (see allowlist.go)
 //	G005 error-hygiene               discarded error returns and
 //	     fmt.Errorf wrapping a live error without %w
-//	G006 doc-comment                 exported symbols in the API-bearing
-//	     packages missing a godoc comment whose first word is the
-//	     symbol name (see the docCommentPackages table in allowlist.go)
 //	G007 alloc-hot-path              allocation sites reachable (through
 //	     the intra-module call graph) from the measured loops of the
 //	     engine packages, modulo the pinned hotAllocAllowlist
-//	G008 goroutine-discipline        go statements that are never joined,
-//	     ignore an in-scope context, or capture loop variables instead
-//	     of taking them as arguments
-//	G009 lock-discipline             locks without a matching unlock,
-//	     channel operations or engine calls made while a mutex is held,
-//	     and copies of mutex-bearing values
-//	G010 worker-state-sharing        unsynchronized writes from goroutine
-//	     closures to variables shared with other writers — the static
-//	     complement of the -race test list
 //	G011 cache-key-soundness         engine option fields read on the
 //	     serve path but absent from the cache-key canonicalization, and
 //	     keyed or fed fields nothing ever reads (see taint.go)
 //	G012 cancellation-reachability   statically-unbounded loops reachable
 //	     from the /v1/* handler wiring that never poll their context
 //	     within a bounded number of call frames
-//	G013 engine-output-purity        mutable package state or environment
-//	     reads on the cache-keyed serve path — the static complement of
-//	     the cache's byte-identical-hit tests
-//	G014 resource-lifecycle          files, listeners, timers, tickers,
-//	     and cancel funcs acquired but not released on every path —
-//	     including early error returns — modulo vetted ownership
-//	     transfers (see the resourceOwnerAllowlist in allowlist.go)
 //	G015 durability-discipline       journal-writing packages (see the
 //	     durabilityPackages table): in-place state writes, renames of
 //	     never-fsynced blobs, renames with no directory sync, and
 //	     journal appends that never reach disk
 //	G016 streaming-discipline        serve handlers: bare http.Flusher
 //	     assertions, NDJSON stream loops that flush optionally or not at
-//	     all, writes after a completed error response, and client
-//	     response bodies left open
+//	     all, and writes after a completed error response
 //
-// G001–G006 judge one file at a time; G007–G010 additionally consult
+// G001–G005 judge one file at a time; G007 additionally consults
 // Pass.Mod, the whole-module call graph built once per Run (see
-// callgraph.go). G011–G013 further consult the interprocedural dataflow
-// built on top of it (see taint.go): backward reachability from the
-// /v1/* handler wiring and forward field-sensitive taint from the
-// cache-keyed option structs. G014–G016 reuse the same call graph for
-// interprocedural release and header-write summaries (see lifecycle.go).
+// callgraph.go). G011 and G012 further consult the interprocedural
+// dataflow built on top of it (see taint.go): backward reachability
+// from the /v1/* handler wiring and forward field-sensitive taint from
+// the cache-keyed option structs. G015 and G016 reuse the same call
+// graph for directory-sync and header-write summaries.
 //
 // Findings mirror the internal/lint model — stable rule IDs, the same
 // Severity scale, a locus, and a fix hint — so cmd/lint and
-// cmd/codelint feel like one system pointed at two artifact kinds. A
-// finding may additionally carry a machine-applicable suggested fix
-// (see fix.go); cmd/codelint -fix applies them.
+// cmd/codelint feel like one system pointed at two artifact kinds.
 package golint
 
 import (
@@ -99,7 +79,10 @@ func ParseSeverity(s string) (Severity, error) { return lint.ParseSeverity(s) }
 
 // Stable rule identifiers. Like the lint.Rule* constants these are part
 // of the output contract: CI filters and goldens key on them, so
-// existing IDs must never be renumbered.
+// existing IDs must never be renumbered. G006, G008, G009, G010, G013
+// and G014 are retired (doc-comment, goroutine-discipline,
+// lock-discipline, worker-state-sharing, engine-output-purity and
+// resource-lifecycle) and must never be reused for a new rule.
 const (
 	// RuleNondetIteration: map iteration order leaks into output.
 	RuleNondetIteration = "G001"
@@ -115,38 +98,20 @@ const (
 	// RuleErrorHygiene: discarded error return, or fmt.Errorf wrapping
 	// an error value without %w.
 	RuleErrorHygiene = "G005"
-	// RuleDocComment: exported symbol in an API-bearing package missing
-	// a godoc comment whose first word is the symbol name.
-	RuleDocComment = "G006"
 	// RuleAllocHotPath: allocation site reachable from a measured engine
 	// loop (see the hotLoopEntries table in allowlist.go).
 	RuleAllocHotPath = "G007"
-	// RuleGoroutineDiscipline: goroutine spawned without a join, ignoring
-	// an in-scope context, or capturing loop variables.
-	RuleGoroutineDiscipline = "G008"
-	// RuleLockDiscipline: unpaired lock, channel op or engine call under
-	// a held mutex, or copy of a mutex-bearing value.
-	RuleLockDiscipline = "G009"
-	// RuleWorkerStateSharing: unsynchronized goroutine-closure write to a
-	// variable shared with other writers.
-	RuleWorkerStateSharing = "G010"
 	// RuleCacheKeySoundness: engine option field read on the serve path
 	// but not consumed by the cache-key canonicalization (or vice versa).
 	RuleCacheKeySoundness = "G011"
 	// RuleCancelReachability: statically-unbounded loop reachable from a
 	// /v1/* handler that never polls its context.
 	RuleCancelReachability = "G012"
-	// RuleEngineOutputPurity: mutable package state or environment read
-	// on the cache-keyed serve path.
-	RuleEngineOutputPurity = "G013"
-	// RuleResourceLifecycle: an acquired resource (file, listener,
-	// timer, ticker, cancel func) not released on every path.
-	RuleResourceLifecycle = "G014"
 	// RuleDurabilityDiscipline: a journal-writing package breaks the
 	// append+Sync or tmp→fsync→rename→dir-sync shape.
 	RuleDurabilityDiscipline = "G015"
 	// RuleStreamingDiscipline: a serve handler breaks the streaming
-	// contract (flusher, write-after-error, unclosed response body).
+	// contract (flusher discipline, write after an error response).
 	RuleStreamingDiscipline = "G016"
 )
 
@@ -167,10 +132,6 @@ type Finding struct {
 	Message string `json:"message"`
 	// Hint suggests a fix, when one is known.
 	Hint string `json:"hint,omitempty"`
-	// Fix is a machine-applicable suggested fix, present only for the
-	// shapes whose repair is mechanical (see DESIGN.md "Autofix
-	// safety"); most findings are finding-only and carry nil.
-	Fix *Fix `json:"fix,omitempty"`
 }
 
 // String renders the finding in the conventional compiler one-liner.
@@ -206,15 +167,9 @@ func Analyzers() []*Analyzer {
 		analyzerG003(),
 		analyzerG004(),
 		analyzerG005(),
-		analyzerG006(),
 		analyzerG007(),
-		analyzerG008(),
-		analyzerG009(),
-		analyzerG010(),
 		analyzerG011(),
 		analyzerG012(),
-		analyzerG013(),
-		analyzerG014(),
 		analyzerG015(),
 		analyzerG016(),
 	}

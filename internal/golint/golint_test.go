@@ -62,17 +62,11 @@ func TestFixturesMatchGoldens(t *testing.T) {
 		{"g003", RuleContextDiscipline, 4},
 		{"g004", RuleImpureEngine, 3},
 		{"g005", RuleErrorHygiene, 2},
-		{"g006", RuleDocComment, 4},
 		{"g007", RuleAllocHotPath, 2},
-		{"g008", RuleGoroutineDiscipline, 3},
-		{"g009", RuleLockDiscipline, 4},
-		{"g010", RuleWorkerStateSharing, 2},
 		{"g011", RuleCacheKeySoundness, 4},
 		{"g012", RuleCancelReachability, 2},
-		{"g013", RuleEngineOutputPurity, 3},
-		{"g014", RuleResourceLifecycle, 5},
 		{"g015", RuleDurabilityDiscipline, 4},
-		{"g016", RuleStreamingDiscipline, 7},
+		{"g016", RuleStreamingDiscipline, 5},
 	} {
 		t.Run(fixture.name, func(t *testing.T) {
 			rep := analyzeFixture(t, fixture.name)
@@ -129,7 +123,8 @@ func TestReportHelpers(t *testing.T) {
 }
 
 // TestAnalyzerRegistry pins the registry's IDs and order: rule IDs are
-// an output contract and must never be renumbered.
+// an output contract and must never be renumbered, and the retired IDs
+// (G006, G008–G010, G013, G014) stay unregistered.
 func TestAnalyzerRegistry(t *testing.T) {
 	var ids []string
 	for _, a := range Analyzers() {
@@ -138,8 +133,8 @@ func TestAnalyzerRegistry(t *testing.T) {
 			t.Errorf("analyzer %s incompletely declared", a.ID)
 		}
 	}
-	want := []string{"G001", "G002", "G003", "G004", "G005", "G006", "G007", "G008",
-		"G009", "G010", "G011", "G012", "G013", "G014", "G015", "G016"}
+	want := []string{"G001", "G002", "G003", "G004", "G005", "G007",
+		"G011", "G012", "G015", "G016"}
 	if !reflect.DeepEqual(ids, want) {
 		t.Errorf("registry IDs = %v, want %v", ids, want)
 	}
@@ -149,7 +144,7 @@ func TestAnalyzerRegistry(t *testing.T) {
 // case-insensitivity, registry order, and typo rejection.
 func TestSelect(t *testing.T) {
 	all := Analyzers()
-	got, err := Select(all, []string{"g010", "G007"})
+	got, err := Select(all, []string{"g011", "G007"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,18 +152,20 @@ func TestSelect(t *testing.T) {
 	for _, a := range got {
 		ids = append(ids, a.ID)
 	}
-	if want := []string{"G007", "G010"}; !reflect.DeepEqual(ids, want) {
+	if want := []string{"G007", "G011"}; !reflect.DeepEqual(ids, want) {
 		t.Errorf("Select = %v, want %v (registry order, case-insensitive)", ids, want)
 	}
 	if _, err := Select(all, []string{"g007", "g999"}); err == nil {
 		t.Error("Select accepted unknown rule g999")
 	}
+	if _, err := Select(all, []string{"g014"}); err == nil {
+		t.Error("Select accepted retired rule g014")
+	}
 }
 
 // TestCombinedOrderGolden pins the deterministic finding order across
-// the four whole-module rules when their fixtures are analyzed in one
-// run: file, then line, then column, then rule — independent of load
-// order.
+// the whole-module rules when their fixtures are analyzed in one run:
+// file, then line, then column, then rule — independent of load order.
 func TestCombinedOrderGolden(t *testing.T) {
 	l, err := NewLoader(".")
 	if err != nil {
@@ -177,11 +174,7 @@ func TestCombinedOrderGolden(t *testing.T) {
 	// Deliberately load in non-sorted order; the report order must not
 	// care.
 	pkgs, err := l.Load(
-		fixtureDir(t, "g010"),
-		fixtureDir(t, "g013"),
-		fixtureDir(t, "g008"),
 		fixtureDir(t, "g011"),
-		fixtureDir(t, "g009"),
 		fixtureDir(t, "g007"),
 		fixtureDir(t, "g012"),
 	)
@@ -202,21 +195,15 @@ func TestCleanShapesStayClean(t *testing.T) {
 	cleanFuncs := map[string][]int{
 		// dirty.go line ranges of the clean functions per fixture, as
 		// flat start,end pairs (a fixture may pin several regions).
-		"g001": {37, 55},                   // SortedKeys, Total
-		"g003": {26, 38},                   // Compat, step
-		"g004": {27, 30},                   // Seeded
-		"g005": {21, 29},                   // WrapWell, CleanupRecorded
-		"g006": {6, 7},                     // Threshold (documented with the leading name)
-		"g007": {34, 44},                   // warmup, Warm (hotAllocAllowlist entry)
-		"g008": {47, 74},                   // Joined (wg-joined, ctx-observing, arg-passing), Vetted (goroutineAllowlist entry)
-		"g009": {45, 50},                   // Bump (lock/defer-unlock critical section)
-		"g010": {38, 68},                   // Guarded, Sharded
-		"g011": {30, 60},                   // mount, Register, parseThing, buildOpts, runThing
-		"g012": {48, 76},                   // polled, Vetted, step, pending
-		"g013": {35, 40},                   // limit comparison, vetted scratch writes
-		"g014": {84, 152},                  // DeferClose through the helper tail
-		"g015": {67, 117},                  // AppendSynced, InstallBlob, syncDir
-		"g016": {53, 63, 79, 95, 120, 127}, // StreamSolid; GuardedError, fail; FetchJSON
+		"g001": {37, 55},         // SortedKeys, Total
+		"g003": {26, 38},         // Compat, step
+		"g004": {27, 30},         // Seeded
+		"g005": {21, 29},         // WrapWell, CleanupRecorded
+		"g007": {34, 44},         // warmup, Warm (hotAllocAllowlist entry)
+		"g011": {30, 60},         // mount, Register, parseThing, buildOpts, runThing
+		"g012": {48, 76},         // polled, Vetted, step, pending
+		"g015": {67, 117},        // AppendSynced, InstallBlob, syncDir
+		"g016": {53, 63, 79, 95}, // StreamSolid; GuardedError, fail
 	}
 	for name, spans := range cleanFuncs {
 		rep := analyzeFixture(t, name)

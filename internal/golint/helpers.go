@@ -89,6 +89,33 @@ func pathMatchesAny(path string, suffixes []string) bool {
 	return false
 }
 
+// assignedObject resolves the object an assignment's left-hand ident
+// binds: a definition under :=, a use under plain =.
+func assignedObject(info *types.Info, id *ast.Ident) types.Object {
+	if obj := info.Defs[id]; obj != nil {
+		return obj
+	}
+	return info.Uses[id]
+}
+
+// paramObjects returns the declared parameter objects of fd in order
+// (blank and grouped parameters included; unnamed ones are nil).
+func paramObjects(info *types.Info, fd *ast.FuncDecl) []types.Object {
+	var out []types.Object
+	if fd.Type.Params == nil {
+		return out
+	}
+	for _, field := range fd.Type.Params.List {
+		for _, name := range field.Names {
+			out = append(out, info.Defs[name])
+		}
+		if len(field.Names) == 0 {
+			out = append(out, nil)
+		}
+	}
+	return out
+}
+
 // exprText renders an expression as source text (for messages and the
 // textual sort-suppression match).
 func exprText(e ast.Expr) string { return types.ExprString(e) }

@@ -1,39 +1,13 @@
 package golint
 
 import (
-	"bytes"
-	"go/format"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
 
-// The acceptance pins for the G014–G016 bring-up fixes: each deletes
-// the repair from a module copy and watches the rule fire. They are
-// the proof the rules guard the live tree, not just their fixtures.
-
-// TestDeletingTickerStopFiresG014 pins the resource-lifecycle rule to
-// the GC loop's ticker: remove `defer t.Stop()` from jobs.gcLoop and
-// the ticker leaks on every manager shutdown.
-func TestDeletingTickerStopFiresG014(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks a mutated module copy")
-	}
-	root := mutateModule(t, "internal/jobs/manager.go",
-		"\tt := time.NewTicker(interval)\n\tdefer t.Stop()\n",
-		"\tt := time.NewTicker(interval)\n")
-	found := false
-	for _, f := range runRuleOn(t, root, "g014") {
-		if f.File == "internal/jobs/manager.go" &&
-			strings.Contains(f.Message, "time.NewTicker ticker t is never released") {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("deleting the gcLoop ticker's Stop did not fire G014")
-	}
-}
+// The acceptance pins for the G015 and G016 bring-up fixes: each
+// deletes the repair from a module copy and watches the rule fire. They
+// are the proof the rules guard the live tree, not just their fixtures.
 
 // TestDeletingDirSyncFiresG015 pins the durability rule to the result
 // installer: remove writeResult's directory sync after the rename and
@@ -81,271 +55,5 @@ func TestDeletingFlushFiresG016(t *testing.T) {
 	}
 	if !found {
 		t.Error("deleting the job-events Flush did not fire G016")
-	}
-}
-
-// TestFingerprintStableAcrossLineShift pins the fingerprint contract:
-// hashing the line's text instead of its number keeps the print stable
-// when unrelated edits shift the file, while identical duplicate lines
-// still get distinct prints via the occurrence index.
-func TestFingerprintStableAcrossLineShift(t *testing.T) {
-	root := t.TempDir()
-	write := func(content string) {
-		t.Helper()
-		if err := os.MkdirAll(filepath.Join(root, "pkg"), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(root, "pkg", "a.go"), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	write("package pkg\n\nvar x = today()\n")
-	before := Fingerprints(root, []Finding{
-		{Rule: RuleImpureEngine, File: "pkg/a.go", Line: 3},
-	})
-
-	// Shift the offending line down by two; the trimmed text is
-	// unchanged, so the fingerprint must be too.
-	write("package pkg\n\n// a comment\n// another\nvar x = today()\n")
-	after := Fingerprints(root, []Finding{
-		{Rule: RuleImpureEngine, File: "pkg/a.go", Line: 5},
-	})
-	if before[0] != after[0] {
-		t.Errorf("fingerprint changed across a pure line shift: %s -> %s", before[0], after[0])
-	}
-
-	// Two findings on the same line disambiguate by occurrence index.
-	same := Fingerprints(root, []Finding{
-		{Rule: RuleImpureEngine, File: "pkg/a.go", Line: 3},
-		{Rule: RuleImpureEngine, File: "pkg/a.go", Line: 3},
-	})
-	if same[0] == same[1] {
-		t.Error("duplicate findings on one line share a fingerprint; the occurrence index is lost")
-	}
-
-	// Different rules on the same line must not collide either.
-	mixed := Fingerprints(root, []Finding{
-		{Rule: RuleImpureEngine, File: "pkg/a.go", Line: 3},
-		{Rule: RuleNondetIteration, File: "pkg/a.go", Line: 3},
-	})
-	if mixed[0] == mixed[1] {
-		t.Error("different rules on one line share a fingerprint")
-	}
-
-	// A deleted file degrades to an empty line text, never an error.
-	gone := Fingerprints(root, []Finding{
-		{Rule: RuleImpureEngine, File: "pkg/missing.go", Line: 1},
-	})
-	if len(gone) != 1 || gone[0] == "" {
-		t.Errorf("missing file produced %v, want one non-empty fingerprint", gone)
-	}
-}
-
-// TestBaselineRoundTrip pins the suppression file format end to end:
-// write, parse, apply — suppressed findings drop out, new findings
-// survive, and entries with no matching finding surface as stale.
-func TestBaselineRoundTrip(t *testing.T) {
-	findings := []Finding{
-		{Rule: RuleResourceLifecycle, File: "a/x.go", Line: 3, Message: "old debt"},
-		{Rule: RuleStreamingDiscipline, File: "b/y.go", Line: 9, Message: "new finding"},
-	}
-	fps := []string{"aaaa111122223333", "bbbb444455556666"}
-
-	var buf bytes.Buffer
-	if err := WriteBaseline(&buf, findings[:1], fps[:1]); err != nil {
-		t.Fatal(err)
-	}
-	text := buf.String()
-	if !strings.HasPrefix(text, "# codelint baseline v1\n") {
-		t.Fatalf("baseline missing version header:\n%s", text)
-	}
-	if !strings.Contains(text, "aaaa111122223333 G014 a/x.go") {
-		t.Fatalf("baseline entry lacks fingerprint + human context:\n%s", text)
-	}
-
-	// Add a stale entry by hand, as a fixed-finding baseline would hold.
-	buf.WriteString("ffff000000000000 G015 gone/z.go\n")
-	b, err := ParseBaseline(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Size() != 2 {
-		t.Fatalf("parsed baseline holds %d entries, want 2", b.Size())
-	}
-	kept, keptFps, suppressed, stale := b.Apply(findings, fps)
-	if suppressed != 1 {
-		t.Errorf("suppressed = %d, want 1", suppressed)
-	}
-	if len(kept) != 1 || kept[0].Message != "new finding" {
-		t.Errorf("kept = %v, want only the new finding", kept)
-	}
-	if len(keptFps) != 1 || keptFps[0] != fps[1] {
-		t.Errorf("keptFps = %v, want %v", keptFps, fps[1:])
-	}
-	if len(stale) != 1 || stale[0] != "ffff000000000000" {
-		t.Errorf("stale = %v, want the fixed finding's entry", stale)
-	}
-
-	// Mismatched parallel slices and missing headers fail loudly.
-	if err := WriteBaseline(&bytes.Buffer{}, findings, fps[:1]); err == nil {
-		t.Error("WriteBaseline accepted mismatched findings/fingerprints")
-	}
-	if _, err := ParseBaseline(strings.NewReader("aaaa G014 a/x.go\n")); err == nil {
-		t.Error("ParseBaseline accepted a file without the version header")
-	}
-	if _, err := ParseBaseline(strings.NewReader("")); err == nil {
-		t.Error("ParseBaseline accepted an empty file")
-	}
-}
-
-// fixFixtureModule copies the g014 fixture into a fresh module whose
-// layout preserves the testdata/codelint/g014 path suffix, so the
-// suffix-matched allowlists still recognize the Vetted function.
-func fixFixtureModule(t *testing.T) string {
-	t.Helper()
-	root := t.TempDir()
-	dir := filepath.Join(root, "testdata", "codelint", "g014")
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	src, err := os.ReadFile(fixtureDir(t, "g014") + "/dirty.go")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "dirty.go"), src, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(root, "go.mod"), []byte("module repro\n\ngo 1.22\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return root
-}
-
-// runG014On loads the fix-fixture module copy and returns its G014
-// findings through a fresh loader (the package cache would otherwise
-// hide the applied fixes).
-func runG014On(t *testing.T, root string) []Finding {
-	t.Helper()
-	l, err := NewLoader(root)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.Load("repro/testdata/codelint/g014")
-	if err != nil {
-		t.Fatal(err)
-	}
-	as, err := Select(Analyzers(), []string{"g014"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return Run(l, pkgs, as).ByRule(RuleResourceLifecycle)
-}
-
-// TestApplyFixesIdempotent is the autofix acceptance pin: applying the
-// suggested fixes removes exactly the findings that carried them, the
-// result is gofmt-clean, and a second application changes nothing.
-func TestApplyFixesIdempotent(t *testing.T) {
-	root := fixFixtureModule(t)
-	before := runG014On(t, root)
-	if len(before) != 5 {
-		t.Fatalf("fixture module produced %d G014 findings, want 5:\n%v", len(before), before)
-	}
-	withFix := 0
-	for _, f := range before {
-		if f.Fix != nil {
-			withFix++
-		}
-	}
-	if withFix != 2 {
-		t.Fatalf("%d findings carry fixes, want 2 (the never-released pair)", withFix)
-	}
-
-	fixed, err := ApplyFixes(root, before)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fixed) != 1 {
-		t.Fatalf("ApplyFixes touched %d files, want 1", len(fixed))
-	}
-	for path, content := range fixed {
-		formatted, err := format.Source(content)
-		if err != nil {
-			t.Fatalf("fixed %s does not parse: %v", path, err)
-		}
-		if !bytes.Equal(formatted, content) {
-			t.Errorf("fixed %s is not gofmt-clean", path)
-		}
-	}
-	if err := WriteFixes(root, fixed); err != nil {
-		t.Fatal(err)
-	}
-
-	after := runG014On(t, root)
-	if len(after) != 3 {
-		t.Fatalf("after fixing, %d findings remain, want 3 (early-return and discard shapes are finding-only):\n%v", len(after), after)
-	}
-	for _, f := range after {
-		if f.Fix != nil {
-			t.Errorf("finding still carries a fix after application: %v", f)
-		}
-		if strings.Contains(f.Message, "is never released") {
-			t.Errorf("never-released finding survived its own fix: %v", f)
-		}
-	}
-
-	// Idempotence: a second pass has nothing to do.
-	again, err := ApplyFixes(root, after)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(again) != 0 {
-		t.Errorf("second ApplyFixes still rewrites %d files", len(again))
-	}
-}
-
-// TestApplyFixesSkipsOverlaps pins the first-wins overlap policy and
-// the range validation.
-func TestApplyFixesSkipsOverlaps(t *testing.T) {
-	root := t.TempDir()
-	src := "package p\n\nvar x = 1\n"
-	if err := os.WriteFile(filepath.Join(root, "a.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	off := strings.Index(src, "1")
-	findings := []Finding{
-		{File: "a.go", Fix: &Fix{Description: "one", Edits: []TextEdit{{File: "a.go", Start: off, End: off + 1, Text: "2"}}}},
-		{File: "a.go", Fix: &Fix{Description: "two", Edits: []TextEdit{{File: "a.go", Start: off, End: off + 1, Text: "3"}}}},
-	}
-	fixed, err := ApplyFixes(root, findings)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := string(fixed["a.go"]); !strings.Contains(got, "var x = 2") || strings.Contains(got, "3") {
-		t.Errorf("overlap policy broken; got:\n%s", got)
-	}
-	if _, err := ApplyFixes(root, []Finding{
-		{File: "a.go", Fix: &Fix{Edits: []TextEdit{{File: "a.go", Start: 5, End: len(src) + 10, Text: ""}}}},
-	}); err == nil {
-		t.Error("out-of-range edit did not error")
-	}
-}
-
-// TestUnifiedDiff pins the -dry-run diff renderer: one hunk from the
-// first to the last differing line, a/ b/ labels, and "" on equality.
-func TestUnifiedDiff(t *testing.T) {
-	old := []byte("a\nb\nc\n")
-	new := []byte("a\nB\nc\n")
-	got := UnifiedDiff("pkg/f.go", old, new)
-	want := "--- a/pkg/f.go\n+++ b/pkg/f.go\n@@ -2,1 +2,1 @@\n-b\n+B\n"
-	if got != want {
-		t.Errorf("diff = %q, want %q", got, want)
-	}
-	if d := UnifiedDiff("pkg/f.go", old, old); d != "" {
-		t.Errorf("equal contents produced a diff: %q", d)
-	}
-	// Pure insertion renders a zero-length old range.
-	ins := UnifiedDiff("f", []byte("a\nc\n"), []byte("a\nb\nc\n"))
-	if !strings.Contains(ins, "@@ -2,0 +2,1 @@") || !strings.Contains(ins, "+b") {
-		t.Errorf("insertion diff malformed: %q", ins)
 	}
 }

@@ -336,18 +336,8 @@ type Pass struct {
 	Pkg *Package
 	// Mod is the whole-module call graph and per-function summary set,
 	// built once per Run over every requested package. The per-file
-	// rules ignore it; the concurrency and allocation rules query it.
+	// rules ignore it; the whole-module rules query it.
 	Mod *ModuleFacts
-}
-
-// relFile returns the module-relative forward-slash path of the file
-// holding pos (the same normalization findings carry).
-func (p *Pass) relFile(pos token.Pos) string {
-	file := p.Loader.Fset.Position(pos).Filename
-	if rel, err := filepath.Rel(p.Loader.ModRoot, file); err == nil && !strings.HasPrefix(rel, "..") {
-		file = filepath.ToSlash(rel)
-	}
-	return file
 }
 
 // finding builds a Finding anchored at pos with the pass's package and

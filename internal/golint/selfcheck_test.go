@@ -160,89 +160,6 @@ func TestHotAllocAllowlistLoadBearing(t *testing.T) {
 	}
 }
 
-// TestGoroutineAllowlistPinned pins the G008 join waivers: the only
-// vetted constructor-shaped spawner in the tree is the job manager's
-// New, and every entry must carry a justification naming where the
-// join lives.
-func TestGoroutineAllowlistPinned(t *testing.T) {
-	want := map[string]bool{
-		"internal/jobs.New":             true,
-		"testdata/codelint/g008.Vetted": true,
-	}
-	if len(goroutineAllowlist) != len(want) {
-		t.Errorf("goroutineAllowlist has %d entries, want %d — update this pin together with the table", len(goroutineAllowlist), len(want))
-	}
-	for _, e := range goroutineAllowlist {
-		if !want[e.pkg+"."+e.fn] {
-			t.Errorf("unexpected allowlist entry %s.%s", e.pkg, e.fn)
-		}
-		if e.why == "" {
-			t.Errorf("allowlist entry %s.%s carries no justification", e.pkg, e.fn)
-		}
-	}
-	if goroutineJoinAllowed("repro/internal/serve", "New") {
-		t.Error("serve's constructor spawns nothing; the waiver must not leak onto it")
-	}
-}
-
-// TestGoroutineAllowlistLoadBearing runs G008 on internal/jobs and
-// asserts the entry both silences the package and still covers live
-// spawns inside New — a stale entry fails here and gets removed. The
-// join it waives is itself pinned by jobs.TestCloseJoinsWorkers.
-func TestGoroutineAllowlistLoadBearing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks jobs")
-	}
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.Load("repro/internal/jobs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := Run(l, pkgs, Analyzers())
-	if n := len(rep.ByRule(RuleGoroutineDiscipline)); n != 0 {
-		t.Errorf("jobs: %d G008 findings despite allowlist:\n%v", n, rep.ByRule(RuleGoroutineDiscipline))
-	}
-	// Bypass the allowlist: New must still contain the spawns the entry
-	// vets, proving it covers live code.
-	spawns := 0
-	for _, file := range pkgs[0].Files {
-		for _, fd := range funcDecls(file) {
-			if fd.Name.Name != "New" || fd.Body == nil {
-				continue
-			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				if _, ok := n.(*ast.GoStmt); ok {
-					spawns++
-				}
-				return true
-			})
-		}
-	}
-	if spawns == 0 {
-		t.Error("jobs.New no longer spawns goroutines; prune its goroutineAllowlist entry")
-	}
-}
-
-// TestEngineCallPackagesPinned pins the G009 engine-call set to the
-// four engine packages.
-func TestEngineCallPackagesPinned(t *testing.T) {
-	want := []string{"internal/fsim", "internal/atpg", "internal/tpi", "internal/implic"}
-	if len(engineCallPackages) != len(want) {
-		t.Errorf("engineCallPackages has %d entries, want %d", len(engineCallPackages), len(want))
-	}
-	for _, p := range want {
-		if !isEngineCallPackage("repro/" + p) {
-			t.Errorf("engineCallPackages lost %s", p)
-		}
-	}
-	if isEngineCallPackage("repro/internal/serve") {
-		t.Error("serve is a caller of engines, not an engine")
-	}
-}
-
 // TestEngineOptionStructsPinned pins the G011 audit surface: the five
 // engine option structs the serve run closures hand across, plus the
 // fixture. internal/lint.Options stays out by decision — /v1/lint runs
@@ -353,21 +270,6 @@ func TestCtxLoopTablesPinned(t *testing.T) {
 	}
 }
 
-// TestMutableStateAllowlistPinned pins the G013 exemptions to the
-// fixture's scratch buffer alone: the engine tree holds no vetted
-// mutable state on the keyed path.
-func TestMutableStateAllowlistPinned(t *testing.T) {
-	if len(mutableStateAllowlist) != 1 {
-		t.Errorf("mutableStateAllowlist has %d entries, want 1 — update this pin together with the table", len(mutableStateAllowlist))
-	}
-	if !mutableStateAllowed("repro/testdata/codelint/g013", "scratch") {
-		t.Error("mutableStateAllowlist lost the fixture's scratch entry")
-	}
-	if mutableStateAllowed("repro/internal/serve", "scratch") {
-		t.Error("the fixture exemption must not leak onto serve")
-	}
-}
-
 // TestCtxLoopAllowlistLoadBearing asserts the vetted engine functions
 // still contain the unbounded loops their entries cover — a stale entry
 // fails here and gets removed.
@@ -432,58 +334,6 @@ func TestAllowlistLoadBearing(t *testing.T) {
 		if !found {
 			t.Errorf("%s no longer imports time; drop its allowlist entry", path)
 		}
-	}
-}
-
-// TestResourceOwnerAllowlistPinned pins the G014 ownership-transfer
-// waivers to the fixture entry alone: the live tree currently holds no
-// constructor whose acquisitions outlive the frame by design, so any
-// growth here is a reviewed decision.
-func TestResourceOwnerAllowlistPinned(t *testing.T) {
-	if len(resourceOwnerAllowlist) != 1 {
-		t.Errorf("resourceOwnerAllowlist has %d entries, want 1 — update this pin together with the table", len(resourceOwnerAllowlist))
-	}
-	for _, e := range resourceOwnerAllowlist {
-		if e.why == "" {
-			t.Errorf("allowlist entry %s.%s carries no justification", e.pkg, e.fn)
-		}
-	}
-	if !isResourceOwner("repro/testdata/codelint/g014", "Vetted") {
-		t.Error("resourceOwnerAllowlist lost the fixture's Vetted entry")
-	}
-	if isResourceOwner("repro/internal/serve", "Vetted") {
-		t.Error("the fixture waiver must not leak onto serve")
-	}
-	if isResourceOwner("repro/testdata/codelint/g014", "LeakFile") {
-		t.Error("LeakFile is the fixture's dirty shape and must never be waived")
-	}
-}
-
-// TestResourceOwnerAllowlistLoadBearing asserts the Vetted entry still
-// covers a live acquisition: bypassing the allowlist, the function must
-// acquire a G014-tracked resource it never releases — exactly what the
-// waiver exists to silence. A Vetted that stops acquiring goes stale
-// and fails here.
-func TestResourceOwnerAllowlistLoadBearing(t *testing.T) {
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.Load("repro/testdata/codelint/g014")
-	if err != nil {
-		t.Fatal(err)
-	}
-	acquires := 0
-	for _, file := range pkgs[0].Files {
-		for _, fd := range funcDecls(file) {
-			if fd.Name.Name != "Vetted" || fd.Body == nil {
-				continue
-			}
-			acquires += len(findAcquisitions(pkgs[0].Info, fd, g014Acquisitions))
-		}
-	}
-	if acquires == 0 {
-		t.Error("g014.Vetted no longer acquires a tracked resource; prune its resourceOwnerAllowlist entry")
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 // This file is the interprocedural dataflow half of the whole-module
 // framework: where callgraph.go summarizes what each function *does*,
 // serveGraph derives what the serving layer can *reach* and which data
-// can *flow* — the three facts the G011–G013 rules are built on:
+// can *flow* — the three facts the G011 and G012 rules are built on:
 //
 //   - backward reachability from the /v1/* handler wiring (call edges
 //     plus function-value reference edges, so method values, deferred
@@ -92,10 +92,6 @@ type serveGraph struct {
 	keyedStructs []*types.TypeName
 	keyedFields  map[string]*keyedField // fieldKey -> classification
 
-	// mutableGlobals are module package-level vars written anywhere
-	// outside init functions.
-	mutableGlobals map[*types.Var]bool
-
 	// taintVar / taintRet are the forward-taint fixpoint results.
 	taintVar map[types.Object]bool
 	taintRet map[*types.Func]bool
@@ -122,23 +118,21 @@ func (m *ModuleFacts) serveFacts() *serveGraph {
 		return m.serve
 	}
 	g := &serveGraph{
-		m:              m,
-		reach:          make(map[*types.Func]string),
-		pollDepth:      make(map[*types.Func]int),
-		loopDepth:      make(map[*types.Func]int),
-		keyedFields:    make(map[string]*keyedField),
-		mutableGlobals: make(map[*types.Var]bool),
-		taintVar:       make(map[types.Object]bool),
-		taintRet:       make(map[*types.Func]bool),
-		feeds:          make(map[string]*feedFact),
-		reads:          make(map[string][]fieldUse),
-		readBy:         make(map[string]string),
+		m:           m,
+		reach:       make(map[*types.Func]string),
+		pollDepth:   make(map[*types.Func]int),
+		loopDepth:   make(map[*types.Func]int),
+		keyedFields: make(map[string]*keyedField),
+		taintVar:    make(map[types.Object]bool),
+		taintRet:    make(map[*types.Func]bool),
+		feeds:       make(map[string]*feedFact),
+		reads:       make(map[string][]fieldUse),
+		readBy:      make(map[string]string),
 	}
 	m.serve = g
 	g.findRoots()
 	g.computeReach()
 	g.findKeyedStructs()
-	g.findMutableGlobals()
 	g.taintFixpoint()
 	g.collectFlows()
 	return g
@@ -306,22 +300,6 @@ func (g *serveGraph) classifyFields(owner *types.TypeName) {
 			kf.keyed = true
 		}
 		g.keyedFields[fieldKey(owner, f.Name())] = kf
-	}
-}
-
-// findMutableGlobals unions the global-write sets of every summarized
-// function except init: state written only during package initialization
-// is constant for the life of the process and cannot split cached
-// results.
-func (g *serveGraph) findMutableGlobals() {
-	for _, fn := range g.m.order {
-		ff := g.m.funcs[fn]
-		if ff.decl.Recv == nil && ff.decl.Name.Name == "init" {
-			continue
-		}
-		for _, v := range ff.globalWrites {
-			g.mutableGlobals[v] = true
-		}
 	}
 }
 

@@ -58,6 +58,14 @@ var errNoCircuit = errors.New(`request must set exactly one of "bench" or "gener
 // (bench.Write embeds the circuit name in its header).
 const requestName = "request"
 
+// maxGenerateGates bounds the circuits a generator spec may build.
+// Generation runs before the request deadline and the worker pool
+// apply, and the random generators are quadratic in their size, so an
+// unbounded spec would hold a handler and a CPU far past any timeout;
+// oversized specs are refused with 400 before anything is built. Inline
+// bench uploads are bounded by Config.MaxBody instead.
+const maxGenerateGates = 10000
+
 // parseCircuit materializes the request's circuit. Generator specs are
 // deterministic, so both forms canonicalize through bench.Write.
 func parseCircuit(req *netlistRequest) (*netlist.Circuit, error) {
@@ -74,7 +82,7 @@ func parseCircuit(req *netlistRequest) (*netlist.Circuit, error) {
 		}
 		return c, nil
 	case req.Generate != "":
-		return cli.Generate(req.Generate)
+		return cli.GenerateWithin(req.Generate, maxGenerateGates)
 	default:
 		return nil, errNoCircuit
 	}

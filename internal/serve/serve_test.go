@@ -329,6 +329,44 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestOversizedGeneratorRejected pins the generator budget: specs whose
+// circuits would take minutes to build, before any deadline or pool
+// slot applies, get a 400 at once on the sync and async paths alike.
+func TestOversizedGeneratorRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, spec := range []string{"dag:gates=1000000", "tree:leaves=1000000", "mul:width=100000"} {
+		for _, mode := range []string{"sync", "async"} {
+			body := fmt.Sprintf(`{"generate":%q,"mode":%q,"options":{"planner":"observe"}}`, spec, mode)
+			start := time.Now()
+			st, _, b := post(t, ts.URL+"/v1/plan", body)
+			if d := time.Since(start); d > 100*time.Millisecond {
+				t.Errorf("%s (%s): rejection took %v", spec, mode, d)
+			}
+			if st != http.StatusBadRequest || !bytes.Contains(b, []byte("over the limit")) {
+				t.Errorf("%s (%s): status = %d body=%s, want 400 naming the gate limit", spec, mode, st, b)
+			}
+		}
+	}
+}
+
+// TestGeneratorBudgetAdmitsRepoSpecs keeps the budget clear of every
+// generator spec the repo's own clients and tests send.
+func TestGeneratorBudgetAdmitsRepoSpecs(t *testing.T) {
+	for _, spec := range []string{
+		"dag:gates=1500,seed=2",               // largest spec the cmd/serve tests send
+		"dag:gates=2000,seed=1",               // servebench plan-hit inline body
+		"dag:gates=1000,seed=1",               // servebench plan-hit and plan-miss
+		"tree:leaves=2000,seed=1",             // servebench plan-miss cuts
+		"rpr:cones=3,width=10,glue=60,seed=1", // servebench ATPG
+		"dag:gates=600,seed=7",                // internal/perf
+		"dag:gates=120,seed=1",                // cmd/loadgen default
+	} {
+		if _, err := parseCircuit(&netlistRequest{Generate: spec}); err != nil {
+			t.Errorf("%s: %v", spec, err)
+		}
+	}
+}
+
 func TestMethodNotAllowed(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/plan")

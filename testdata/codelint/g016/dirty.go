@@ -1,13 +1,13 @@
 // Package g016 is a codelint fixture: streaming-handler discipline
 // (rule G016). BareAssert asserts http.Flusher without the comma-ok
 // form, StreamNoFlush never flushes its NDJSON loop,
-// StreamOptionalFlush gates the flush on a nil-able Flusher,
+// StreamOptionalFlush gates the flush on a nil-able Flusher, and
 // WriteAfterError and DoubleHeader keep writing after the response
-// was completed, LeakBody never closes a client response body, and
-// EarlyReturnBody leaks it on the status check: findings.
-// StreamSolid (ResponseController flush), GuardedError (return after
-// the error write), and FetchJSON (deferred Body.Close) must stay
-// clean; fail is the helper shape the header-writer summary detects.
+// was completed: findings.
+//
+// StreamSolid (ResponseController flush) and GuardedError (return
+// after the error write) must stay clean; fail is the helper shape
+// the header-writer summary detects.
 package g016
 
 import (
@@ -90,38 +90,4 @@ func fail(w http.ResponseWriter, status int, msg string) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(msg)
-}
-
-// LeakBody fetches and never closes the body, leaking the connection:
-// finding, with a suggested fix inserting the defer.
-func LeakBody(url string) (int, error) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return 0, err
-	}
-	return resp.StatusCode, nil
-}
-
-// EarlyReturnBody closes the body on the happy path but leaks it on
-// the status check: finding.
-func EarlyReturnBody(url string) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("unexpected status %d", resp.StatusCode)
-	}
-	_ = resp.Body.Close()
-	return nil
-}
-
-// FetchJSON closes the body on every path: clean.
-func FetchJSON(url string, v any) error {
-	resp, err := http.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	return json.NewDecoder(resp.Body).Decode(v)
 }
