@@ -13,7 +13,7 @@
 //	GET    /v1/jobs/{id}/events stream job snapshots as JSON lines
 //	DELETE /v1/jobs/{id}        cancel a job cooperatively
 //	GET    /healthz             liveness probe
-//	GET    /v1/stats            request, cache, pool, and job counters
+//	GET    /v1/stats            request, cache, key memo, pool, and job counters
 //	GET    /debug/vars          the same counters via expvar
 //
 // Engine requests with "mode":"async" (or a Prefer: respond-async
@@ -23,7 +23,9 @@
 //
 // Results are cached content-addressed (SHA-256 of the canonicalized
 // netlist and options), so repeated identical requests are served
-// byte-identically without re-running the engines. On SIGINT/SIGTERM
+// byte-identically without re-running the engines; a bounded memo from
+// the raw body's digest to its key lets a byte-identical repeat skip
+// the parse and canonicalization too. On SIGINT/SIGTERM
 // the listener closes, in-flight requests drain, and the process exits
 // zero.
 //

@@ -116,9 +116,9 @@ func (c *chainImporter) Import(path string) (*types.Package, error) {
 // the requested packages in deterministic order. Patterns follow the go
 // tool's shape: a directory path ("./internal/fsim"), a module import
 // path ("repro/internal/fsim"), or a trailing "/..." wildcard that
-// walks a subtree — skipping testdata, vendor, and hidden directories
-// exactly as the go tool does, unless the walk is rooted inside one
-// explicitly.
+// walks a subtree — skipping testdata, vendor, hidden directories and
+// nested modules exactly as the go tool does, unless the walk is rooted
+// inside one explicitly.
 func (l *Loader) Load(patterns ...string) ([]*Package, error) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
@@ -183,9 +183,11 @@ func (l *Loader) resolveDir(p string) string {
 }
 
 // packageDirs walks base and returns every directory directly holding a
-// non-test Go file. Subdirectories named testdata or vendor and hidden
-// or underscore-prefixed directories are pruned (the root itself is
-// always entered, so explicit walks inside testdata work).
+// non-test Go file. Subdirectories named testdata or vendor, hidden or
+// underscore-prefixed directories, and directories holding a go.mod of
+// their own (nested modules, which the go tool leaves out of ./...) are
+// pruned. The root itself is always entered, so explicit walks inside
+// testdata work.
 func packageDirs(base string) ([]string, error) {
 	var out []string
 	err := filepath.WalkDir(base, func(path string, d os.DirEntry, err error) error {
@@ -199,6 +201,9 @@ func packageDirs(base string) ([]string, error) {
 			name := d.Name()
 			if name == "testdata" || name == "vendor" ||
 				strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_") {
+				return filepath.SkipDir
+			}
+			if _, err := os.Stat(filepath.Join(path, "go.mod")); err == nil {
 				return filepath.SkipDir
 			}
 		}

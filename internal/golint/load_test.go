@@ -69,6 +69,29 @@ func TestLoadWildcard(t *testing.T) {
 	}
 }
 
+// TestLoadPrunesNestedModules walks the loader fixture, whose nested/
+// subdirectory holds a go.mod of its own: the go tool leaves a nested
+// module out of "/...", and so must the loader. The nested package
+// imports a path only its own module could resolve, so walking into it
+// fails the load rather than shifting a count.
+func TestLoadPrunesNestedModules(t *testing.T) {
+	l, err := NewLoader(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := l.Load("../../testdata/codelint/loader/...")
+	if err != nil {
+		t.Fatalf("loader walked into the nested module: %v", err)
+	}
+	if len(pkgs) != 1 || pkgs[0].Path != "repro/testdata/codelint/loader" {
+		var got []string
+		for _, p := range pkgs {
+			got = append(got, p.Path)
+		}
+		t.Errorf("loaded %v, want only repro/testdata/codelint/loader", got)
+	}
+}
+
 // TestLoadSkipsBuildConstrainedFiles proves the loader honors build
 // constraints: the g007 fixture carries an excluded.go behind a
 // never-satisfied build tag that redeclares Hot. If the loader parsed

@@ -58,6 +58,25 @@ func NewCache(capacity int64) *Cache {
 	}
 }
 
+// Get peeks at the completed entry for key. A present key counts as a
+// hit and becomes most recently used; an absent one (never computed,
+// evicted, or still in flight) counts nothing, so the GetOrCompute a
+// caller falls back to counts the miss or the shared flight as usual.
+// The bytes must not be mutated by the caller.
+func (c *Cache) Get(key string) ([]byte, bool) {
+	c.mu.Lock()
+	el, ok := c.items[key]
+	if !ok {
+		c.mu.Unlock()
+		return nil, false
+	}
+	c.ll.MoveToFront(el)
+	v := el.Value.(*centry).val
+	c.mu.Unlock()
+	c.hits.Add(1)
+	return v, true
+}
+
 // GetOrCompute returns the cached value for key, or runs compute to
 // produce it. hit reports whether the value came from the cache or an
 // in-flight leader (bytes must not be mutated by the caller). ctx

@@ -30,6 +30,41 @@ func TestCacheHitMiss(t *testing.T) {
 	}
 }
 
+// TestCacheGetPeeks: Get counts a hit only when the completed value is
+// present; an absent or still-computing key counts nothing and leaves
+// the miss to GetOrCompute.
+func TestCacheGetPeeks(t *testing.T) {
+	c := NewCache(1 << 20)
+	if v, ok := c.Get("k"); ok || v != nil {
+		t.Fatalf("Get on an empty cache = %q, %v", v, ok)
+	}
+	enter, release := make(chan struct{}), make(chan struct{})
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		_, _, _ = c.GetOrCompute(context.Background(), "k", func() ([]byte, error) {
+			close(enter)
+			<-release
+			return []byte("value"), nil
+		})
+	}()
+	<-enter
+	if _, ok := c.Get("k"); ok {
+		t.Error("Get returned an in-flight value")
+	}
+	close(release)
+	<-done
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Fatalf("stats after absent Gets = %+v, want 0 hits / 1 miss", st)
+	}
+	if v, ok := c.Get("k"); !ok || string(v) != "value" {
+		t.Fatalf("Get after compute = %q, %v", v, ok)
+	}
+	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
+		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
+	}
+}
+
 func TestCacheEviction(t *testing.T) {
 	// Room for roughly two entries of ~(1+256+overhead) bytes.
 	c := NewCache(2 * (260 + entryOverhead))

@@ -17,6 +17,18 @@
 //  2. Responses are rendered to JSON once, by the engine execution that
 //     populated the cache, and the stored bytes are replayed verbatim
 //     on hits — cache hits are byte-identical to the cold response.
+//
+//  3. The key memo only short-cuts computing a key; it never changes
+//     one. It maps SHA-256 of the endpoint and the raw request body to
+//     what the full path (derive) derived from that body: the cache
+//     key, timeout_ms, and whether the envelope asked for async mode.
+//     An entry is stored only after the request it came from succeeded,
+//     so a refused body is never memoized. A repeat body then reaches
+//     the result cache without decoding, parsing or generating,
+//     canonicalizing, or re-hashing; if its result is no longer cached
+//     the request takes the full path unchanged. A body that differs in
+//     any byte, whitespace included, misses the memo and still lands on
+//     its canonical key through the full path.
 package serve
 
 import (
@@ -25,6 +37,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"net/http"
 	"strings"
 
 	"repro/internal/bench"
@@ -112,4 +125,72 @@ func cacheKey(endpoint, canonNetlist string, opts any) (string, error) {
 	h.Write([]byte(canonNetlist))
 	h.Write(oj)
 	return hex.EncodeToString(h.Sum(nil)), nil
+}
+
+// invocation is one engine request derived from its body. Taken from
+// the key memo it carries only the memoized entry: enough to replay a
+// cached result or submit a job. Derived along the full path it also
+// carries the circuit and the engine runner.
+type invocation struct {
+	memoEntry
+	endpoint string
+	body     []byte
+	digest   [sha256.Size]byte
+	parse    parseFunc
+	c        *netlist.Circuit // nil when taken from the memo
+	run      runFunc
+}
+
+// requestError is a request body the full path refused, with the HTTP
+// status it is answered with.
+type requestError struct {
+	status int
+	msg    string
+}
+
+func (e *requestError) Error() string { return e.msg }
+
+func badRequest(msg string) error { return &requestError{status: http.StatusBadRequest, msg: msg} }
+
+// derive takes the full path from a request body to its invocation:
+// decode the envelope, materialize the circuit, decode the options,
+// canonicalize the netlist, and hash the cache key.
+func derive(endpoint string, parse parseFunc, body []byte, digest [sha256.Size]byte) (*invocation, error) {
+	var req netlistRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return nil, badRequest("decode request: " + err.Error())
+	}
+	var async bool
+	switch req.Mode {
+	case "", "sync":
+	case "async":
+		async = true
+	default:
+		return nil, badRequest(fmt.Sprintf("unknown mode %q (want \"sync\" or \"async\")", req.Mode))
+	}
+	c, err := parseCircuit(&req)
+	if err != nil {
+		return nil, badRequest(err.Error())
+	}
+	keyOpts, timeoutMS, run, err := parse(req.Options)
+	if err != nil {
+		return nil, badRequest("decode options: " + err.Error())
+	}
+	canon, err := canonicalNetlist(c)
+	if err != nil {
+		return nil, &requestError{status: http.StatusInternalServerError, msg: err.Error()}
+	}
+	key, err := cacheKey(endpoint, canon, keyOpts)
+	if err != nil {
+		return nil, &requestError{status: http.StatusInternalServerError, msg: err.Error()}
+	}
+	return &invocation{
+		memoEntry: memoEntry{key: key, timeoutMS: timeoutMS, async: async},
+		endpoint:  endpoint,
+		body:      body,
+		digest:    digest,
+		parse:     parse,
+		c:         c,
+		run:       run,
+	}, nil
 }

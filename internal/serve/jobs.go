@@ -21,25 +21,19 @@ import (
 	"repro/internal/jobs"
 )
 
-// asyncRequested reports whether the request opts into asynchronous
-// execution, via the envelope's mode field or the standard Prefer:
-// respond-async header (RFC 7240). Unknown modes are rejected.
-func asyncRequested(req *netlistRequest, r *http.Request) (bool, error) {
-	switch req.Mode {
-	case "", "sync":
-	case "async":
-		return true, nil
-	default:
-		return false, fmt.Errorf("unknown mode %q (want \"sync\" or \"async\")", req.Mode)
-	}
+// preferAsync reports whether the request opts into asynchronous
+// execution through the standard Prefer: respond-async header (RFC
+// 7240). The envelope's "mode":"async" is the other way in; derive
+// reads it with the rest of the body.
+func preferAsync(r *http.Request) bool {
 	for _, pref := range r.Header.Values("Prefer") {
 		for _, tok := range strings.Split(pref, ",") {
 			if strings.EqualFold(strings.TrimSpace(tok), "respond-async") {
-				return true, nil
+				return true
 			}
 		}
 	}
-	return false, nil
+	return false
 }
 
 // submitResponse is the 202 body acknowledging an async submission.
@@ -83,51 +77,24 @@ func (s *Server) submitJob(w http.ResponseWriter, name, key string, body []byte,
 
 // executeJob is the jobs.Runner: it re-derives the engine invocation
 // from the journaled request envelope and executes it through the same
-// single-flight cache and worker pool as the synchronous path. The
-// returned bytes are exactly what the synchronous endpoint would have
-// written, and identical concurrent jobs collapse into one engine run.
+// key memo, single-flight cache and worker pool as the synchronous
+// path. The returned bytes are exactly what the synchronous endpoint
+// would have written, and identical concurrent jobs collapse into one
+// engine run.
 func (s *Server) executeJob(ctx context.Context, spec jobs.Spec) ([]byte, error) {
 	parse, ok := s.parsers[spec.Endpoint]
 	if !ok {
 		return nil, fmt.Errorf("serve: job targets unknown endpoint %q", spec.Endpoint)
 	}
-	var req netlistRequest
-	if err := json.Unmarshal(spec.Request, &req); err != nil {
-		return nil, fmt.Errorf("serve: decode journaled request: %w", err)
-	}
-	c, err := parseCircuit(&req)
+	// The key is derived from the journaled body rather than trusted
+	// from spec.Key: a tampered or stale journal body has a digest of
+	// its own, misses the memo, and gets the key of what it says, so it
+	// cannot poison the cache under a mismatched key.
+	inv, err := s.resolve(spec.Endpoint, parse, spec.Request)
 	if err != nil {
 		return nil, err
 	}
-	keyOpts, _, run, err := parse(req.Options)
-	if err != nil {
-		return nil, err
-	}
-	canon, err := canonicalNetlist(c)
-	if err != nil {
-		return nil, err
-	}
-	// Recomputed rather than trusting spec.Key: both come from the same
-	// deterministic derivation, and recomputing keeps a tampered or
-	// stale journal from poisoning the cache under a mismatched key.
-	key, err := cacheKey(spec.Endpoint, canon, keyOpts)
-	if err != nil {
-		return nil, err
-	}
-	val, _, err := s.cache.GetOrCompute(ctx, key, func() ([]byte, error) {
-		if err := s.pool.Acquire(ctx); err != nil {
-			return nil, err
-		}
-		defer s.pool.Release()
-		if h := testHookCompute; h != nil {
-			h(spec.Endpoint)
-		}
-		out, err := run(ctx, c)
-		if err != nil {
-			return nil, err
-		}
-		return json.Marshal(out)
-	})
+	val, _, err := s.execute(ctx, inv)
 	return val, err
 }
 

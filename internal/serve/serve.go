@@ -65,6 +65,7 @@ type Server struct {
 	cfg     Config
 	pool    *Pool
 	cache   *Cache
+	memo    *keyMemo
 	metrics *Metrics
 	jobs    *jobs.Manager
 	parsers map[string]parseFunc
@@ -97,6 +98,7 @@ func New(cfg Config) (*Server, error) {
 		cfg:      cfg,
 		pool:     NewPool(cfg.Workers),
 		cache:    NewCache(cfg.CacheBytes),
+		memo:     newKeyMemo(memoCap),
 		metrics:  NewMetrics(),
 		start:    time.Now(),
 		draining: make(chan struct{}),
@@ -162,6 +164,7 @@ type Stats struct {
 	InFlight      int64                       `json:"in_flight"`
 	Endpoints     map[string]EndpointSnapshot `json:"endpoints"`
 	Cache         CacheStats                  `json:"cache"`
+	KeyMemo       MemoStats                   `json:"key_memo"`
 	Pool          PoolStats                   `json:"pool"`
 	Jobs          jobs.Stats                  `json:"jobs"`
 }
@@ -173,6 +176,7 @@ func (s *Server) Stats() Stats {
 		InFlight:      s.metrics.inFlight.Load(),
 		Endpoints:     s.metrics.Snapshot(),
 		Cache:         s.cache.Stats(),
+		KeyMemo:       s.memo.stats(),
 		Pool:          s.pool.Stats(),
 		Jobs:          s.jobs.Stats(),
 	}
@@ -230,9 +234,8 @@ func writeError(w http.ResponseWriter, status int, msg string) {
 }
 
 // engineHandler wraps one engine endpoint with the shared request glue:
-// body limit, envelope decode, circuit canonicalization, cache lookup
-// with single-flight, worker pool admission, deadline handling, and
-// metrics.
+// body limit, key derivation (memo first), cache lookup with
+// single-flight, worker pool admission, deadline handling, and metrics.
 func (s *Server) engineHandler(name string, parse parseFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -249,9 +252,9 @@ func (s *Server) engineHandler(name string, parse parseFunc) http.HandlerFunc {
 			writeError(w, status, "POST required")
 			return
 		}
-		// The body is read whole (not stream-decoded) because an async
-		// submission journals the verbatim envelope for replay after a
-		// restart.
+		// The body is read whole (not stream-decoded) because the key
+		// memo digests it and an async submission journals the
+		// verbatim envelope for replay after a restart.
 		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
 		body, err := io.ReadAll(r.Body)
 		if err != nil {
@@ -264,87 +267,34 @@ func (s *Server) engineHandler(name string, parse parseFunc) http.HandlerFunc {
 			writeError(w, status, "read request: "+err.Error())
 			return
 		}
-		var req netlistRequest
-		if err := json.Unmarshal(body, &req); err != nil {
-			status = http.StatusBadRequest
-			writeError(w, status, "decode request: "+err.Error())
-			return
-		}
-		async, err := asyncRequested(&req, r)
+		inv, err := s.resolve(name, parse, body)
 		if err != nil {
-			status = http.StatusBadRequest
-			writeError(w, status, err.Error())
-			return
-		}
-		c, err := parseCircuit(&req)
-		if err != nil {
-			status = http.StatusBadRequest
-			writeError(w, status, err.Error())
-			return
-		}
-		keyOpts, timeoutMS, run, err := parse(req.Options)
-		if err != nil {
-			status = http.StatusBadRequest
-			writeError(w, status, "decode options: "+err.Error())
-			return
-		}
-		canon, err := canonicalNetlist(c)
-		if err != nil {
-			status = http.StatusInternalServerError
-			writeError(w, status, err.Error())
-			return
-		}
-		key, err := cacheKey(name, canon, keyOpts)
-		if err != nil {
-			status = http.StatusInternalServerError
-			writeError(w, status, err.Error())
+			status = writeFailure(w, err)
 			return
 		}
 
-		if async {
-			status = s.submitJob(w, name, key, body, timeoutMS)
+		if inv.async || preferAsync(r) {
+			status = s.submitJob(w, name, inv.key, body, inv.timeoutMS)
+			if status == http.StatusAccepted {
+				s.memo.put(inv.digest, inv.memoEntry)
+			}
 			return
 		}
 
 		timeout := s.cfg.RequestTimeout
-		if timeoutMS > 0 {
-			if d := time.Duration(timeoutMS) * time.Millisecond; d < timeout {
+		if inv.timeoutMS > 0 {
+			if d := time.Duration(inv.timeoutMS) * time.Millisecond; d < timeout {
 				timeout = d
 			}
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), timeout)
 		defer cancel()
 
-		val, hit, err := s.cache.GetOrCompute(ctx, key, func() ([]byte, error) {
-			if err := s.pool.Acquire(ctx); err != nil {
-				return nil, err
-			}
-			defer s.pool.Release()
-			if h := testHookCompute; h != nil {
-				h(name)
-			}
-			out, err := run(ctx, c)
-			if err != nil {
-				return nil, err
-			}
-			return json.Marshal(out)
-		})
-		switch {
-		case err == nil:
-		case errors.Is(err, context.DeadlineExceeded):
-			status = http.StatusGatewayTimeout
-			writeError(w, status, "deadline exceeded before the engine finished")
-			return
-		case errors.Is(err, context.Canceled):
-			// The client disconnected; there is no one to write to.
-			status = statusClientClosed
-			return
-		default:
-			status = http.StatusBadRequest
-			writeError(w, status, err.Error())
+		val, hit, err := s.execute(ctx, inv)
+		if err != nil {
+			status = writeFailure(w, err)
 			return
 		}
-
 		h := w.Header()
 		h.Set("Content-Type", "application/json")
 		if hit {
@@ -354,6 +304,79 @@ func (s *Server) engineHandler(name string, parse parseFunc) http.HandlerFunc {
 		}
 		_, _ = w.Write(val)
 	}
+}
+
+// writeFailure answers a failed engine request and returns its status:
+// the refused body's own status, 504 at the deadline, 499 (nothing
+// written) when the client went away, and 400 for an engine that
+// rejected its input.
+func writeFailure(w http.ResponseWriter, err error) int {
+	var rerr *requestError
+	switch {
+	case errors.As(err, &rerr):
+		writeError(w, rerr.status, rerr.msg)
+		return rerr.status
+	case errors.Is(err, context.DeadlineExceeded):
+		writeError(w, http.StatusGatewayTimeout, "deadline exceeded before the engine finished")
+		return http.StatusGatewayTimeout
+	case errors.Is(err, context.Canceled):
+		// The client disconnected; there is no one to write to.
+		return statusClientClosed
+	default:
+		writeError(w, http.StatusBadRequest, err.Error())
+		return http.StatusBadRequest
+	}
+}
+
+// resolve derives the invocation for one request body, memo first. A
+// body that succeeded before yields its memoized entry without being
+// decoded, parsed or generated, canonicalized, or re-hashed; any other
+// body takes the full path.
+func (s *Server) resolve(endpoint string, parse parseFunc, body []byte) (*invocation, error) {
+	digest := bodyDigest(endpoint, body)
+	if e, ok := s.memo.get(digest); ok {
+		return &invocation{memoEntry: e, endpoint: endpoint, body: body, digest: digest, parse: parse}, nil
+	}
+	return derive(endpoint, parse, body, digest)
+}
+
+// execute answers inv from the result cache, running the engine on a
+// miss, and memoizes inv's key once the answer is in hand. A memoized
+// invocation whose result is no longer cached (evicted, or still being
+// computed) is re-derived along the full path first: Get peeks only at
+// completed entries, so GetOrCompute counts the miss or joins the
+// in-flight computation exactly as for a body the memo never saw.
+func (s *Server) execute(ctx context.Context, inv *invocation) (val []byte, hit bool, err error) {
+	if inv.c == nil {
+		if val, ok := s.cache.Get(inv.key); ok {
+			return val, true, nil
+		}
+		if inv, err = derive(inv.endpoint, inv.parse, inv.body, inv.digest); err != nil {
+			return nil, false, err
+		}
+	}
+	// Copy out what the engine run and the memo insert need, so the
+	// request body is garbage while the engine runs.
+	endpoint, c, run := inv.endpoint, inv.c, inv.run
+	digest, entry := inv.digest, inv.memoEntry
+	val, hit, err = s.cache.GetOrCompute(ctx, entry.key, func() ([]byte, error) {
+		if err := s.pool.Acquire(ctx); err != nil {
+			return nil, err
+		}
+		defer s.pool.Release()
+		if h := testHookCompute; h != nil {
+			h(endpoint)
+		}
+		out, err := run(ctx, c)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(out)
+	})
+	if err == nil {
+		s.memo.put(digest, entry)
+	}
+	return val, hit, err
 }
 
 // circuitInfo is the common response header describing the circuit the

@@ -367,6 +367,32 @@ func TestGeneratorBudgetAdmitsRepoSpecs(t *testing.T) {
 	}
 }
 
+// TestObserveBudgetBeyondCircuit: an observation budget far beyond the
+// circuit plans as the gate count does, at once, instead of holding its
+// handler in budget-sized knapsacks past any deadline.
+func TestObserveBudgetBeyondCircuit(t *testing.T) {
+	_, ts := newTestServer(t, Config{RequestTimeout: 5 * time.Second})
+	_, _, want := post(t, ts.URL+"/v1/plan", `{"generate":"c17","options":{"planner":"observe","nop":11}}`)
+	start := time.Now()
+	st, _, got := post(t, ts.URL+"/v1/plan", `{"generate":"c17","options":{"planner":"observe","nop":1000000}}`)
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("nop=1000000 on c17 took %v", d)
+	}
+	if st != http.StatusOK {
+		t.Fatalf("status %d body %s", st, got)
+	}
+	var a, b planResponse
+	if err := json.Unmarshal(want, &a); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(got, &b); err != nil {
+		t.Fatal(err)
+	}
+	if a.Circuit.Gates != 11 || fmt.Sprint(a.Points) != fmt.Sprint(b.Points) || a.CoveredAfter != b.CoveredAfter {
+		t.Fatalf("nop=1000000 planned %v covering %d; nop=11 planned %v covering %d", b.Points, b.CoveredAfter, a.Points, a.CoveredAfter)
+	}
+}
+
 func TestMethodNotAllowed(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/plan")

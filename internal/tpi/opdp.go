@@ -355,6 +355,12 @@ func planObservationPointsDP(ctx context.Context, c *netlist.Circuit, faults []f
 	if k < 0 {
 		return nil, ErrBudgetNegative
 	}
+	// A plan holds at most one OP per signal, so budget beyond the gate
+	// count buys nothing: clamping is exact, and it keeps every knapsack
+	// (O(k²) work between polls) sized by the circuit, not the request.
+	if n := c.NumGates(); k > n {
+		k = n
+	}
 	m := newOPModel(c, faults, opts)
 	plan := &OPPlan{
 		TotalFaults:   len(faults),
@@ -379,13 +385,14 @@ func planObservationPointsDP(ctx context.Context, c *netlist.Circuit, faults []f
 	}
 	sort.Ints(stems)
 	report := progress.FromContext(ctx)
+	done := ctx.Done()
 	dps := make([]*regionDP, len(stems))
 	tables := make([][]int, len(stems))
 	for i, s := range stems {
 		if report != nil {
 			report("op-regions", int64(i), int64(len(stems)))
 		}
-		r := &regionDP{m: m, stem: s, kMax: k, dth: dth, memo: make(map[[2]int][]int), ctx: ctx, done: ctx.Done()}
+		r := &regionDP{m: m, stem: s, kMax: k, dth: dth, memo: make(map[[2]int][]int), ctx: ctx, done: done}
 		tables[i] = r.run()
 		dps[i] = r
 		plan.StatesVisited += r.states
@@ -398,6 +405,7 @@ func planObservationPointsDP(ctx context.Context, c *netlist.Circuit, faults []f
 		choice[i] = make([]int, k+1)
 		copy(prev, acc)
 		for kk := 0; kk <= k; kk++ {
+			pollDone(ctx, done)
 			best, bestJ := 0, 0
 			for j := 0; j <= kk; j++ {
 				if v := prev[kk-j] + tables[i][j]; v > best {
@@ -412,6 +420,7 @@ func planObservationPointsDP(ctx context.Context, c *netlist.Circuit, faults []f
 	// Reconstruct: walk regions backwards apportioning the budget.
 	remaining := k
 	for i := len(stems) - 1; i >= 0; i-- {
+		pollDone(ctx, done)
 		j := choice[i][remaining]
 		if j > 0 {
 			dps[i].reconstruct(stems[i], -1, j, &plan.Points)

@@ -1,7 +1,12 @@
 package tpi
 
 import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/fsim"
@@ -193,5 +198,56 @@ func TestOPNegativeBudget(t *testing.T) {
 	c := gen.C17()
 	if _, err := PlanObservationPointsDP(c, fault.CollapsedUniverse(c), -1, 0.1, OPOptions{}); err != ErrBudgetNegative {
 		t.Errorf("expected ErrBudgetNegative, got %v", err)
+	}
+}
+
+// TestOPDPBudgetClampedToCircuit: a plan holds at most one OP per
+// signal, so a budget beyond the gate count must plan exactly as the
+// gate count does, and as fast.
+func TestOPDPBudgetClampedToCircuit(t *testing.T) {
+	c := gen.C17()
+	faults := fault.CollapsedUniverse(c)
+	want, err := PlanObservationPointsDP(c, faults, c.NumGates(), 0.1, OPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	got, err := PlanObservationPointsDP(c, faults, 1_000_000, 0.1, OPOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d > 100*time.Millisecond {
+		t.Errorf("budget 1e6 on c17 took %v", d)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("budget 1e6 plan %+v, want the budget-%d plan %+v", got, c.NumGates(), want)
+	}
+}
+
+// TestOPDPHonorsDeadlineAcrossRegions pins the polls outside the region
+// trees. Every gate of this ladder is its own fanout-free region, so the
+// region DPs finish at once and the cross-region knapsack, O(regions ×
+// k²), holds all the work: without a poll there it ran a second past
+// its deadline and returned a plan.
+func TestOPDPHonorsDeadlineAcrossRegions(t *testing.T) {
+	const n = 600
+	b := netlist.NewBuilder("ladder")
+	in := make([]int, n+1)
+	for i := range in {
+		in[i] = b.Input(fmt.Sprintf("x%d", i))
+	}
+	for i := 0; i < n; i++ {
+		b.MarkOutput(b.AndGate(fmt.Sprintf("g%d", i), in[i], in[i+1]))
+	}
+	c := b.MustBuild()
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err := PlanObservationPointsDPContext(ctx, c, fault.CollapsedUniverse(c), c.NumGates(), 0.1, OPOptions{})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > time.Second {
+		t.Errorf("deadline of 200ms honoured after %v", d)
 	}
 }
