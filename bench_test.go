@@ -129,17 +129,6 @@ func BenchmarkLogicSim(b *testing.B) {
 	}
 }
 
-// BenchmarkCutDP measures the exact planner on a 500-leaf tree at K=8.
-func BenchmarkCutDP(b *testing.B) {
-	c := RandomTree(5, 500, TreeOptions{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tpi.PlanCutsDP(c, 8); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkOPDP measures observation point planning on a 1000-gate
 // reconvergent circuit at K=8.
 func BenchmarkOPDP(b *testing.B) {

@@ -105,11 +105,6 @@ func isHotLoopEntry(pkgPath, fn string) bool {
 var hotAllocAllowlist = []struct {
 	pkg, fn, why string
 }{
-	// The cut DP builds one result row per processed node; its slices
-	// ARE the dynamic-programming table, sized by circuit shape, not by
-	// pattern count.
-	{"internal/tpi", "computeNode", "DP table rows are the output, amortized once per node"},
-	{"internal/tpi", "exportsOf", "export rows are DP output, amortized once per node"},
 	// The fixture entry proves a listed function's sites go quiet while
 	// its unlisted neighbors still fire.
 	{"testdata/codelint/g007", "Warm", "fixture: vetted setup-phase allocation"},

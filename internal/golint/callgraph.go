@@ -5,7 +5,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -620,18 +619,4 @@ func (m *ModuleFacts) hotFuncs() map[*types.Func]string {
 		}
 	}
 	return m.hot
-}
-
-// hotFuncList returns the hot set as deterministically-ordered facts
-// (summary order), for analyzers that iterate it.
-func (m *ModuleFacts) hotFuncList() []*funcFacts {
-	hot := m.hotFuncs()
-	var out []*funcFacts
-	for _, fn := range m.order {
-		if _, ok := hot[fn]; ok {
-			out = append(out, m.funcs[fn])
-		}
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].fn.Pos() < out[j].fn.Pos() })
-	return out
 }

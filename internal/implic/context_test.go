@@ -54,3 +54,31 @@ func TestQueriesAfterCanceledContextBuild(t *testing.T) {
 	// must not observe the dead build context.
 	_ = e.RedundantFaults()
 }
+
+// TestRedundantContext: a done context aborts the redundancy pass with
+// its error and caches nothing; a live one gives exactly Redundant.
+func TestRedundantContext(t *testing.T) {
+	c, _, _ := indirectCircuit()
+	e := New(c, Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if red, err := e.RedundantContext(ctx); red != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("RedundantContext on a canceled context: %v, %v; want nil and context.Canceled", red, err)
+	}
+	if e.redundant != nil {
+		t.Fatal("an aborted redundancy pass was cached")
+	}
+	got, err := e.RedundantContext(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := New(c, Options{}).Redundant()
+	if len(got) != len(want) {
+		t.Fatalf("RedundantContext found %d faults, Redundant %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("fault %d: %v, want %v", i, got[i], want[i])
+		}
+	}
+}

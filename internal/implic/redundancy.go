@@ -1,6 +1,7 @@
 package implic
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/fault"
@@ -37,9 +38,23 @@ type RedundantFault struct {
 // uncollapsed universe, in universe order. Computed once and cached.
 func (e *Engine) Redundant() []RedundantFault {
 	if e.redundant == nil {
-		e.redundant = e.computeRedundant()
+		e.redundant, _ = e.computeRedundant(nil)
 	}
 	return e.redundant
+}
+
+// RedundantContext is Redundant with cancellation: the pass polls ctx
+// once per fault and, once it is done, returns ctx.Err() and caches
+// nothing.
+func (e *Engine) RedundantContext(ctx context.Context) ([]RedundantFault, error) {
+	if e.redundant == nil {
+		red, ok := e.computeRedundant(ctx.Done())
+		if !ok {
+			return nil, ctx.Err()
+		}
+		e.redundant = red
+	}
+	return e.redundant, nil
 }
 
 // RedundantFaults returns just the faults of Redundant.
@@ -61,16 +76,23 @@ func (e *Engine) RedundantSet() map[fault.Fault]bool {
 	return out
 }
 
-func (e *Engine) computeRedundant() []RedundantFault {
-	out := []RedundantFault{}
+// computeRedundant runs the pass, polling done once per fault; it
+// returns ok=false when done fires first. A nil done never fires.
+func (e *Engine) computeRedundant(done <-chan struct{}) (out []RedundantFault, ok bool) {
+	out = []RedundantFault{}
 	cone := make([]bool, e.c.NumGates())
 	var marked []int
 	for _, f := range fault.Universe(e.c) {
+		select {
+		case <-done:
+			return nil, false
+		default:
+		}
 		if reason, ok := e.redundantReason(f, cone, &marked); ok {
 			out = append(out, RedundantFault{F: f, Reason: reason})
 		}
 	}
-	return out
+	return out, true
 }
 
 // redundantReason checks the three conditions for one fault. cone and

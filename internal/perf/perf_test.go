@@ -278,7 +278,7 @@ func TestSuiteShape(t *testing.T) {
 	for _, name := range []string{
 		"fsim/serial", "fsim/parallel/w1", "fsim/parallel/w8",
 		"atpg/podem/learn=off", "atpg/podem/learn=on",
-		"tpi/observe-dp/prune=off", "tpi/observe-dp/prune=on",
+		"tpi/cuts-dp", "tpi/observe-dp/prune=off", "tpi/observe-dp/prune=on",
 		"tpi/observe-greedy/prune=off", "tpi/observe-greedy/prune=on",
 		"tpi/hybrid", "serve/plan/cache=hit", "serve/plan/cache=miss",
 	} {

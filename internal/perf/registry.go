@@ -30,25 +30,34 @@ type workload struct {
 	patterns int    // fault-simulation pattern budget
 	budget   int    // test point budget (k) for the planners
 	dth      float64
+	// The P1 cut DP needs a fanout-free circuit, so it runs on its own
+	// tree at its own budget.
+	cutSpec   string
+	cutBudget int
 }
 
 // sizing returns the workload for the mode: the full mode matches the
-// 600-gate DAG the serving benchmarks in EXPERIMENTS.md already use;
-// short mode halves the circuit and trims the pattern budget so the CI
-// smoke run finishes in seconds.
+// 600-gate DAG the serving benchmarks in EXPERIMENTS.md already use, and
+// the cuts shape of servebench's plan-miss workload (a 2000-leaf tree at
+// k=4); short mode halves the circuit, trims the pattern budget and
+// plans cuts on a 500-leaf tree at k=8, so the CI smoke run finishes in
+// seconds.
 func sizing(short bool) workload {
 	if short {
-		return workload{spec: "dag:gates=300,seed=7", patterns: 1024, budget: 4, dth: 1e-3}
+		return workload{spec: "dag:gates=300,seed=7", patterns: 1024, budget: 4, dth: 1e-3,
+			cutSpec: "tree:leaves=500,seed=5", cutBudget: 8}
 	}
-	return workload{spec: "dag:gates=600,seed=7", patterns: 8192, budget: 8, dth: 1e-3}
+	return workload{spec: "dag:gates=600,seed=7", patterns: 8192, budget: 8, dth: 1e-3,
+		cutSpec: "tree:leaves=2000,seed=1", cutBudget: 4}
 }
 
 // Suite returns the canonical benchmark registry in its fixed order:
 // fsim serial and the parallel worker sweep, PODEM with and without
-// learned implications, the observation planners (DP and greedy) with
-// and without the static pre-prune, the hybrid flow, and the serving
-// stack's cache hit and miss paths. The order, names, and params are
-// part of the report contract — CI baselines pair benchmarks by name.
+// learned implications, the P1 cut DP, the observation planners (DP and
+// greedy) with and without the static pre-prune, the hybrid flow, and
+// the serving stack's cache hit and miss paths. The order, names, and
+// params are part of the report contract — CI baselines pair benchmarks
+// by name.
 func Suite(short bool) []Benchmark {
 	w := sizing(short)
 	var out []Benchmark
@@ -155,11 +164,29 @@ func atpgBenchmarks(w workload) []Benchmark {
 	return []Benchmark{bench(false), bench(true)}
 }
 
-// tpiBenchmarks covers the planners: the observation DP and the greedy
-// baseline each with and without the static pre-prune (tpi.PruneFaults,
-// the PruneStatic path), plus the full hybrid flow, whose internal
-// pre-prune is part of the measured pipeline.
+// tpiBenchmarks covers the planners: the P1 cut DP, the observation DP
+// and the greedy baseline each with and without the static pre-prune
+// (tpi.PruneFaults, the PruneStatic path), plus the full hybrid flow,
+// whose internal pre-prune is part of the measured pipeline.
 func tpiBenchmarks(w workload) []Benchmark {
+	cuts := Benchmark{
+		Name:  "tpi/cuts-dp",
+		Group: GroupTPI,
+		Info:  fmt.Sprintf("P1 exact cut DP, %s, k=%d", w.cutSpec, w.cutBudget),
+		Params: map[string]string{
+			"spec": w.cutSpec, "k": strconv.Itoa(w.cutBudget), "planner": "cuts-dp",
+		},
+		Setup: func() (func() error, func(), error) {
+			c, err := cli.Generate(w.cutSpec)
+			if err != nil {
+				return nil, nil, err
+			}
+			return func() error {
+				_, err := tpi.PlanCutsDP(c, w.cutBudget)
+				return err
+			}, nil, nil
+		},
+	}
 	planner := func(name string, plan func(*netlist.Circuit, []fault.Fault) error) func(prune bool) Benchmark {
 		return func(prune bool) Benchmark {
 			mode := "off"
@@ -218,7 +245,7 @@ func tpiBenchmarks(w workload) []Benchmark {
 			}, nil, nil
 		},
 	}
-	return []Benchmark{dp(false), dp(true), greedy(false), greedy(true), hybrid}
+	return []Benchmark{cuts, dp(false), dp(true), greedy(false), greedy(true), hybrid}
 }
 
 // serveBenchmarks covers the HTTP serving stack end to end (httptest

@@ -131,3 +131,26 @@ func TestPlanMaxCandidatesOption(t *testing.T) {
 		t.Fatalf("max_candidates=-1: status=%d body=%s, want 400", st, b)
 	}
 }
+
+// TestPlanDthOutOfRange: a dth outside (0, 1] is refused with 400 before
+// it can reach the result cache or the key memo; dth 1 is accepted.
+func TestPlanDthOutOfRange(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	body := func(dth string) string {
+		return `{"generate":"c17","options":{"planner":"observe","dth":` + dth + `}}`
+	}
+	for _, dth := range []string{"-1", "0", "1.5"} {
+		if st, _, b := post(t, ts.URL+"/v1/plan", body(dth)); st != 400 {
+			t.Errorf("dth=%s: status=%d body=%s, want 400", dth, st, b)
+		}
+	}
+	if cs := s.cache.Stats(); cs.Entries != 0 {
+		t.Errorf("refused dth values left %d cache entries", cs.Entries)
+	}
+	if ms := s.memo.stats(); ms.Entries != 0 {
+		t.Errorf("refused dth values left %d memo entries", ms.Entries)
+	}
+	if st, _, b := post(t, ts.URL+"/v1/plan", body("1")); st != 200 {
+		t.Fatalf("dth=1: status=%d body=%s, want 200", st, b)
+	}
+}

@@ -412,7 +412,8 @@ type planOptions struct {
 	// "control", "observe", and "hybrid" (defaults 3 / 4).
 	NCP int `json:"ncp"`
 	NOP int `json:"nop"`
-	// Dth is the COP detection-probability threshold (default 1/4096).
+	// Dth is the COP detection-probability threshold, in (0, 1]
+	// (default 1/4096).
 	Dth float64 `json:"dth"`
 	// MaxCandidates caps the control-point candidates evaluated per
 	// greedy iteration for "control" and "hybrid" (0 = engine default,
@@ -461,6 +462,9 @@ func parsePlan(raw json.RawMessage) (any, int, runFunc, error) {
 	}
 	if opts.MaxCandidates < 0 {
 		return nil, 0, nil, fmt.Errorf("max_candidates must be non-negative, got %d", opts.MaxCandidates)
+	}
+	if !(opts.Dth > 0 && opts.Dth <= 1) {
+		return nil, 0, nil, fmt.Errorf("dth must be in (0, 1], got %g", opts.Dth)
 	}
 	timeoutMS := opts.TimeoutMS
 	opts.TimeoutMS = 0

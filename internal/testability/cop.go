@@ -8,6 +8,7 @@
 package testability
 
 import (
+	"fmt"
 	"math"
 
 	"repro/internal/fault"
@@ -40,36 +41,81 @@ type COPOptions struct {
 }
 
 // COP holds the computed controllability and observability probabilities
-// of a circuit.
+// of a circuit. An Overlay extends it with one control point that is
+// scored without building the modified circuit; a COP from NewCOP or
+// NewCOPMeasured carries none.
 type COP struct {
-	c *netlist.Circuit
+	c       *netlist.Circuit
+	n       int // c.NumGates(): the overlay's test input and gating gate are n and n+1
+	combine StemCombine
 	// c1[g] = P(signal g = 1) assuming signal independence.
 	c1 []float64
 	// obs[g] = P(a value change at g is visible at some primary output).
 	obs []float64
-	// branchObs[g][pin] = P(change on that fanin branch propagates to a PO
-	// through gate g).
-	branchObs [][]float64
+	// branchObs[branchOff[g]+pin] = P(change on that fanin branch
+	// propagates to a PO through gate g).
+	branchObs []float64
+	branchOff []int
+	// cp is the overlaid control point; cp.sig is -1 when there is none.
+	cp controlPoint
+}
+
+// controlPoint describes the gating gate an Overlay inserts at signal
+// sig: gate n+1 of type typ reads sig and test input n, and every pin of
+// the circuit that reads sig reads gate n+1 instead.
+type controlPoint struct {
+	sig   int
+	typ   netlist.GateType
+	fanin [2]int // {sig, n}
+	self  [1]int // {n+1}: the only consumer of sig and of the test input
+}
+
+// newCOP allocates the measures of c plus `extra` appended gates (the
+// overlay's test input and gating gate) and sets the primary input
+// probabilities; extra is 0 or 2.
+func newCOP(c *netlist.Circuit, opts COPOptions, extra int) COP {
+	n := c.NumGates()
+	co := COP{
+		c:         c,
+		n:         n,
+		combine:   opts.Combine,
+		c1:        make([]float64, n+extra),
+		obs:       make([]float64, n+extra),
+		branchOff: make([]int, n+extra+1),
+		cp:        controlPoint{sig: -1},
+	}
+	pins := 0
+	for id := 0; id < n; id++ {
+		co.branchOff[id] = pins
+		pins += len(c.Fanin(id))
+	}
+	if extra > 0 {
+		co.branchOff[n] = pins // the test input has no pins
+		co.branchOff[n+1] = pins
+		pins += len(co.cp.fanin)
+	}
+	co.branchOff[n+extra] = pins
+	co.branchObs = make([]float64, pins)
+	for i, in := range c.Inputs() {
+		co.c1[in] = inputProb(opts, i)
+	}
+	return co
+}
+
+// inputProb returns P(input = 1) for the i-th primary input.
+func inputProb(opts COPOptions, i int) float64 {
+	if i < len(opts.InputProb) {
+		return opts.InputProb[i]
+	}
+	return 0.5
 }
 
 // NewCOP computes the COP measures for the circuit.
 func NewCOP(c *netlist.Circuit, opts COPOptions) *COP {
-	c1 := make([]float64, c.NumGates())
-	for i, in := range c.Inputs() {
-		p := 0.5
-		if i < len(opts.InputProb) {
-			p = opts.InputProb[i]
-		}
-		c1[in] = p
-	}
-	for _, id := range c.TopoOrder() {
-		g := c.Gate(id)
-		if g.Type == netlist.Input {
-			continue
-		}
-		c1[id] = gateProb(g.Type, g.Fanin, c1)
-	}
-	return newCOPFromC1(c, c1, opts)
+	co := newCOP(c, opts, 0)
+	co.forward(0)
+	co.backward()
+	return &co
 }
 
 // NewCOPMeasured computes the measures with signal probabilities taken
@@ -99,29 +145,106 @@ func NewCOPMeasured(c *netlist.Circuit, src pattern.Source, patterns int, opts C
 		stats.Accumulate(sim, n)
 		applied += n
 	}
-	c1 := make([]float64, c.NumGates())
-	for id := range c1 {
-		c1[id] = stats.Probability(id)
+	co := newCOP(c, opts, 0)
+	for id := range co.c1 {
+		co.c1[id] = stats.Probability(id)
 	}
-	return newCOPFromC1(c, c1, opts), nil
+	co.backward()
+	return &co, nil
 }
 
-// newCOPFromC1 runs the backward observability pass over given signal
-// probabilities.
-func newCOPFromC1(c *netlist.Circuit, c1 []float64, opts COPOptions) *COP {
-	co := &COP{
-		c:         c,
-		c1:        c1,
-		obs:       make([]float64, c.NumGates()),
-		branchObs: make([][]float64, c.NumGates()),
-	}
-	// Backward pass: observability.
+// Overlay is a COP analysis that scores one control point at a time
+// without building the modified circuit. After SetControlPoint(s, kind)
+// every measure equals, bit for bit, that of
+//
+//	NewCOP(c.InsertTestPoints([]netlist.TestPoint{{Signal: s, Kind: kind}}), opts)
+//
+// where the new test input and gating gate take IDs c.NumGates() and
+// c.NumGates()+1. Each call reuses the same buffers and allocates
+// nothing.
+type Overlay struct {
+	COP
+	// pos[g] is gate g's position in c.TopoOrder(); from is the first
+	// position whose signal probabilities the current control point may
+	// have changed (len(order) when none is set).
+	pos  []int
+	from int
+}
+
+// NewOverlay analyzes the circuit with no control point set, as NewCOP
+// does. Test inputs draw their probability from opts.InputProb like any
+// other input: entry c.NumInputs() applies to the overlay's test input.
+func NewOverlay(c *netlist.Circuit, opts COPOptions) *Overlay {
 	order := c.TopoOrder()
-	for i := len(order) - 1; i >= 0; i-- {
-		id := order[i]
-		g := c.Gate(id)
-		co.branchObs[id] = make([]float64, len(g.Fanin))
+	o := &Overlay{COP: newCOP(c, opts, 2), pos: make([]int, len(order)), from: len(order)}
+	for i, id := range order {
+		o.pos[id] = i
 	}
+	o.c1[o.n] = inputProb(opts, c.NumInputs())
+	o.forward(0)
+	o.backward()
+	return o
+}
+
+// SetControlPoint replaces the overlay's control point with a Control0
+// (AND-gated) or Control1 (OR-gated) point at signal s and recomputes the
+// measures. The forward pass restarts at the earlier topological
+// position of s and of the previous point's signal; nothing before it
+// depends on either.
+func (o *Overlay) SetControlPoint(s int, kind netlist.TestPointKind) {
+	typ := netlist.Or
+	switch kind {
+	case netlist.Control0:
+		typ = netlist.And
+	case netlist.Control1:
+	default:
+		panic(fmt.Sprintf("testability: overlay control point of kind %v", kind))
+	}
+	o.cp = controlPoint{sig: s, typ: typ, fanin: [2]int{s, o.n}, self: [1]int{o.n + 1}}
+	start := min(o.from, o.pos[s])
+	o.from = o.pos[s]
+	o.forward(start)
+	o.backward()
+}
+
+// view returns a gate's type and fanin as the analysis sees them, plus
+// the substitution its pins read through: a pin reading `from` reads
+// `to` instead. Original gates read the overlaid control point's gating
+// gate in place of its signal; the gating gate itself reads the signal.
+func (co *COP) view(id int) (t netlist.GateType, fanin []int, from, to int) {
+	if id < co.n {
+		return co.c.Type(id), co.c.Fanin(id), co.cp.sig, co.n + 1
+	}
+	if id == co.n+1 {
+		return co.cp.typ, co.cp.fanin[:], -1, -1
+	}
+	return netlist.Input, nil, -1, -1
+}
+
+// forward recomputes the signal probabilities of every gate from
+// topological position start on, and of the gating gate when its
+// signal lies in that range.
+func (co *COP) forward(start int) {
+	order := co.c.TopoOrder()
+	for _, id := range order[start:] {
+		if t, fanin, from, to := co.view(id); t != netlist.Input {
+			co.c1[id] = gateProb(t, fanin, co.c1, from, to)
+		}
+		if id == co.cp.sig {
+			gate := co.n + 1
+			t, fanin, from, to := co.view(gate)
+			co.c1[gate] = gateProb(t, fanin, co.c1, from, to)
+		}
+	}
+}
+
+// backward runs the observability pass over the current signal
+// probabilities. The gating gate, its test input and its signal are
+// visited where the signal sits in reverse topological order: after
+// every consumer of the signal, which the gating gate inherits.
+func (co *COP) backward() {
+	c := co.c
+	order := c.TopoOrder()
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
 		// Stem observability of id: direct PO observation or via branches.
@@ -129,27 +252,44 @@ func newCOPFromC1(c *netlist.Circuit, c1 []float64, opts COPOptions) *COP {
 		if c.IsOutput(id) {
 			ob = 1
 		}
-		for _, consumer := range c.Fanout(id) {
-			cg := c.Gate(consumer)
-			for pin, f := range cg.Fanin {
-				if f != id {
-					continue
-				}
-				bo := co.pinObservability(consumer, pin) * co.obs[consumer]
-				co.branchObs[consumer][pin] = bo
-				switch opts.Combine {
-				case CombineOr:
-					ob = 1 - (1-ob)*(1-bo)
-				default:
-					if bo > ob {
-						ob = bo
-					}
+		if id != co.cp.sig {
+			co.obs[id] = co.stemObs(id, c.Fanout(id), ob)
+			continue
+		}
+		gate := co.n + 1
+		co.obs[gate] = co.stemObs(gate, c.Fanout(id), 0)
+		co.obs[co.n] = co.stemObs(co.n, co.cp.self[:], 0)
+		co.obs[id] = co.stemObs(id, co.cp.self[:], ob)
+	}
+}
+
+// stemObs folds the branch observabilities of signal id over its
+// consumers into ob, recording each branch's observability. Consumers
+// are walked in list order, duplicates included, since CombineOr is
+// order-sensitive in floating point.
+func (co *COP) stemObs(id int, consumers []int, ob float64) float64 {
+	for _, consumer := range consumers {
+		_, fanin, from, to := co.view(consumer)
+		for pin, f := range fanin {
+			if f == from {
+				f = to
+			}
+			if f != id {
+				continue
+			}
+			bo := co.pinObservability(consumer, pin) * co.obs[consumer]
+			co.branchObs[co.branchOff[consumer]+pin] = bo
+			switch co.combine {
+			case CombineOr:
+				ob = 1 - (1-ob)*(1-bo)
+			default:
+				if bo > ob {
+					ob = bo
 				}
 			}
 		}
-		co.obs[id] = ob
 	}
-	return co
+	return ob
 }
 
 // PinObservability returns P(other inputs of the gate are at
@@ -164,8 +304,8 @@ func (co *COP) PinObservability(gate, pin int) float64 {
 // non-controlling values), the local propagation probability through one
 // gate pin (excluding the downstream observability factor).
 func (co *COP) pinObservability(gate, pin int) float64 {
-	g := co.c.Gate(gate)
-	switch g.Type {
+	t, fanin, from, to := co.view(gate)
+	switch t {
 	case netlist.Buf, netlist.Not:
 		return 1
 	case netlist.Xor, netlist.Xnor:
@@ -173,7 +313,10 @@ func (co *COP) pinObservability(gate, pin int) float64 {
 		return 1
 	case netlist.And, netlist.Nand:
 		p := 1.0
-		for i, f := range g.Fanin {
+		for i, f := range fanin {
+			if f == from {
+				f = to
+			}
 			if i != pin {
 				p *= co.c1[f]
 			}
@@ -181,7 +324,10 @@ func (co *COP) pinObservability(gate, pin int) float64 {
 		return p
 	case netlist.Or, netlist.Nor:
 		p := 1.0
-		for i, f := range g.Fanin {
+		for i, f := range fanin {
+			if f == from {
+				f = to
+			}
 			if i != pin {
 				p *= 1 - co.c1[f]
 			}
@@ -192,16 +338,24 @@ func (co *COP) pinObservability(gate, pin int) float64 {
 }
 
 // gateProb computes P(out=1) for a gate given fanin 1-probabilities,
-// assuming input independence.
-func gateProb(t netlist.GateType, fanin []int, c1 []float64) float64 {
+// assuming input independence. A fanin equal to `from` reads `to`.
+func gateProb(t netlist.GateType, fanin []int, c1 []float64, from, to int) float64 {
 	switch t {
-	case netlist.Buf:
-		return c1[fanin[0]]
-	case netlist.Not:
-		return 1 - c1[fanin[0]]
+	case netlist.Buf, netlist.Not:
+		f := fanin[0]
+		if f == from {
+			f = to
+		}
+		if t == netlist.Not {
+			return 1 - c1[f]
+		}
+		return c1[f]
 	case netlist.And, netlist.Nand:
 		p := 1.0
 		for _, f := range fanin {
+			if f == from {
+				f = to
+			}
 			p *= c1[f]
 		}
 		if t == netlist.Nand {
@@ -211,6 +365,9 @@ func gateProb(t netlist.GateType, fanin []int, c1 []float64) float64 {
 	case netlist.Or, netlist.Nor:
 		q := 1.0
 		for _, f := range fanin {
+			if f == from {
+				f = to
+			}
 			q *= 1 - c1[f]
 		}
 		if t == netlist.Nor {
@@ -221,6 +378,9 @@ func gateProb(t netlist.GateType, fanin []int, c1 []float64) float64 {
 		// P(odd number of ones) folded pairwise.
 		p := 0.0
 		for i, f := range fanin {
+			if f == from {
+				f = to
+			}
 			q := c1[f]
 			if i == 0 {
 				p = q
@@ -245,7 +405,7 @@ func (co *COP) Observability(id int) float64 { return co.obs[id] }
 // BranchObservability returns the observability of input pin `pin` of the
 // gate: the probability a change on that branch reaches a primary output.
 func (co *COP) BranchObservability(gate, pin int) float64 {
-	return co.branchObs[gate][pin]
+	return co.branchObs[co.branchOff[gate]+pin]
 }
 
 // DetectProb estimates the detection probability of a stuck-at fault
@@ -258,12 +418,16 @@ func (co *COP) DetectProb(f fault.Fault) float64 {
 		}
 		return exc * co.obs[f.Gate]
 	}
-	driver := co.c.Fanin(f.Gate)[f.Pin]
+	_, fanin, from, to := co.view(f.Gate)
+	driver := fanin[f.Pin]
+	if driver == from {
+		driver = to
+	}
 	exc := co.c1[driver]
 	if f.Stuck {
 		exc = 1 - exc
 	}
-	return exc * co.branchObs[f.Gate][f.Pin]
+	return exc * co.branchObs[co.branchOff[f.Gate]+f.Pin]
 }
 
 // HardFaults returns the faults whose estimated detection probability

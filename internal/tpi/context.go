@@ -62,16 +62,17 @@ func PlanObservationPointsDPContext(ctx context.Context, c *netlist.Circuit, fau
 }
 
 // PlanControlPointsGreedyContext is PlanControlPointsGreedy with
-// cancellation: the context is polled once per candidate circuit
-// evaluation (the unit of work that dominates the greedy loop). It
-// returns nil and ctx.Err() when cancelled.
+// cancellation: the context is polled once per candidate evaluation (the
+// unit of work that dominates the greedy loop) and between the candidate
+// search's marking sweeps. It returns nil and ctx.Err() when cancelled.
 func PlanControlPointsGreedyContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, k int, dth float64, opts CPOptions) (plan *CPPlan, err error) {
 	defer recoverCtx(&err)
 	return planControlPointsGreedy(ctx, c, faults, k, dth, opts)
 }
 
 // PlanHybridContext is PlanHybrid with cancellation threaded through
-// both planning stages and the static pre-prune.
+// both planning stages and the static pre-prune, whose implication
+// engine build and redundancy pass both poll.
 func PlanHybridContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, nCP, nOP int, dth float64, cpOpts CPOptions, opOpts OPOptions) (plan *HybridPlan, err error) {
 	defer recoverCtx(&err)
 	return planHybrid(ctx, c, faults, nCP, nOP, dth, cpOpts, opOpts)

@@ -21,17 +21,18 @@ type CPPlan struct {
 	CoveredBefore, CoveredAfter int
 	// TotalFaults is the size of the targeted fault list.
 	TotalFaults int
-	// Evaluations counts candidate circuit evaluations performed.
+	// Evaluations counts candidate evaluations: one COP re-analysis per
+	// (signal, Control0/Control1) pair scored.
 	Evaluations int64
 }
 
 // CPOptions configures control point selection.
 type CPOptions struct {
 	// MaxCandidates caps the number of candidate signals evaluated per
-	// iteration (0 = 64). Candidates are drawn from the fanin cones of
-	// the hard faults and ranked by signal-probability extremity, the
-	// classic quick filter: lines pinned near 0 or 1 are the ones whose
-	// forcing unlocks excitation and propagation.
+	// iteration (0 = 64). Candidates are drawn from the fanin and
+	// fanout cones of the hard faults and ranked by signal-probability
+	// extremity, the classic quick filter: lines pinned near 0 or 1 are
+	// the ones whose forcing unlocks excitation and propagation.
 	MaxCandidates int
 	// COP configures the probability analysis.
 	COP testability.COPOptions
@@ -41,8 +42,10 @@ type CPOptions struct {
 // inserting the single AND-type (force-0) or OR-type (force-1) control
 // point that raises the number of faults meeting the detection threshold
 // the most under a full COP re-analysis of the candidate-modified
-// circuit. Control test inputs are assumed driven by fresh equiprobable
-// BIST inputs.
+// circuit. Each candidate is scored on a testability.Overlay, which
+// computes exactly that re-analysis without building the circuit; only
+// each iteration's winner is inserted. Control test inputs are assumed
+// driven by fresh equiprobable BIST inputs.
 //
 // Control point selection is where the NP-completeness bites (control
 // points interact through shared fanout cones), so this is a heuristic by
@@ -72,34 +75,31 @@ func planControlPointsGreedy(ctx context.Context, c *netlist.Circuit, faults []f
 		if report != nil {
 			report("control-points", int64(len(points)), int64(k))
 		}
-		candidates := controlCandidates(cur, co, faults, dth, maxCand)
+		candidates := controlCandidates(ctx, cur, co, faults, dth, maxCand)
+		ov := testability.NewOverlay(cur, opts.COP)
 		bestGain := 0
 		var bestPoint netlist.TestPoint
-		var bestCircuit *netlist.Circuit
-		var bestCOP *testability.COP
 		for _, s := range candidates {
 			pollDone(ctx, done)
-			for _, kind := range []netlist.TestPointKind{netlist.Control0, netlist.Control1} {
-				mod, err := cur.InsertTestPoints([]netlist.TestPoint{{Signal: s, Kind: kind}})
-				if err != nil {
-					return nil, err
-				}
+			for _, kind := range [...]netlist.TestPointKind{netlist.Control0, netlist.Control1} {
+				ov.SetControlPoint(s, kind)
 				plan.Evaluations++
-				mco := testability.NewCOP(mod, opts.COP)
-				if v := countCovered(mco, faults, dth); v-covered > bestGain {
+				if v := countCovered(&ov.COP, faults, dth); v-covered > bestGain {
 					bestGain = v - covered
 					bestPoint = netlist.TestPoint{Signal: s, Kind: kind}
-					bestCircuit = mod
-					bestCOP = mco
 				}
 			}
 		}
 		if bestGain == 0 {
 			break
 		}
+		mod, err := cur.InsertTestPoints([]netlist.TestPoint{bestPoint})
+		if err != nil {
+			return nil, err
+		}
 		points = append(points, bestPoint)
-		cur = bestCircuit
-		co = bestCOP
+		cur = mod
+		co = testability.NewCOP(mod, opts.COP)
 		covered += bestGain
 	}
 	plan.Points = points
@@ -121,26 +121,49 @@ func countCovered(co *testability.COP, faults []fault.Fault, dth float64) int {
 }
 
 // controlCandidates returns candidate control point signals: members of
-// the fanin cones of currently-hard faults, ranked by how extreme their
-// signal probability is, capped at maxCand.
-func controlCandidates(c *netlist.Circuit, co *testability.COP, faults []fault.Fault, dth float64, maxCand int) []int {
-	inCone := make(map[int]bool)
+// the fanin or fanout cones of currently-hard faults, ranked by how
+// extreme their signal probability is, capped at maxCand. One reverse
+// topological sweep marks the gates that reach a hard fault's gate and
+// one forward sweep the gates reached from one, so the cost is linear in
+// the circuit however many faults are hard.
+func controlCandidates(ctx context.Context, c *netlist.Circuit, co *testability.COP, faults []fault.Fault, dth float64, maxCand int) []int {
+	// A hard fault's gate is in both of its own cones.
+	const (
+		inCone  = 1 << iota // reaches a hard fault's gate
+		outCone             // reached from a hard fault's gate
+	)
+	done := ctx.Done()
+	mark := make([]uint8, c.NumGates())
 	for _, f := range faults {
-		if co.DetectProb(f) >= dth {
-			continue
-		}
-		for _, g := range c.FaninCone(f.Gate) {
-			inCone[g] = true
-		}
-		// The fanout cone matters too: forcing a line downstream of the
-		// fault site can unblock propagation.
-		for _, g := range c.FanoutCone(f.Gate) {
-			inCone[g] = true
+		if co.DetectProb(f) < dth {
+			mark[f.Gate] = inCone | outCone
 		}
 	}
-	cand := make([]int, 0, len(inCone))
-	for g := range inCone {
-		if c.Type(g) == netlist.Input {
+	pollDone(ctx, done)
+	order := c.TopoOrder()
+	for i := len(order) - 1; i >= 0; i-- {
+		id := order[i]
+		for _, s := range c.Fanout(id) {
+			if mark[s]&inCone != 0 {
+				mark[id] |= inCone
+				break
+			}
+		}
+	}
+	// The fanout cone matters too: forcing a line downstream of the
+	// fault site can unblock propagation.
+	for _, id := range order {
+		for _, f := range c.Fanin(id) {
+			if mark[f]&outCone != 0 {
+				mark[id] |= outCone
+				break
+			}
+		}
+	}
+	pollDone(ctx, done)
+	var cand []int
+	for g, m := range mark {
+		if m == 0 || c.Type(g) == netlist.Input {
 			continue // forcing a BIST-driven PI adds nothing
 		}
 		cand = append(cand, g)

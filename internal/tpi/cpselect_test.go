@@ -1,13 +1,21 @@
 package tpi
 
 import (
+	"context"
+	"errors"
+	"math"
+	"slices"
+	"sort"
 	"testing"
+	"time"
 
+	"repro/internal/cli"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/gen"
 	"repro/internal/netlist"
 	"repro/internal/pattern"
+	"repro/internal/testability"
 )
 
 func TestControlPointsFixExcitationLimitedFaults(t *testing.T) {
@@ -173,5 +181,74 @@ func TestHybridPlanOnRPResistant(t *testing.T) {
 	if after.Coverage() <= before.Coverage() {
 		t.Errorf("hybrid plan did not improve coverage: %.4f -> %.4f (%d CPs, %d OPs)",
 			before.Coverage(), after.Coverage(), len(h.Control.Points), len(h.Observe.Points))
+	}
+}
+
+// TestControlPointsHonorDeadline pins the deadline on a circuit where
+// the candidate search dominates unless it is linear: walking each hard
+// fault's fanin and fanout cones into a map, with no poll, answered this
+// 500 ms deadline after 5.8 s. The marking sweeps are linear, and each
+// candidate evaluation polls.
+func TestControlPointsHonorDeadline(t *testing.T) {
+	c, err := cli.Generate("dag:gates=9000,seed=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := fault.CollapsedUniverse(c)
+	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = PlanControlPointsGreedyContext(ctx, c, faults, 3, 1.0/4096, CPOptions{})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 750*time.Millisecond {
+		t.Errorf("deadline of 500ms honoured after %v", d)
+	}
+}
+
+// TestControlCandidatesMatchConeWalks checks the marking sweeps against
+// the per-fault cone walks they replace: the same candidates in the same
+// order.
+func TestControlCandidatesMatchConeWalks(t *testing.T) {
+	for _, spec := range []string{"c17", "dag:gates=300,seed=1", "rpr:cones=3,width=12,glue=80,seed=2", "mul:width=5"} {
+		c, err := cli.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faults := fault.CollapsedUniverse(c)
+		co := testability.NewCOP(c, testability.COPOptions{})
+		for _, dth := range []float64{1.0 / 4096, 0.02, 0.2} {
+			inCone := make(map[int]bool)
+			for _, f := range faults {
+				if co.DetectProb(f) >= dth {
+					continue
+				}
+				for _, g := range c.FaninCone(f.Gate) {
+					inCone[g] = true
+				}
+				for _, g := range c.FanoutCone(f.Gate) {
+					inCone[g] = true
+				}
+			}
+			var want []int
+			for g := range inCone {
+				if c.Type(g) != netlist.Input {
+					want = append(want, g)
+				}
+			}
+			sort.Slice(want, func(i, j int) bool {
+				ei := math.Abs(co.Controllability(want[i]) - 0.5)
+				ej := math.Abs(co.Controllability(want[j]) - 0.5)
+				if ei != ej {
+					return ei > ej
+				}
+				return want[i] < want[j]
+			})
+			got := controlCandidates(context.Background(), c, co, faults, dth, c.NumGates())
+			if !slices.Equal(got, want) {
+				t.Errorf("%s dth=%g: sweeps give %d candidates %v, cone walks %d %v", spec, dth, len(got), got, len(want), want)
+			}
+		}
 	}
 }

@@ -19,10 +19,12 @@
 package tpi
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/netlist"
@@ -85,9 +87,10 @@ func planCutsDPWithCost(ctx context.Context, c *netlist.Circuit, budget int, cos
 	if k < 0 {
 		return nil, ErrBudgetNegative
 	}
-	for id := 0; id < c.NumGates(); id++ {
-		if cost(id) <= 0 {
-			return nil, fmt.Errorf("tpi: cost of signal %d is %d; costs must be positive", id, cost(id))
+	costs := make([]int, c.NumGates())
+	for id := range costs {
+		if costs[id] = cost(id); costs[id] <= 0 {
+			return nil, fmt.Errorf("tpi: cost of signal %d is %d; costs must be positive", id, costs[id])
 		}
 	}
 	base, err := testcount.Compute(c)
@@ -102,11 +105,10 @@ func planCutsDPWithCost(ctx context.Context, c *netlist.Circuit, budget int, cos
 	lo, hi := 2, plan.BaseCost // minimax cost can never drop below 2
 	var bestCuts []int
 	bestT := hi
+	dp := newCutDP(ctx, c, costs)
 	for lo <= hi {
 		mid := (lo + hi) / 2
-		dp := newCutDP(ctx, c, mid, cost)
-		cuts, ok := dp.solve(k)
-		plan.StatesVisited += dp.states
+		cuts, ok := dp.solve(mid, k)
 		if ok {
 			bestT = mid
 			bestCuts = cuts
@@ -115,6 +117,7 @@ func planCutsDPWithCost(ctx context.Context, c *netlist.Circuit, budget int, cos
 			lo = mid + 1
 		}
 	}
+	plan.StatesVisited = dp.states
 	plan.MaxCost = bestT
 	plan.Cuts = bestCuts
 	sort.Ints(plan.Cuts)
@@ -128,8 +131,9 @@ func planCutsDPWithCost(ctx context.Context, c *netlist.Circuit, budget int, cos
 // cutState is one Pareto point of the DP: using k cuts strictly below the
 // current position, the open segment so far needs t0/t1 zero- and
 // one-tests. prev/choice thread the reconstruction chain: prev indexes
-// the partial state before this node's latest child was merged, choice
-// indexes the chosen export of that child.
+// the partial state before this node's latest child was merged (relative
+// to the node's chain start), choice indexes the chosen export of that
+// child.
 type cutState struct {
 	k, t0, t1    int
 	prev, choice int32
@@ -137,99 +141,107 @@ type cutState struct {
 
 // export is one way a child subtree presents itself to its parent: either
 // uncut (contributing its open-segment counts) or cut (contributing a
-// fresh leaf and one more cut). stateIdx points into the child's final
-// state list for reconstruction.
+// fresh leaf and one more cut). Export i < len(finals) is final state i
+// uncut; the one after them is the cut option.
 type export struct {
 	k, t0, t1 int
-	cut       bool
-	stateIdx  int32
 }
 
-// cutDP carries one feasibility run at threshold T.
+// cutDP carries the feasibility DP of one plan. solve reruns it for each
+// threshold T of the binary search, reusing every buffer: the state
+// arena, the per-node offsets into it, and the merge scratch.
 type cutDP struct {
 	c      *netlist.Circuit
 	T      int
-	cost   CostFunc
+	cost   []int // insertion cost per signal
 	states int64
 	ctx    context.Context
 	done   <-chan struct{}
-	// final[n] is the Pareto state set of node n (open segment rooted at
-	// n); chains[n] stores all partial states created while merging n's
-	// children, referenced by prev indices.
-	final  [][]cutState
-	chains [][]cutState
+	// arena holds, per node in topological order, the partial states
+	// created while merging the node's children (its chain, starting at
+	// chainOff[n]; prev indices are relative to it) followed by its final
+	// Pareto set: arena[finOff[n] : finOff[n]+finLen[n]]. best[n] indexes
+	// the first final state with the fewest cuts, -1 when the set is
+	// empty.
+	arena                          []cutState
+	chainOff, finOff, finLen, best []int
+	// Scratch reused by every merge: the child's exports, the candidate
+	// states, and the Pareto filter's survivors.
+	exports []export
+	cand    []cutState
+	kept    []cutState
 }
 
-func newCutDP(ctx context.Context, c *netlist.Circuit, T int, cost CostFunc) *cutDP {
+func newCutDP(ctx context.Context, c *netlist.Circuit, cost []int) *cutDP {
+	n := c.NumGates()
 	return &cutDP{
-		c:      c,
-		T:      T,
-		cost:   cost,
-		ctx:    ctx,
-		done:   ctx.Done(),
-		final:  make([][]cutState, c.NumGates()),
-		chains: make([][]cutState, c.NumGates()),
+		c:    c,
+		cost: cost,
+		ctx:  ctx,
+		done: ctx.Done(),
+		// A node keeps about four states at small k (its identity partial,
+		// one per merge, and the final copies): sized so the arena rarely
+		// grows.
+		arena:    make([]cutState, 0, 4*n),
+		chainOff: make([]int, n),
+		finOff:   make([]int, n),
+		finLen:   make([]int, n),
+		best:     make([]int, n),
 	}
 }
 
 // solve returns a cut set achieving every segment cost <= T using at most
 // k cuts, or ok=false if none exists.
-func (dp *cutDP) solve(k int) (cuts []int, ok bool) {
+func (dp *cutDP) solve(T, k int) (cuts []int, ok bool) {
 	c := dp.c
+	dp.T = T
+	dp.arena = dp.arena[:0]
 	for _, id := range c.TopoOrder() {
 		dp.computeNode(id)
 	}
 	// The forest is feasible iff the summed per-root minima fit in k.
 	need := 0
 	for _, o := range c.Outputs() {
-		best := -1
-		for _, st := range dp.final[o] {
-			if best < 0 || st.k < best {
-				best = st.k
-			}
-		}
-		if best < 0 {
+		if dp.best[o] < 0 {
 			return nil, false // root segment cannot meet T at all
 		}
-		need += best
+		need += dp.arena[dp.finOff[o]+dp.best[o]].k
 	}
 	if need > k {
 		return nil, false
 	}
 	for _, o := range c.Outputs() {
-		bestIdx := -1
-		for i, st := range dp.final[o] {
-			if bestIdx < 0 || st.k < dp.final[o][bestIdx].k {
-				bestIdx = i
-			}
-		}
-		dp.reconstruct(o, int32(bestIdx), &cuts)
+		dp.reconstruct(o, dp.best[o], &cuts)
 	}
 	return cuts, true
 }
 
-// computeNode fills final[id] from the children's state sets.
+// computeNode appends node id's chain and final state set to the arena.
 func (dp *cutDP) computeNode(id int) {
 	pollDone(dp.ctx, dp.done)
 	c := dp.c
 	g := c.Gate(id)
+	base := len(dp.arena)
+	dp.chainOff[id] = base
 	if g.Type == netlist.Input {
-		dp.final[id] = []cutState{{k: 0, t0: 1, t1: 1, prev: -1, choice: -1}}
+		dp.arena = append(dp.arena, cutState{k: 0, t0: 1, t1: 1, prev: -1, choice: -1})
+		dp.finOff[id], dp.finLen[id], dp.best[id] = base, 1, 0
 		dp.states++
 		return
 	}
 	// Aggregation semantics per gate type: which child count sums and
 	// which maxes, and whether the output swaps t0/t1.
 	sumZero, swap := aggRules(g.Type)
-	// Identity partial: nothing merged yet.
-	partials := []cutState{{k: 0, t0: 0, t1: 0, prev: -1, choice: -1}}
-	chainBase := 0
-	dp.chains[id] = append(dp.chains[id][:0], partials...)
+	// Identity partial: nothing merged yet. The current partials are
+	// always the chain's last segment, arena[pOff : pOff+pLen].
+	dp.arena = append(dp.arena, cutState{k: 0, t0: 0, t1: 0, prev: -1, choice: -1})
+	pOff, pLen := base, 1
 	for _, child := range g.Fanin {
-		exports := dp.exportsOf(child)
-		var next []cutState
-		for pi, p := range partials {
-			for ei, e := range exports {
+		dp.exportsOf(child)
+		cand := dp.cand[:0]
+		for pi := 0; pi < pLen; pi++ {
+			p := dp.arena[pOff+pi]
+			for ei, e := range dp.exports {
 				var t0, t1 int
 				if sumZero {
 					t0 = p.t0 + e.t0
@@ -241,76 +253,79 @@ func (dp *cutDP) computeNode(id int) {
 				if t0+t1 > dp.T {
 					continue // monotone upward: never feasible later
 				}
-				next = append(next, cutState{
+				cand = append(cand, cutState{
 					k: p.k + e.k, t0: t0, t1: t1,
-					prev:   int32(chainBase + pi),
+					prev:   int32(pOff - base + pi),
 					choice: int32(ei),
 				})
 			}
 		}
-		next = paretoPrune(next)
-		dp.states += int64(len(next))
-		chainBase = len(dp.chains[id])
-		dp.chains[id] = append(dp.chains[id], next...)
-		partials = next
-		if len(partials) == 0 {
+		dp.cand = cand
+		dp.kept = paretoPrune(cand, dp.kept[:0])
+		dp.states += int64(len(dp.kept))
+		pOff, pLen = len(dp.arena), len(dp.kept)
+		dp.arena = append(dp.arena, dp.kept...)
+		if pLen == 0 {
 			break
 		}
 	}
-	// Output transform for inverting gates exchanges the roles of 0- and
-	// 1-tests; the chain indices stay valid because only t values change.
-	finals := make([]cutState, len(partials))
-	copy(finals, partials)
-	if swap {
-		for i := range finals {
-			finals[i].t0, finals[i].t1 = finals[i].t1, finals[i].t0
+	// The final set copies the last partials. The output transform for
+	// inverting gates exchanges the roles of 0- and 1-tests; the chain
+	// indices stay valid because only t values change. NOT/BUF
+	// single-child pass-through is handled by aggRules giving sum-zero
+	// semantics over one child with no swap (BUF) or swap (NOT): sum of
+	// one = the child value, max of one = the child value.
+	fin := len(dp.arena)
+	dp.arena = append(dp.arena, dp.arena[pOff:pOff+pLen]...)
+	dp.finOff[id], dp.finLen[id], dp.best[id] = fin, pLen, -1
+	for i := fin; i < len(dp.arena); i++ {
+		st := &dp.arena[i]
+		if swap {
+			st.t0, st.t1 = st.t1, st.t0
+		}
+		if dp.best[id] < 0 || st.k < dp.arena[fin+dp.best[id]].k {
+			dp.best[id] = i - fin
 		}
 	}
-	// NOT/BUF single-child pass-through is handled by aggRules giving
-	// sum-zero semantics over one child with no swap (BUF) or swap (NOT):
-	// sum of one = the child value, max of one = the child value.
-	dp.final[id] = finals
 }
 
-// exportsOf lists the ways child `child` can contribute: all of its final
-// states uncut, plus (if any state exists) the single best cut option.
-func (dp *cutDP) exportsOf(child int) []export {
-	fin := dp.final[child]
-	exports := make([]export, 0, len(fin)+1)
-	bestK, bestIdx := -1, -1
-	for i, st := range fin {
-		exports = append(exports, export{k: st.k, t0: st.t0, t1: st.t1, stateIdx: int32(i)})
-		if bestK < 0 || st.k < bestK {
-			bestK, bestIdx = st.k, i
-		}
+// exportsOf fills dp.exports with the ways child `child` can contribute:
+// all of its final states uncut, plus (if any state exists) the single
+// best cut option.
+func (dp *cutDP) exportsOf(child int) {
+	ex := dp.exports[:0]
+	off := dp.finOff[child]
+	for _, st := range dp.arena[off : off+dp.finLen[child]] {
+		ex = append(ex, export{k: st.k, t0: st.t0, t1: st.t1})
 	}
-	if bestIdx >= 0 {
-		exports = append(exports, export{k: bestK + dp.cost(child), t0: 1, t1: 1, cut: true, stateIdx: int32(bestIdx)})
+	if b := dp.best[child]; b >= 0 {
+		ex = append(ex, export{k: dp.arena[off+b].k + dp.cost[child], t0: 1, t1: 1})
 	}
-	return exports
+	dp.exports = ex
 }
 
 // reconstruct walks the chain of node `id` from final state `idx`,
 // emitting cut decisions into *cuts and recursing into children.
-func (dp *cutDP) reconstruct(id int, idx int32, cuts *[]int) {
+func (dp *cutDP) reconstruct(id, idx int, cuts *[]int) {
 	g := dp.c.Gate(id)
 	if g.Type == netlist.Input {
 		return
 	}
-	// The final state at position idx corresponds to the partial chain
-	// entry with the same (k, prev, choice) fields; walk prev pointers,
-	// one child per hop, last child first.
-	st := dp.final[id][idx]
+	// The final state at position idx carries the same (k, prev, choice)
+	// fields as the chain entry it copies; walk prev pointers, one child
+	// per hop, last child first. A choice past the child's final states
+	// is its cut export, which continues from the child's best state.
+	st := dp.arena[dp.finOff[id]+idx]
 	childIdx := len(g.Fanin) - 1
 	for st.prev >= 0 {
 		child := g.Fanin[childIdx]
-		exports := dp.exportsOf(child)
-		e := exports[st.choice]
-		if e.cut {
+		next := int(st.choice)
+		if next == dp.finLen[child] {
 			*cuts = append(*cuts, child)
+			next = dp.best[child]
 		}
-		dp.reconstruct(child, e.stateIdx, cuts)
-		st = dp.chains[id][st.prev]
+		dp.reconstruct(child, next, cuts)
+		st = dp.arena[dp.chainOff[id]+int(st.prev)]
 		childIdx--
 	}
 }
@@ -336,24 +351,12 @@ func aggRules(t netlist.GateType) (sumZero, swap bool) {
 	return true, false
 }
 
-// paretoPrune removes dominated states: state a dominates b when
-// a.k <= b.k, a.t0 <= b.t0, a.t1 <= b.t1 (with at least one strict or
-// equal-on-all, keeping one representative).
-func paretoPrune(states []cutState) []cutState {
-	if len(states) <= 1 {
-		return states
-	}
-	sort.Slice(states, func(i, j int) bool {
-		a, b := states[i], states[j]
-		if a.k != b.k {
-			return a.k < b.k
-		}
-		if a.t0 != b.t0 {
-			return a.t0 < b.t0
-		}
-		return a.t1 < b.t1
-	})
-	var kept []cutState
+// paretoPrune appends the non-dominated states to kept and returns it:
+// state a dominates b when a.k <= b.k, a.t0 <= b.t0, a.t1 <= b.t1 (with
+// at least one strict or equal-on-all, keeping one representative).
+// states is sorted in place.
+func paretoPrune(states, kept []cutState) []cutState {
+	slices.SortFunc(states, compareCutStates)
 	for _, s := range states {
 		dominated := false
 		for _, q := range kept {
@@ -367,6 +370,19 @@ func paretoPrune(states []cutState) []cutState {
 		}
 	}
 	return kept
+}
+
+// compareCutStates orders states by (k, t0, t1). Equal triples keep the
+// order the sort leaves them in: no tiebreak on (prev, choice), which
+// would change which of several equal-cost cut sets a plan reports.
+func compareCutStates(a, b cutState) int {
+	if a.k != b.k {
+		return cmp.Compare(a.k, b.k)
+	}
+	if a.t0 != b.t0 {
+		return cmp.Compare(a.t0, b.t0)
+	}
+	return cmp.Compare(a.t1, b.t1)
 }
 
 func maxInt(a, b int) int {

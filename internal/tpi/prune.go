@@ -1,6 +1,8 @@
 package tpi
 
 import (
+	"context"
+
 	"repro/internal/fault"
 	"repro/internal/implic"
 	"repro/internal/netlist"
@@ -17,12 +19,30 @@ const pruneGateLimit = 4096
 // planners' coverage model. Returns the kept faults and how many were
 // pruned. Circuits above the internal gate limit are returned unchanged.
 func PruneFaults(c *netlist.Circuit, faults []fault.Fault) ([]fault.Fault, int) {
+	return pruneFaults(context.Background(), c, faults)
+}
+
+// pruneFaults is PruneFaults under ctx: the implication engine's build
+// and its redundancy pass both poll it, and an expired or cancelled ctx
+// aborts through ctxAbort.
+func pruneFaults(ctx context.Context, c *netlist.Circuit, faults []fault.Fault) ([]fault.Fault, int) {
 	if c.NumGates() > pruneGateLimit {
 		return faults, 0
 	}
-	red := implic.New(c, implic.Options{}).RedundantSet()
-	if len(red) == 0 {
+	e, err := implic.NewContext(ctx, c, implic.Options{})
+	if err != nil {
+		panic(ctxAbort{err})
+	}
+	det, err := e.RedundantContext(ctx)
+	if err != nil {
+		panic(ctxAbort{err})
+	}
+	if len(det) == 0 {
 		return faults, 0
+	}
+	red := make(map[fault.Fault]bool, len(det))
+	for _, r := range det {
+		red[r.F] = true
 	}
 	kept := make([]fault.Fault, 0, len(faults))
 	for _, f := range faults {

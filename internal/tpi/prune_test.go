@@ -1,8 +1,12 @@
 package tpi
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
+	"repro/internal/cli"
 	"repro/internal/fault"
 	"repro/internal/gen"
 	"repro/internal/netlist"
@@ -86,5 +90,27 @@ func TestDPSkipsFaultFreeRegions(t *testing.T) {
 		if !hasFault[region[p]] {
 			t.Errorf("observation point %d placed in a fault-free region", p)
 		}
+	}
+}
+
+// TestHybridPrunePollsDeadline pins the hybrid pre-prune's deadline. On
+// this circuit the implication build and the redundancy pass take tens
+// of seconds; built ctx-less and unpolled, they answered this 200 ms
+// deadline after 27 s. Both now poll the plan's context.
+func TestHybridPrunePollsDeadline(t *testing.T) {
+	c, err := cli.Generate("dag:gates=4000,seed=11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := fault.CollapsedUniverse(c)
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = PlanHybridContext(ctx, c, faults, 0, 4, 1.0/4096, CPOptions{}, OPOptions{})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > 450*time.Millisecond {
+		t.Errorf("deadline of 200ms honoured after %v", d)
 	}
 }
