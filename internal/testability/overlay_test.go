@@ -78,6 +78,11 @@ func checkOverlay(t *testing.T, c *netlist.Circuit, opts COPOptions) {
 		}
 	}
 	faults := fault.Universe(c)
+	for _, f := range faults {
+		if !sameBits(ov.DetectProb(f), base.DetectProb(f)) {
+			t.Fatalf("overlay without a control point differs from NewCOP on fault %v", f)
+		}
+	}
 	// Visit signals back to front and then front to back, so the forward
 	// pass restarts both before and after the previous signal.
 	var sigs []int

@@ -64,8 +64,10 @@ func planControlPointsGreedy(ctx context.Context, c *netlist.Circuit, faults []f
 		maxCand = 64
 	}
 	plan := &CPPlan{TotalFaults: len(faults)}
-	co := testability.NewCOP(c, opts.COP)
-	plan.CoveredBefore = countCovered(co, faults, dth)
+	// With no control point set, ov.COP is NewCOP of the current circuit;
+	// each iteration reads it before its first SetControlPoint.
+	ov := testability.NewOverlay(c, opts.COP)
+	plan.CoveredBefore = countCovered(&ov.COP, faults, dth)
 	covered := plan.CoveredBefore
 
 	report := progress.FromContext(ctx)
@@ -75,8 +77,7 @@ func planControlPointsGreedy(ctx context.Context, c *netlist.Circuit, faults []f
 		if report != nil {
 			report("control-points", int64(len(points)), int64(k))
 		}
-		candidates := controlCandidates(ctx, cur, co, faults, dth, maxCand)
-		ov := testability.NewOverlay(cur, opts.COP)
+		candidates := controlCandidates(ctx, cur, &ov.COP, faults, dth, maxCand)
 		bestGain := 0
 		var bestPoint netlist.TestPoint
 		for _, s := range candidates {
@@ -99,7 +100,7 @@ func planControlPointsGreedy(ctx context.Context, c *netlist.Circuit, faults []f
 		}
 		points = append(points, bestPoint)
 		cur = mod
-		co = testability.NewCOP(mod, opts.COP)
+		ov = testability.NewOverlay(mod, opts.COP)
 		covered += bestGain
 	}
 	plan.Points = points

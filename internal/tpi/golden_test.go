@@ -2,7 +2,6 @@ package tpi
 
 import (
 	"bufio"
-	"flag"
 	"fmt"
 	"math/rand"
 	"os"
@@ -19,32 +18,19 @@ import (
 
 // The golden plan tables pin every field of full plans from the P1 cut
 // DP and from the control and hybrid planners, so a rewrite of either
-// planner's internals must reproduce them exactly. Regenerate only for
-// an intended change of planner output:
-//
-//	go test ./internal/tpi -run TestGoldenPlans -update-golden
-var updateGolden = flag.Bool("update-golden", false, "rewrite internal/tpi/testdata/golden_*.txt from the current planners")
-
+// planner's internals must reproduce them exactly. The test only
+// compares: a differing row is reported with the row the current
+// planner produces, and an intended change of planner output is made by
+// editing those rows of internal/tpi/testdata/golden_*.txt by hand.
 func TestGoldenPlans(t *testing.T) {
 	t.Run("cuts", func(t *testing.T) { checkGolden(t, "golden_cuts.txt", goldenCutRows(t)) })
 	t.Run("control", func(t *testing.T) { checkGolden(t, "golden_control.txt", goldenControlRows(t)) })
 }
 
-// checkGolden compares rows with the named testdata file line by line,
-// or rewrites the file under -update-golden.
+// checkGolden compares rows with the named testdata file line by line.
 func checkGolden(t *testing.T, name string, rows []string) {
 	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *updateGolden {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, []byte(strings.Join(rows, "\n")+"\n"), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	f, err := os.Open(path)
+	f, err := os.Open(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}

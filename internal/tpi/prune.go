@@ -33,16 +33,12 @@ func pruneFaults(ctx context.Context, c *netlist.Circuit, faults []fault.Fault) 
 	if err != nil {
 		panic(ctxAbort{err})
 	}
-	det, err := e.RedundantContext(ctx)
-	if err != nil {
+	if _, err := e.RedundantContext(ctx); err != nil {
 		panic(ctxAbort{err})
 	}
-	if len(det) == 0 {
+	red := e.RedundantSet()
+	if len(red) == 0 {
 		return faults, 0
-	}
-	red := make(map[fault.Fault]bool, len(det))
-	for _, r := range det {
-		red[r.F] = true
 	}
 	kept := make([]fault.Fault, 0, len(faults))
 	for _, f := range faults {
