@@ -1,9 +1,10 @@
 // Command bench runs the canonical performance suite (internal/perf)
-// over the engines — fault simulation serial and parallel, PODEM with
-// and without learned implications, the test point planners with and
-// without the static pre-prune, and the HTTP serving stack's cache hit
-// and miss paths — and emits a machine-readable JSON report
-// (BENCH_*.json) plus a human-readable table.
+// over the engines — fault simulation serial, parallel and on the
+// deductive and critical-path-tracing oracles, PODEM with and without
+// learned implications, the test point planners with and without the
+// static pre-prune, and the E1-E9 experiment kernels — and emits a
+// machine-readable JSON report (BENCH_*.json) plus a human-readable
+// table. End-to-end serving is measured by servebench.
 //
 // The report follows the canonical schema (perf.Schema); -check
 // validates an existing report without running anything, and -baseline
@@ -18,9 +19,9 @@
 //
 // Examples:
 //
-//	bench -short -iterations 3 -o BENCH_5.json
-//	bench -only fsim/parallel -markdown
-//	bench -check BENCH_5.json -baseline testdata/bench/baseline.json
+//	bench -short -iterations 3 -o bench-smoke.json
+//	bench -only exp/ -markdown
+//	bench -check bench-smoke.json -baseline testdata/bench/baseline.json
 //	bench -cpuprofile cpu.out -only atpg
 package main
 

@@ -144,7 +144,7 @@ func TestListMode(t *testing.T) {
 	if err != nil || failed {
 		t.Fatalf("list: failed=%v err=%v", failed, err)
 	}
-	for _, name := range []string{"fsim/serial", "atpg/podem/learn=on", "tpi/hybrid", "serve/plan/cache=miss"} {
+	for _, name := range []string{"fsim/serial", "fsim/cpt", "atpg/podem/learn=on", "tpi/hybrid", "exp/E9"} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("list output missing %s", name)
 		}
@@ -164,7 +164,7 @@ func validTestReport() *perf.Report {
 			NumCPU: 1, GOMAXPROCS: 1},
 		Benchmarks: []perf.Result{
 			res("fsim/a", perf.GroupFsim), res("atpg/a", perf.GroupATPG),
-			res("tpi/a", perf.GroupTPI), res("serve/a", perf.GroupServe),
+			res("tpi/a", perf.GroupTPI), res("exp/a", perf.GroupExp),
 		},
 	}
 }

@@ -1,7 +1,7 @@
 // Package exp drives the reconstructed evaluation: one function per
-// experiment (E1..E8 in DESIGN.md), each returning a renderable Table or
-// Series. cmd/experiments prints them; bench_test.go benchmarks their
-// computational kernels; EXPERIMENTS.md records their outputs.
+// experiment (E1..E9 in DESIGN.md), each returning a renderable Table or
+// Series. cmd/experiments prints them; the exp/E* rows of internal/perf
+// time them at the quick scale; EXPERIMENTS.md records their outputs.
 package exp
 
 import (

@@ -26,6 +26,7 @@
 package lint
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -273,6 +274,19 @@ func (r *Report) ByRule(rule string) []Finding {
 // Analyze runs every lint pass over the circuit and returns the ordered
 // report. The circuit is not modified.
 func Analyze(c *netlist.Circuit, opts Options) *Report {
+	r, err := AnalyzeContext(context.Background(), c, opts)
+	if err != nil {
+		panic(err) // unreachable: the background context is never done
+	}
+	return r
+}
+
+// AnalyzeContext is Analyze with cancellation. The static implication
+// pass (S001/S002), the only one that grows faster than the circuit,
+// builds its engine through implic.NewContext and proves redundancy
+// through Engine.RedundantContext; once ctx is done it returns nil and
+// ctx.Err().
+func AnalyzeContext(ctx context.Context, c *netlist.Circuit, opts Options) (*Report, error) {
 	opts.defaults()
 	r := &Report{Circuit: c.Name()}
 
@@ -286,18 +300,20 @@ func Analyze(c *netlist.Circuit, opts Options) *Report {
 			Message:  fmt.Sprintf("circuit violates netlist invariants: %v", err),
 			Hint:     "rebuild the circuit through netlist.Builder",
 		})
-		return r
+		return r, nil
 	}
 
 	checkHygiene(c, opts, r)
 	checkConstants(c, r)
-	checkStatic(c, opts, r)
+	if err := checkStatic(ctx, c, opts, r); err != nil {
+		return nil, err
+	}
 	checkDuplicateCones(c, r)
 	checkHotspots(c, opts, r)
 	checkStructure(c, r)
 
 	sortFindings(r.Findings)
-	return r
+	return r, nil
 }
 
 // sortFindings orders most-severe first, then by rule ID, then by signal.

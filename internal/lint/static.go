@@ -1,6 +1,7 @@
 package lint
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/implic"
@@ -26,23 +27,31 @@ import (
 // The engine's sweep is quadratic-ish in gate count, so the pass is
 // gated by Options.ImplicationGateLimit.
 
-// checkStatic runs the implication/dominator pass. It must run after
-// checkConstants so S001 can skip faults C002 already reported.
-func checkStatic(c *netlist.Circuit, opts Options, r *Report) {
+// checkStatic runs the implication/dominator pass, returning ctx.Err()
+// once ctx is done. It must run after checkConstants so S001 can skip
+// faults C002 already reported.
+func checkStatic(ctx context.Context, c *netlist.Circuit, opts Options, r *Report) error {
 	limit := opts.ImplicationGateLimit
 	if limit == 0 {
 		limit = 3000
 	}
 	if limit < 0 || c.NumGates() > limit {
-		return
+		return nil
 	}
-	eng := implic.New(c, implic.Options{})
+	eng, err := implic.NewContext(ctx, c, implic.Options{})
+	if err != nil {
+		return err
+	}
+	redundant, err := eng.RedundantContext(ctx)
+	if err != nil {
+		return err
+	}
 
 	seen := make(map[string]bool, len(r.untestable))
 	for _, f := range r.untestable {
 		seen[f.Name(c)] = true
 	}
-	for _, rf := range eng.Redundant() {
+	for _, rf := range redundant {
 		name := rf.F.Name(c)
 		if seen[name] {
 			continue
@@ -80,4 +89,5 @@ func checkStatic(c *netlist.Circuit, opts Options, r *Report) {
 			Hint: "an observation point on the dominator observes this line too; score only one of them",
 		})
 	}
+	return nil
 }

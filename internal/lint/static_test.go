@@ -1,6 +1,9 @@
 package lint
 
 import (
+	"context"
+	"errors"
+	"reflect"
 	"testing"
 
 	"repro/internal/fault"
@@ -43,6 +46,24 @@ func TestStaticRedundantFinding(t *testing.T) {
 	// is strictly stronger than the constant pass on this circuit.
 	if n := len(r.ByRule(RuleConstantLine)) + len(r.ByRule(RuleUntestableFault)); n != 0 {
 		t.Errorf("constant pass produced %d findings on a constant-free circuit", n)
+	}
+}
+
+// TestAnalyzeContext: a live context reproduces Analyze, and a done one
+// stops the static pass with the context's error and no report.
+func TestAnalyzeContext(t *testing.T) {
+	c := blockedCircuit()
+	got, err := AnalyzeContext(context.Background(), c, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := Analyze(c, Options{}); !reflect.DeepEqual(got, want) {
+		t.Errorf("AnalyzeContext = %v, Analyze = %v", got.Findings, want.Findings)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if r, err := AnalyzeContext(ctx, c, Options{}); r != nil || !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled AnalyzeContext = %v, %v; want nil, context.Canceled", r, err)
 	}
 }
 

@@ -3,6 +3,8 @@ package perf
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
@@ -15,26 +17,26 @@ func tinySuite(counter *int) []Benchmark {
 	return []Benchmark{
 		{
 			Name: "tpi/noop", Group: GroupTPI,
-			Setup: func() (func() error, func(), error) {
-				return func() error { *counter++; return nil }, nil, nil
+			Setup: func() (func() error, error) {
+				return func() error { *counter++; return nil }, nil
 			},
 		},
 		{
 			Name: "fsim/noop", Group: GroupFsim,
-			Setup: func() (func() error, func(), error) {
-				return func() error { return nil }, nil, nil
+			Setup: func() (func() error, error) {
+				return func() error { return nil }, nil
 			},
 		},
 		{
 			Name: "atpg/noop", Group: GroupATPG,
-			Setup: func() (func() error, func(), error) {
-				return func() error { return nil }, nil, nil
+			Setup: func() (func() error, error) {
+				return func() error { return nil }, nil
 			},
 		},
 		{
-			Name: "serve/noop", Group: GroupServe,
-			Setup: func() (func() error, func(), error) {
-				return func() error { return nil }, nil, nil
+			Name: "exp/noop", Group: GroupExp,
+			Setup: func() (func() error, error) {
+				return func() error { return nil }, nil
 			},
 		},
 	}
@@ -78,23 +80,19 @@ func TestRunSetupAndOpErrors(t *testing.T) {
 	boom := errors.New("boom")
 	bad := []Benchmark{{
 		Name: "fsim/bad", Group: GroupFsim,
-		Setup: func() (func() error, func(), error) { return nil, nil, boom },
+		Setup: func() (func() error, error) { return nil, boom },
 	}}
 	if _, err := Run(bad, Config{Iterations: 1}); !errors.Is(err, boom) {
 		t.Errorf("setup error not surfaced: %v", err)
 	}
-	cleaned := false
 	failing := []Benchmark{{
 		Name: "fsim/fail", Group: GroupFsim,
-		Setup: func() (func() error, func(), error) {
-			return func() error { return boom }, func() { cleaned = true }, nil
+		Setup: func() (func() error, error) {
+			return func() error { return boom }, nil
 		},
 	}}
 	if _, err := Run(failing, Config{Iterations: 1}); !errors.Is(err, boom) {
 		t.Errorf("op error not surfaced: %v", err)
-	}
-	if !cleaned {
-		t.Error("cleanup not called after op failure")
 	}
 }
 
@@ -148,7 +146,7 @@ func validReport() *Report {
 		Meta:   Meta{GoVersion: "go1.x", GOOS: "linux", GOARCH: "amd64", NumCPU: 1, GOMAXPROCS: 1},
 		Benchmarks: []Result{
 			res("fsim/a", GroupFsim), res("atpg/a", GroupATPG),
-			res("tpi/a", GroupTPI), res("serve/a", GroupServe),
+			res("tpi/a", GroupTPI), res("exp/a", GroupExp),
 		},
 	}
 }
@@ -169,7 +167,7 @@ func TestValidateRejections(t *testing.T) {
 		{"zero iterations", func(r *Report) { r.Benchmarks[0].Iterations = 0 }},
 		{"negative ns", func(r *Report) { r.Benchmarks[0].NsPerOp = -1 }},
 		{"zero gomaxprocs", func(r *Report) { r.Benchmarks[0].GOMAXPROCS = 0 }},
-		{"missing group coverage", func(r *Report) { r.Benchmarks = r.Benchmarks[:3] }},
+		{"missing group coverage", func(r *Report) { r.Benchmarks = r.Benchmarks[1:] }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			r := validReport()
@@ -248,19 +246,20 @@ func TestStripMeasurements(t *testing.T) {
 }
 
 // TestSuiteShape pins the canonical registry contract: unique names in
-// fixed order, all four engine groups covered, the worker sweep and
-// the learn/prune toggles present, and both modes sharing one name
-// set (baselines pair by name across machines, never across modes).
+// fixed order, every engine group covered and none of serve (servebench
+// times serving), the worker sweep, the oracles, the learn/prune
+// toggles and the experiment rows present, and both modes sharing one
+// name set (baselines pair by name across machines, never across
+// modes). The exp rows run at the quick scale, so they are identical in
+// both modes.
 func TestSuiteShape(t *testing.T) {
 	short := Suite(true)
 	full := Suite(false)
-	if len(short) != len(full) {
-		t.Fatalf("short suite has %d benchmarks, full %d", len(short), len(full))
-	}
-	if len(short) < 8 {
-		t.Fatalf("suite has %d benchmarks, want >= 8", len(short))
+	if len(short) != 24 || len(full) != 24 {
+		t.Fatalf("short suite has %d benchmarks, full %d, want 24", len(short), len(full))
 	}
 	groups := make(map[string]int)
+	index := make(map[string]int)
 	for i := range short {
 		if short[i].Name != full[i].Name {
 			t.Errorf("suite order diverges between modes: %s vs %s", short[i].Name, full[i].Name)
@@ -268,29 +267,64 @@ func TestSuiteShape(t *testing.T) {
 		if short[i].Setup == nil {
 			t.Errorf("%s has no Setup", short[i].Name)
 		}
+		if _, dup := index[short[i].Name]; dup {
+			t.Errorf("duplicate benchmark %s", short[i].Name)
+		}
+		index[short[i].Name] = i
 		groups[short[i].Group]++
 	}
-	for _, g := range []string{GroupFsim, GroupATPG, GroupTPI, GroupServe} {
+	for _, g := range []string{GroupFsim, GroupATPG, GroupTPI, GroupExp} {
 		if groups[g] == 0 {
 			t.Errorf("suite covers no %s benchmarks", g)
 		}
 	}
+	if groups[GroupServe] != 0 {
+		t.Errorf("suite registers %d serve benchmarks, want none", groups[GroupServe])
+	}
 	for _, name := range []string{
-		"fsim/serial", "fsim/parallel/w1", "fsim/parallel/w8",
+		"fsim/serial", "fsim/parallel/w1", "fsim/parallel/w8", "fsim/deductive", "fsim/cpt",
 		"atpg/podem/learn=off", "atpg/podem/learn=on",
 		"tpi/cuts-dp", "tpi/observe-dp/prune=off", "tpi/observe-dp/prune=on",
-		"tpi/observe-greedy/prune=off", "tpi/observe-greedy/prune=on",
-		"tpi/hybrid", "serve/plan/cache=hit", "serve/plan/cache=miss",
+		"tpi/observe-greedy/prune=off", "tpi/observe-greedy/prune=on", "tpi/hybrid",
 	} {
-		found := false
-		for i := range short {
-			if short[i].Name == name {
-				found = true
-				break
-			}
-		}
-		if !found {
+		if _, ok := index[name]; !ok {
 			t.Errorf("canonical benchmark %s missing from suite", name)
+		}
+	}
+	serial := short[index["fsim/serial"]]
+	for _, name := range []string{"fsim/deductive", "fsim/cpt"} {
+		if i, ok := index[name]; ok && !reflect.DeepEqual(short[i].Params, serial.Params) {
+			t.Errorf("%s params %v, want fsim/serial's %v", name, short[i].Params, serial.Params)
+		}
+	}
+	for n := 1; n <= 9; n++ {
+		name := fmt.Sprintf("exp/E%d", n)
+		i, ok := index[name]
+		if !ok {
+			t.Errorf("experiment benchmark %s missing from suite", name)
+			continue
+		}
+		s, f := short[i], full[i]
+		if s.Group != GroupExp || s.Info != f.Info || !reflect.DeepEqual(s.Params, f.Params) {
+			t.Errorf("%s: short (%s, %q, %v) and full (%q, %v) differ or leave the exp group",
+				name, s.Group, s.Info, s.Params, f.Info, f.Params)
+		}
+	}
+}
+
+// TestCommittedReportsDecode keeps every committed report readable by
+// Decode, which cmd/bench -check and -baseline go through: the BENCH_*
+// reports (whose serve rows predate servebench) and the CI baseline.
+func TestCommittedReportsDecode(t *testing.T) {
+	for _, path := range []string{"../../BENCH_5.json", "../../BENCH_6.json", "../../testdata/bench/baseline.json"} {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Decode(f)
+		f.Close()
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
 		}
 	}
 }

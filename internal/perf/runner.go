@@ -32,9 +32,9 @@ type Config struct {
 }
 
 // Run executes the suite and assembles the canonical report. Benchmarks
-// run sequentially in registry order; each benchmark's Setup and
-// cleanup are outside the measured region, and a per-benchmark
-// GOMAXPROCS override is restored before the next benchmark starts.
+// run sequentially in registry order; each benchmark's Setup is
+// outside the measured region, and a per-benchmark GOMAXPROCS override
+// is restored before the next benchmark starts.
 func Run(suite []Benchmark, cfg Config) (*Report, error) {
 	if cfg.Warmup <= 0 {
 		cfg.Warmup = 1
@@ -83,12 +83,9 @@ func runOne(b *Benchmark, cfg Config) (Result, error) {
 		prev := runtime.GOMAXPROCS(b.GOMAXPROCS)
 		defer runtime.GOMAXPROCS(prev)
 	}
-	op, cleanup, err := b.Setup()
+	op, err := b.Setup()
 	if err != nil {
 		return Result{}, fmt.Errorf("setup: %w", err)
-	}
-	if cleanup != nil {
-		defer cleanup()
 	}
 	for i := 0; i < cfg.Warmup; i++ {
 		if err := op(); err != nil {

@@ -736,7 +736,10 @@ func parseLint(raw json.RawMessage) (any, int, runFunc, error) {
 	timeoutMS := opts.TimeoutMS
 	opts.TimeoutMS = 0
 	run := func(ctx context.Context, c *netlist.Circuit) (any, error) {
-		rep := lint.Analyze(c, lint.Options{})
+		rep, err := lint.AnalyzeContext(ctx, c, lint.Options{})
+		if err != nil {
+			return nil, err
+		}
 		return &lintResponse{Circuit: describe(c), Findings: len(rep.Findings), Report: rep}, nil
 	}
 	return opts, timeoutMS, run, nil

@@ -299,6 +299,32 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
+// TestLintTimeout pins /v1/lint's deadline: the static implication pass
+// on a circuit just under its 3000-gate limit runs for seconds, so a
+// 200 ms budget must end in a 504, and the single worker must be free
+// for the next request at once.
+func TestLintTimeout(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	start := time.Now()
+	st, _, b := post(t, ts.URL+"/v1/lint", `{"generate":"dag:gates=2980,seed=11","options":{"timeout_ms":200}}`)
+	if st != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d body=%.200s, want 504", st, b)
+	}
+	if elapsed := time.Since(start); elapsed > 2*time.Second {
+		t.Fatalf("lint deadline enforcement took %v", elapsed)
+	}
+	if running := s.pool.Stats().Running; running != 0 {
+		t.Fatalf("%d worker(s) still running after the 504", running)
+	}
+	start = time.Now()
+	if st, _, b := post(t, ts.URL+"/v1/lint", `{"generate":"c17"}`); st != http.StatusOK {
+		t.Fatalf("follow-up lint: status = %d body=%s", st, b)
+	}
+	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+		t.Fatalf("follow-up lint took %v on the freed worker", elapsed)
+	}
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	cases := []struct {
@@ -358,8 +384,7 @@ func TestGeneratorBudgetAdmitsRepoSpecs(t *testing.T) {
 		"dag:gates=1000,seed=1",               // servebench plan-hit and plan-miss
 		"tree:leaves=2000,seed=1",             // servebench plan-miss cuts
 		"rpr:cones=3,width=10,glue=60,seed=1", // servebench ATPG
-		"dag:gates=600,seed=7",                // internal/perf
-		"dag:gates=120,seed=1",                // cmd/loadgen default
+		"dag:gates=600,seed=7",                // the timeout and cancellation tests
 	} {
 		if _, err := parseCircuit(&netlistRequest{Generate: spec}); err != nil {
 			t.Errorf("%s: %v", spec, err)
