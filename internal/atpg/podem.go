@@ -567,9 +567,10 @@ func GenerateTests(c *netlist.Circuit, faults []fault.Fault, opts Options) (*Tes
 }
 
 // GenerateTestsContext is GenerateTests with cancellation: the context is
-// checked between per-fault PODEM runs and inside each run's decision
-// loop. On cancellation the partial TestSet built so far (every vector in
-// it is a complete, valid test) is returned alongside ctx.Err(). When
+// checked between per-fault PODEM runs, inside each run's decision loop,
+// and once per fault while a new vector's detections are dropped. On
+// cancellation the partial TestSet built so far (every vector in it is
+// a complete, valid test) is returned alongside ctx.Err(). When
 // ctx carries a progress.Func, one "faults" sample is emitted before
 // each PODEM run, counting faults already resolved.
 func GenerateTestsContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, opts Options) (*TestSet, error) {
@@ -578,6 +579,7 @@ func GenerateTestsContext(ctx context.Context, c *netlist.Circuit, faults []faul
 	}
 	ts := &TestSet{}
 	report := progress.FromContext(ctx)
+	done := ctx.Done()
 	remaining := append([]fault.Fault(nil), faults...)
 	for len(remaining) > 0 {
 		if report != nil {
@@ -600,9 +602,16 @@ func GenerateTestsContext(ctx context.Context, c *netlist.Circuit, faults []faul
 			remaining = remaining[1:]
 		case Detected:
 			ts.Vectors = append(ts.Vectors, res.Vector)
-			// Drop everything this vector detects.
+			// Drop everything this vector detects. Each check simulates
+			// the whole circuit twice, so on a large fault list the loop
+			// runs for seconds and polls ctx once per fault.
 			kept := remaining[:0]
 			for _, f := range remaining {
+				select {
+				case <-done:
+					return ts, ctx.Err()
+				default:
+				}
 				if vectorDetects(c, f, res.Vector) {
 					ts.Detected = append(ts.Detected, f)
 				} else {

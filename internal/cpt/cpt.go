@@ -21,7 +21,6 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
-	"repro/internal/implic"
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/pattern"
@@ -33,13 +32,6 @@ type Options struct {
 	MaxPatterns int
 	// DropFaults stops grading a fault after its first detection.
 	DropFaults bool
-	// PruneStatic drops faults the static implication engine
-	// (internal/implic) proves untestable from the active list before
-	// grading. The result is unchanged — such faults are never detected
-	// and stay in Result.Faults, so Coverage keeps its denominator —
-	// but their per-pattern checks and stem analyses are skipped.
-	// Ignored on circuits above ~4096 gates.
-	PruneStatic bool
 }
 
 // Result mirrors the other engines' reporting.
@@ -108,18 +100,6 @@ func Run(c *netlist.Circuit, faults []fault.Fault, src pattern.Source, opts Opti
 	res := &Result{Faults: faults, FirstDetect: make(map[fault.Fault]int)}
 	active := make([]fault.Fault, len(faults))
 	copy(active, faults)
-	if opts.PruneStatic && c.NumGates() <= 4096 {
-		red := implic.New(c, implic.Options{}).RedundantSet()
-		if len(red) > 0 {
-			kept := active[:0]
-			for _, f := range active {
-				if !red[f] {
-					kept = append(kept, f)
-				}
-			}
-			active = kept
-		}
-	}
 	words := make([]uint64, c.NumInputs())
 	applied := 0
 	for applied < opts.MaxPatterns && len(active) > 0 {

@@ -141,37 +141,3 @@ func TestCPTBadFault(t *testing.T) {
 		t.Error("expected error for bad gate")
 	}
 }
-
-// TestPruneStaticIdenticalResults checks that the static pre-prune is a
-// pure optimisation: identical FirstDetect map with and without it,
-// including on a circuit that contains statically redundant faults.
-func TestPruneStaticIdenticalResults(t *testing.T) {
-	b := netlist.NewBuilder("red")
-	a := b.Input("a")
-	x := b.Input("b")
-	n1 := b.AndGate("n1", a, x)
-	z := b.OrGate("z", n1, a)
-	b.MarkOutput(z)
-	c := b.MustBuild()
-	faults := fault.Universe(c)
-
-	plain, err := Run(c, faults, pattern.NewCounter(2), Options{MaxPatterns: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pruned, err := Run(c, faults, pattern.NewCounter(2), Options{MaxPatterns: 4, PruneStatic: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(plain.FirstDetect) != len(pruned.FirstDetect) {
-		t.Fatalf("detections differ: %d plain vs %d pruned", len(plain.FirstDetect), len(pruned.FirstDetect))
-	}
-	for f, p := range plain.FirstDetect {
-		if pp, ok := pruned.FirstDetect[f]; !ok || pp != p {
-			t.Errorf("fault %v: first detection %d plain vs %d (ok=%v) pruned", f, p, pp, ok)
-		}
-	}
-	if plain.Coverage() != pruned.Coverage() {
-		t.Errorf("coverage changed: %v vs %v", plain.Coverage(), pruned.Coverage())
-	}
-}

@@ -22,14 +22,15 @@
 // equivalence/dominance collapsing into a reduced fault universe.
 //
 // A propagation that conflicts proves the seed infeasible, so the line
-// is constant at the opposite value; constants are re-seeded into every
-// later propagation, letting constant knowledge compound across
-// learning rounds.
+// is constant at the opposite value. The closure of the proven constants
+// (the base) stays assigned between propagations, so every later
+// propagation starts from it and constant knowledge compounds across
+// learning rounds without being re-derived per literal.
 package implic
 
 import (
 	"context"
-	"sort"
+	"slices"
 
 	"repro/internal/netlist"
 )
@@ -83,11 +84,20 @@ type Engine struct {
 	// lazily computed redundancy pass (redundancy.go)
 	redundant []RedundantFault
 
-	// propagation scratch
-	val     []int8
-	touched []int32
-	gq      []int32
-	inq     []bool
+	// Propagation state. Between runs val holds the base, the closure
+	// of the proven constants, and base lists its literals in ascending
+	// order. A run assigns on top of it: touched records the signals it
+	// assigned, pending the literals whose learned edges are not yet
+	// replayed, gq (with inq) the gates left to evaluate.
+	val      []int8
+	base     []Lit
+	spare    []Lit // the previous base's array, reused by commit
+	touched  []int32
+	pending  []Lit
+	gq       []int32
+	inq      []bool
+	seeds    []Lit // redundancy-pass seed scratch
+	conflict bool
 
 	// build-time cancellation (context.go); cleared before build returns
 	// so post-build queries never observe a dead request context.
@@ -207,15 +217,16 @@ func (e *Engine) ForEachImplied(sig int, val bool, fn func(sig int, val bool)) {
 
 // Implies reports whether assigning `from` implies `to`.
 func (e *Engine) Implies(from, to Lit) bool {
-	list := e.imp[from]
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= to })
-	return i < len(list) && list[i] == to
+	_, ok := slices.BinarySearch(e.imp[from], to)
+	return ok
 }
 
 // sweep recomputes the implied set of every literal under the current
 // learned database and constants, and reports whether a new constant was
-// proven.
+// proven. A constant proven mid-sweep joins the base at once, so the
+// literals after it see it.
 func (e *Engine) sweep() (newConst bool) {
+	e.rebuildBase()
 	n := e.c.NumGates()
 	for sig := 0; sig < n; sig++ {
 		for v := int8(0); v <= 1; v++ {
@@ -232,23 +243,64 @@ func (e *Engine) sweep() (newConst bool) {
 				if e.consts[sig] < 0 {
 					e.consts[sig] = 1 - v
 					newConst = true
+					e.run(l.Neg())
+					e.commit()
 				}
 				continue
 			}
 			e.feas[l] = true
-			out := e.imp[l][:0]
-			for _, t := range e.touched {
-				if int(t) == sig {
-					continue
-				}
-				out = append(out, MkLit(int(t), e.val[t] == 1))
-			}
-			sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-			e.imp[l] = out
+			e.imp[l] = e.assigned(e.imp[l][:0], sig)
 			e.reset()
 		}
 	}
 	return newConst
+}
+
+// rebuildBase propagates the proven constants from scratch. It runs once
+// per sweep because the learned database grows between sweeps, and with
+// it the closure of the constants. Sound constants never conflict.
+func (e *Engine) rebuildBase() {
+	for _, l := range e.base {
+		e.val[l.Signal()] = -1
+	}
+	e.base = e.base[:0]
+	for sig, cv := range e.consts {
+		if cv >= 0 {
+			e.assign(sig, cv)
+		}
+	}
+	e.propagate()
+	e.commit()
+}
+
+// commit folds the last run's assignments into the base. The merge
+// cannot write into the base it reads, so the new base is built in the
+// previous one's array.
+func (e *Engine) commit() {
+	e.spare = e.assigned(e.spare[:0], -1)
+	e.base, e.spare = e.spare, e.base
+	e.touched = e.touched[:0]
+}
+
+// assigned appends to dst every literal assigned after the last run,
+// the base included, in ascending order and leaving out signal skip (-1
+// keeps all). The base is kept sorted and the run's own assignments are
+// sorted here, so one merge builds the list.
+func (e *Engine) assigned(dst []Lit, skip int) []Lit {
+	slices.Sort(e.touched)
+	b, t := e.base, e.touched
+	for len(b) > 0 || len(t) > 0 {
+		var l Lit
+		if len(t) == 0 || (len(b) > 0 && b[0].Signal() < int(t[0])) {
+			l, b = b[0], b[1:]
+		} else {
+			l, t = MkLit(int(t[0]), e.val[t[0]] == 1), t[1:]
+		}
+		if l.Signal() != skip {
+			dst = append(dst, l)
+		}
+	}
+	return dst
 }
 
 // learn records the contrapositive of every implication not already in
@@ -284,83 +336,88 @@ func (e *Engine) learn() bool {
 	return added
 }
 
-// run propagates the seed literals plus every known constant to a
-// fixpoint, leaving the assignment in e.val (-1 = unassigned), and
-// reports whether a conflict arose. Callers must call reset afterwards.
+// run propagates the seed literals on top of the base to a fixpoint,
+// leaving the assignment in e.val (-1 = unassigned), and reports whether
+// a conflict arose. Propagation reaches the same fixpoint, or the same
+// conflict, in any order, so starting from the base gives what
+// propagating every constant along with the seeds would. Callers must
+// call reset (or commit) afterwards.
 func (e *Engine) run(seeds ...Lit) (conflict bool) {
-	var pending []Lit
-	assign := func(sig int, v int8) {
-		switch e.val[sig] {
-		case v:
-			return
-		case -1:
-			e.val[sig] = v
-			e.touched = append(e.touched, int32(sig))
-			pending = append(pending, MkLit(sig, v == 1))
-			if !e.inq[sig] {
-				e.inq[sig] = true
-				e.gq = append(e.gq, int32(sig))
-			}
-			for _, g := range e.c.Fanout(sig) {
-				if !e.inq[g] {
-					e.inq[g] = true
-					e.gq = append(e.gq, int32(g))
-				}
-			}
-		default:
-			conflict = true
-		}
-	}
-	for sig, cv := range e.consts {
-		if cv >= 0 {
-			assign(sig, cv)
-		}
-	}
 	for _, s := range seeds {
-		v := int8(0)
-		if s.Val() {
-			v = 1
-		}
-		assign(s.Signal(), v)
+		e.assign(s.Signal(), litVal(s))
 	}
+	return e.propagate()
+}
+
+// litVal returns the literal's value as a propagation value.
+func litVal(l Lit) int8 { return int8(l & 1) }
+
+// assign sets sig to v and queues its learned edges, the gate itself and
+// its fanout gates; assigning the opposite of a known value records a
+// conflict.
+func (e *Engine) assign(sig int, v int8) {
+	switch e.val[sig] {
+	case v:
+		return
+	case -1:
+		e.val[sig] = v
+		e.touched = append(e.touched, int32(sig))
+		e.pending = append(e.pending, MkLit(sig, v == 1))
+		e.enqueue(sig)
+		for _, g := range e.c.Fanout(sig) {
+			e.enqueue(g)
+		}
+	default:
+		e.conflict = true
+	}
+}
+
+func (e *Engine) enqueue(g int) {
+	if !e.inq[g] {
+		e.inq[g] = true
+		e.gq = append(e.gq, int32(g))
+	}
+}
+
+// propagate drains the worklists until a fixpoint or a conflict and
+// reports whether a conflict arose.
+func (e *Engine) propagate() bool {
 	// Poll the build context every 1024 worklist steps: propagation is
 	// the hot inner loop of the sweeps, so the select is amortized the
 	// same way fsim amortizes its per-block poll.
 	steps := 0
-	for !conflict && (len(pending) > 0 || len(e.gq) > 0) {
+	for !e.conflict && (len(e.pending) > 0 || len(e.gq) > 0) {
 		if steps++; steps&1023 == 0 {
 			e.pollBuild()
 		}
-		if len(pending) > 0 {
-			l := pending[len(pending)-1]
-			pending = pending[:len(pending)-1]
+		if n := len(e.pending); n > 0 {
+			l := e.pending[n-1]
+			e.pending = e.pending[:n-1]
 			for _, t := range e.learned[l] {
-				v := int8(0)
-				if t.Val() {
-					v = 1
-				}
-				assign(t.Signal(), v)
+				e.assign(t.Signal(), litVal(t))
 			}
 			continue
 		}
 		g := int(e.gq[len(e.gq)-1])
 		e.gq = e.gq[:len(e.gq)-1]
 		e.inq[g] = false
-		e.evalGate(g, assign)
+		e.evalGate(g)
 	}
-	return conflict
+	return e.conflict
 }
 
-// reset clears the propagation scratch for the next run.
+// reset undoes the last run, restoring the base.
 func (e *Engine) reset() {
 	for _, t := range e.touched {
 		e.val[t] = -1
 	}
 	e.touched = e.touched[:0]
+	e.pending = e.pending[:0]
 	for _, g := range e.gq {
 		e.inq[g] = false
 	}
 	e.gq = e.gq[:0]
+	e.conflict = false
 }
 
 // evalGate applies the bidirectional gate rules of gate id under the
@@ -373,38 +430,38 @@ func (e *Engine) reset() {
 //     one unknown input and no controlling input justifies that input;
 //   - XOR/XNOR: all-but-one known pins determine the last, in either
 //     direction.
-func (e *Engine) evalGate(id int, assign func(int, int8)) {
-	g := e.c.Gate(id)
-	switch g.Type {
+func (e *Engine) evalGate(id int) {
+	t, fanin := e.c.Type(id), e.c.Fanin(id)
+	switch t {
 	case netlist.Input:
 	case netlist.Buf:
-		in := g.Fanin[0]
+		in := fanin[0]
 		if v := e.val[in]; v >= 0 {
-			assign(id, v)
+			e.assign(id, v)
 		}
 		if v := e.val[id]; v >= 0 {
-			assign(in, v)
+			e.assign(in, v)
 		}
 	case netlist.Not:
-		in := g.Fanin[0]
+		in := fanin[0]
 		if v := e.val[in]; v >= 0 {
-			assign(id, 1-v)
+			e.assign(id, 1-v)
 		}
 		if v := e.val[id]; v >= 0 {
-			assign(in, 1-v)
+			e.assign(in, 1-v)
 		}
 	case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
 		cv := int8(0) // controlling input value
-		if g.Type == netlist.Or || g.Type == netlist.Nor {
+		if t == netlist.Or || t == netlist.Nor {
 			cv = 1
 		}
 		ov := cv // controlled output value
-		if g.Type.Inverting() {
+		if t.Inverting() {
 			ov = 1 - ov
 		}
 		unknown, last := 0, -1
 		anyCtl := false
-		for _, in := range g.Fanin {
+		for _, in := range fanin {
 			switch e.val[in] {
 			case -1:
 				unknown++
@@ -414,24 +471,24 @@ func (e *Engine) evalGate(id int, assign func(int, int8)) {
 			}
 		}
 		if anyCtl {
-			assign(id, ov)
+			e.assign(id, ov)
 		} else if unknown == 0 {
-			assign(id, 1-ov)
+			e.assign(id, 1-ov)
 		}
 		switch e.val[id] {
 		case 1 - ov:
-			for _, in := range g.Fanin {
-				assign(in, 1-cv)
+			for _, in := range fanin {
+				e.assign(in, 1-cv)
 			}
 		case ov:
 			if !anyCtl && unknown == 1 {
-				assign(last, cv)
+				e.assign(last, cv)
 			}
 		}
 	case netlist.Xor, netlist.Xnor:
 		unknown, last := 0, -1
 		acc := int8(0)
-		for _, in := range g.Fanin {
+		for _, in := range fanin {
 			switch e.val[in] {
 			case -1:
 				unknown++
@@ -441,14 +498,14 @@ func (e *Engine) evalGate(id int, assign func(int, int8)) {
 			}
 		}
 		inv := int8(0)
-		if g.Type == netlist.Xnor {
+		if t == netlist.Xnor {
 			inv = 1
 		}
 		if unknown == 0 {
-			assign(id, acc^inv)
+			e.assign(id, acc^inv)
 		} else if unknown == 1 {
 			if v := e.val[id]; v >= 0 {
-				assign(last, v^inv^acc)
+				e.assign(last, v^inv^acc)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"repro/internal/fault"
+	"repro/internal/netlist"
 )
 
 // The static redundancy pass proves single stuck-at faults untestable by
@@ -76,6 +77,42 @@ func (e *Engine) RedundantSet() map[fault.Fault]bool {
 	return out
 }
 
+// RedundantAmongContext reports for each of the given faults whether
+// the pass proves it untestable: out[i] is true exactly when faults[i]
+// is in RedundantSet. Only the given faults are proven, so a caller
+// that targets part of the universe (a collapsed list, say) pays for
+// that part. A fault outside fault.Universe is never proven. The pass
+// polls ctx once per fault and returns ctx.Err() once it is done.
+func (e *Engine) RedundantAmongContext(ctx context.Context, faults []fault.Fault) ([]bool, error) {
+	done := ctx.Done()
+	out := make([]bool, len(faults))
+	cone := make([]bool, e.c.NumGates())
+	var marked []int
+	for i, f := range faults {
+		select {
+		case <-done:
+			return nil, ctx.Err()
+		default:
+		}
+		out[i] = e.inUniverse(f) && e.prove(f, cone, &marked).kind != unproven
+	}
+	return out, nil
+}
+
+// inUniverse reports whether f is a member of fault.Universe: a stem
+// fault on any gate, or a branch fault on a pin whose driver fans out.
+func (e *Engine) inUniverse(f fault.Fault) bool {
+	c := e.c
+	if f.Gate < 0 || f.Gate >= c.NumGates() {
+		return false
+	}
+	if f.Pin == -1 {
+		return true
+	}
+	fanin := c.Fanin(f.Gate)
+	return f.Pin >= 0 && f.Pin < len(fanin) && c.FanoutCount(fanin[f.Pin]) > 1
+}
+
 // computeRedundant runs the pass, polling done once per fault; it
 // returns ok=false when done fires first. A nil done never fires.
 func (e *Engine) computeRedundant(done <-chan struct{}) (out []RedundantFault, ok bool) {
@@ -88,16 +125,61 @@ func (e *Engine) computeRedundant(done <-chan struct{}) (out []RedundantFault, o
 			return nil, false
 		default:
 		}
-		if reason, ok := e.redundantReason(f, cone, &marked); ok {
-			out = append(out, RedundantFault{F: f, Reason: reason})
+		if p := e.prove(f, cone, &marked); p.kind != unproven {
+			out = append(out, RedundantFault{F: f, Reason: p.reason(e.c, f)})
 		}
 	}
 	return out, true
 }
 
-// redundantReason checks the three conditions for one fault. cone and
-// marked are caller-owned scratch for the fanout-cone marking.
-func (e *Engine) redundantReason(f fault.Fault, cone []bool, marked *[]int) (string, bool) {
+// proofKind names the detection condition a redundancy proof refutes.
+type proofKind uint8
+
+const (
+	unproven     proofKind = iota
+	unobservable           // no structural path to a primary output
+	constant               // the site is constant at the stuck value
+	infeasible             // the excitation literal is infeasible
+	conflicting            // excitation plus side pins conflict
+	blocked                // a dominator side input is forced controlling
+)
+
+// proof is the outcome of the checks for one fault. site is the line
+// the excitation assigns; dom and side name the blocking dominator and
+// its controlling side input. The reason text is formatted only on
+// demand, by reason.
+type proof struct {
+	kind      proofKind
+	site      int
+	dom, side int
+}
+
+// reason renders the proof as the human-readable text of
+// RedundantFault.Reason.
+func (p proof) reason(c *netlist.Circuit, f fault.Fault) string {
+	switch p.kind {
+	case unobservable:
+		return "no structural path from the fault site to a primary output"
+	case constant:
+		cv := 0
+		if f.Stuck {
+			cv = 1
+		}
+		return fmt.Sprintf("line %s is proven constant %d, matching the stuck value", c.GateName(p.site), cv)
+	case infeasible:
+		return fmt.Sprintf("excitation %s=%v is infeasible", c.GateName(p.site), !f.Stuck)
+	case conflicting:
+		return fmt.Sprintf("the conditions for detecting %s (excitation plus non-controlling side pins) conflict", f.Name(c))
+	case blocked:
+		return fmt.Sprintf("blocked at dominator %s: side input %s is implied to its controlling value by the excitation",
+			c.GateName(p.dom), c.GateName(p.side))
+	}
+	return ""
+}
+
+// prove checks the three conditions for one fault of the universe. cone
+// and marked are caller-owned scratch for the fanout-cone marking.
+func (e *Engine) prove(f fault.Fault, cone []bool, marked *[]int) proof {
 	c := e.c
 	// site: the signal whose good value must oppose the stuck value.
 	site := f.Gate
@@ -108,18 +190,18 @@ func (e *Engine) redundantReason(f fault.Fault, cone []bool, marked *[]int) (str
 	// 1. Observability: the corrupted values live in the fanout cone of
 	// f.Gate (the stem itself, or the branch's consuming gate).
 	if !e.Observable(f.Gate) {
-		return "no structural path from the fault site to a primary output", true
+		return proof{kind: unobservable}
 	}
 
 	// 2. Excitation: a line constant at the stuck value never diverges.
 	if cv := e.consts[site]; cv >= 0 && (cv == 1) == f.Stuck {
-		return fmt.Sprintf("line %s is proven constant %d, matching the stuck value", c.GateName(site), cv), true
+		return proof{kind: constant, site: site}
 	}
 	want := MkLit(site, !f.Stuck)
 	if !e.feas[want] {
 		// Only reachable if the constant table lags the feasibility
 		// table; semantically the same proof as above.
-		return fmt.Sprintf("excitation %s=%v is infeasible", c.GateName(site), !f.Stuck), true
+		return proof{kind: infeasible, site: site}
 	}
 
 	// 3. Propagation through dominators under the conditions every
@@ -129,7 +211,7 @@ func (e *Engine) redundantReason(f fault.Fault, cone []bool, marked *[]int) (str
 	// before it leaves the gate). Side pins are fanins of the consuming
 	// gate, so acyclicity keeps them outside the fault's fanout cone and
 	// the conditions refer to fault-free values only.
-	seeds := []Lit{want}
+	seeds := append(e.seeds[:0], want)
 	if !f.IsStem() {
 		if cvb, hasCtl := c.Type(f.Gate).ControllingValue(); hasCtl {
 			for pin, w := range c.Fanin(f.Gate) {
@@ -139,11 +221,11 @@ func (e *Engine) redundantReason(f fault.Fault, cone []bool, marked *[]int) (str
 			}
 		}
 	}
-	if e.run(seeds...) {
-		defer e.reset()
-		return fmt.Sprintf("the conditions for detecting %s (excitation plus non-controlling side pins) conflict", f.Name(c)), true
-	}
+	e.seeds = seeds
 	defer e.reset()
+	if e.run(seeds...) {
+		return proof{kind: conflicting}
+	}
 
 	// Mark the fanout cone of the corrupted signals.
 	*marked = (*marked)[:0]
@@ -168,11 +250,12 @@ func (e *Engine) redundantReason(f fault.Fault, cone []bool, marked *[]int) (str
 	// For a branch fault the effect first crosses the consuming gate,
 	// whose other pins always carry fault-free values; then the
 	// dominator chain of that gate. For a stem fault the chain alone.
-	check := func(d int, skipPin int) (string, bool) {
-		t := c.Type(d)
-		cvb, hasCtl := t.ControllingValue()
+	// check returns the side input of d (other than skipPin) held at
+	// its controlling value, or -1.
+	check := func(d int, skipPin int) int {
+		cvb, hasCtl := c.Type(d).ControllingValue()
 		if !hasCtl {
-			return "", false // XOR-likes and BUF/NOT never block
+			return -1 // XOR-likes and BUF/NOT never block
 		}
 		cv := int8(0)
 		if cvb {
@@ -183,23 +266,22 @@ func (e *Engine) redundantReason(f fault.Fault, cone []bool, marked *[]int) (str
 				continue
 			}
 			if e.val[w] == cv {
-				return fmt.Sprintf("blocked at dominator %s: side input %s is implied to its controlling value by the excitation",
-					c.GateName(d), c.GateName(w)), true
+				return w
 			}
 		}
-		return "", false
+		return -1
 	}
 	if !f.IsStem() {
-		if reason, ok := check(f.Gate, f.Pin); ok {
-			return reason, true
+		if w := check(f.Gate, f.Pin); w >= 0 {
+			return proof{kind: blocked, dom: f.Gate, side: w}
 		}
 	}
 	for _, d := range e.Dominators(f.Gate) {
-		if reason, ok := check(d, -1); ok {
-			return reason, true
+		if w := check(d, -1); w >= 0 {
+			return proof{kind: blocked, dom: d, side: w}
 		}
 	}
-	return "", false
+	return proof{}
 }
 
 // Collapse returns the engine-backed collapsed fault list: structural

@@ -1,0 +1,117 @@
+package implic
+
+import (
+	"context"
+	"errors"
+	"slices"
+	"testing"
+
+	"repro/internal/fault"
+	"repro/internal/gen"
+	"repro/internal/netlist"
+)
+
+// TestRedundantAmongMatchesRedundantSet: proving only the target faults
+// must give exactly the membership of the full pass, on the collapsed
+// and on the full universe of every golden circuit.
+func TestRedundantAmongMatchesRedundantSet(t *testing.T) {
+	for _, gc := range goldenCircuits() {
+		if gc.long && testing.Short() {
+			continue
+		}
+		t.Run(gc.spec, func(t *testing.T) {
+			e := gc.engine()
+			c := e.Circuit()
+			lists := map[string][]fault.Fault{
+				"collapsed": fault.CollapsedUniverse(c),
+				"universe":  fault.Universe(c),
+			}
+			got := map[string][]bool{}
+			for name, faults := range lists {
+				red, err := e.RedundantAmongContext(context.Background(), faults)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got[name] = red
+			}
+			set := e.RedundantSet()
+			for name, faults := range lists {
+				for i, f := range faults {
+					if got[name][i] != set[f] {
+						t.Errorf("%s: %v proven %v, RedundantSet says %v", name, f, got[name][i], set[f])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestRedundantAmongOutsideUniverse: faults fault.Universe does not
+// list are never proven, even where the checks would succeed, and a bad
+// gate or pin index does not panic.
+func TestRedundantAmongOutsideUniverse(t *testing.T) {
+	// n1 = AND(a,b); z = OR(n1, a): n1 s-a-0 is redundant, and so would
+	// be the branch b->n1 s-a-0, but b has one fanout, so the universe
+	// carries no branch fault there.
+	b := netlist.NewBuilder("blocked")
+	a := b.Input("a")
+	x := b.Input("b")
+	n1 := b.AndGate("n1", a, x)
+	z := b.OrGate("z", n1, a)
+	b.MarkOutput(z)
+	c := b.MustBuild()
+	e := New(c, Options{})
+	faults := []fault.Fault{
+		{Gate: n1, Pin: -1, Stuck: false}, // in the universe, redundant
+		{Gate: n1, Pin: 1, Stuck: false},  // branch of a single-fanout line
+		{Gate: n1, Pin: 2, Stuck: false},  // no such pin
+		{Gate: n1, Pin: -2, Stuck: false}, // neither stem nor branch
+		{Gate: c.NumGates(), Pin: -1, Stuck: true},
+		{Gate: -1, Pin: -1, Stuck: true},
+	}
+	got, err := e.RedundantAmongContext(context.Background(), faults)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []bool{true, false, false, false, false, false}; !slices.Equal(got, want) {
+		t.Errorf("RedundantAmongContext = %v, want %v", got, want)
+	}
+}
+
+// TestRedundantAmongContextCanceled: a done context aborts the proofs
+// with its error.
+func TestRedundantAmongContextCanceled(t *testing.T) {
+	c, _, _ := indirectCircuit()
+	e := New(c, Options{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if red, err := e.RedundantAmongContext(ctx, fault.Universe(c)); red != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("RedundantAmongContext on a canceled context: %v, %v; want nil and context.Canceled", red, err)
+	}
+}
+
+// TestRunResetAllocFree pins the propagation step after the build: a
+// run on any literal, conflicting or not, and the reset after it reuse
+// the engine's worklists and allocate nothing, and the reset restores
+// the constant base exactly.
+func TestRunResetAllocFree(t *testing.T) {
+	// dag:gates=300,seed=2 has 61 proven constants.
+	e := New(gen.RandomDAG(2, 16, 300, gen.DAGOptions{}), Options{})
+	if len(e.base) == 0 {
+		t.Fatal("empty constant base; pick a circuit with constants")
+	}
+	base := slices.Clone(e.val)
+	n := Lit(2 * e.c.NumGates())
+	got := testing.AllocsPerRun(5, func() {
+		for l := Lit(0); l < n; l++ {
+			e.run(l)
+			e.reset()
+		}
+	})
+	if got != 0 {
+		t.Fatalf("run+reset over every literal costs %.1f allocs, want 0", got)
+	}
+	if !slices.Equal(e.val, base) {
+		t.Fatal("reset did not restore the constant base")
+	}
+}

@@ -173,8 +173,8 @@ func atpgBenchmarks(w workload) []Benchmark {
 
 // tpiBenchmarks covers the planners: the P1 cut DP, the observation DP
 // and the greedy baseline each with and without the static pre-prune
-// (tpi.PruneFaults, the PruneStatic path), plus the full hybrid flow,
-// whose internal pre-prune is part of the measured pipeline.
+// (tpi.PruneFaults), plus the full hybrid flow, whose internal
+// pre-prune is part of the measured pipeline.
 func tpiBenchmarks(w workload) []Benchmark {
 	cuts := Benchmark{
 		Name:  "tpi/cuts-dp",

@@ -299,29 +299,49 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
-// TestLintTimeout pins /v1/lint's deadline: the static implication pass
-// on a circuit just under its 3000-gate limit runs for seconds, so a
-// 200 ms budget must end in a 504, and the single worker must be free
-// for the next request at once.
-func TestLintTimeout(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
-	start := time.Now()
-	st, _, b := post(t, ts.URL+"/v1/lint", `{"generate":"dag:gates=2980,seed=11","options":{"timeout_ms":200}}`)
-	if st != http.StatusGatewayTimeout {
-		t.Fatalf("status = %d body=%.200s, want 504", st, b)
+// TestEndpointTimeouts pins the deadline of engine loops that run for
+// seconds on large circuits. Each slow request, sent with a 200 ms
+// budget to a one-worker server, must end in a 504 within the bound,
+// and the worker must be free for a c17 follow-up at once.
+//   - lint: the static implication pass on a circuit just under its
+//     3000-gate limit;
+//   - atpg: after each vector, the fault-drop loop simulates every
+//     remaining fault of 21,244 collapsed ones. Generating the circuit,
+//     which runs before the deadline starts, takes long enough under
+//     -race that the row runs only without -short.
+func TestEndpointTimeouts(t *testing.T) {
+	rows := []struct {
+		name, endpoint, body string
+		long                 bool
+	}{
+		{"lint", "/v1/lint", `{"generate":"dag:gates=2980,seed=11","options":{"timeout_ms":200}}`, false},
+		{"atpg", "/v1/atpg", `{"generate":"dag:gates=5000,seed=6","options":{"timeout_ms":200}}`, true},
 	}
-	if elapsed := time.Since(start); elapsed > 2*time.Second {
-		t.Fatalf("lint deadline enforcement took %v", elapsed)
-	}
-	if running := s.pool.Stats().Running; running != 0 {
-		t.Fatalf("%d worker(s) still running after the 504", running)
-	}
-	start = time.Now()
-	if st, _, b := post(t, ts.URL+"/v1/lint", `{"generate":"c17"}`); st != http.StatusOK {
-		t.Fatalf("follow-up lint: status = %d body=%s", st, b)
-	}
-	if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
-		t.Fatalf("follow-up lint took %v on the freed worker", elapsed)
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			if row.long && testing.Short() {
+				t.Skip("circuit generation is too slow under -short")
+			}
+			s, ts := newTestServer(t, Config{Workers: 1})
+			start := time.Now()
+			st, _, b := post(t, ts.URL+row.endpoint, row.body)
+			if st != http.StatusGatewayTimeout {
+				t.Fatalf("status = %d body=%.200s, want 504", st, b)
+			}
+			if elapsed := time.Since(start); elapsed > 2*time.Second {
+				t.Fatalf("deadline enforcement took %v", elapsed)
+			}
+			if running := s.pool.Stats().Running; running != 0 {
+				t.Fatalf("%d worker(s) still running after the 504", running)
+			}
+			start = time.Now()
+			if st, _, b := post(t, ts.URL+row.endpoint, `{"generate":"c17"}`); st != http.StatusOK {
+				t.Fatalf("follow-up: status = %d body=%s", st, b)
+			}
+			if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+				t.Fatalf("follow-up took %v on the freed worker", elapsed)
+			}
+		})
 	}
 }
 

@@ -23,8 +23,8 @@ func PruneFaults(c *netlist.Circuit, faults []fault.Fault) ([]fault.Fault, int) 
 }
 
 // pruneFaults is PruneFaults under ctx: the implication engine's build
-// and its redundancy pass both poll it, and an expired or cancelled ctx
-// aborts through ctxAbort.
+// and its redundancy proofs both poll it, and an expired or cancelled
+// ctx aborts through ctxAbort. Only the given faults are proven.
 func pruneFaults(ctx context.Context, c *netlist.Circuit, faults []fault.Fault) ([]fault.Fault, int) {
 	if c.NumGates() > pruneGateLimit {
 		return faults, 0
@@ -33,16 +33,13 @@ func pruneFaults(ctx context.Context, c *netlist.Circuit, faults []fault.Fault) 
 	if err != nil {
 		panic(ctxAbort{err})
 	}
-	if _, err := e.RedundantContext(ctx); err != nil {
+	red, err := e.RedundantAmongContext(ctx, faults)
+	if err != nil {
 		panic(ctxAbort{err})
 	}
-	red := e.RedundantSet()
-	if len(red) == 0 {
-		return faults, 0
-	}
 	kept := make([]fault.Fault, 0, len(faults))
-	for _, f := range faults {
-		if !red[f] {
+	for i, f := range faults {
+		if !red[i] {
 			kept = append(kept, f)
 		}
 	}
