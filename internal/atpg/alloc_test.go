@@ -24,8 +24,7 @@ func generateAllocs(t *testing.T, width int) float64 {
 // imply scratch (engine.inG/inB) used to be allocated on every imply
 // call — once per search decision and backtrack — which on a parity
 // tree (every input must be assigned) costs 2 allocations per level and
-// blows well past this bound. Codelint rule G007 flags the shape
-// statically; this test pins the fix behaviorally.
+// blows well past this bound.
 func TestGenerateAllocsBounded(t *testing.T) {
 	if got := generateAllocs(t, 16); got > 20 {
 		t.Fatalf("Generate on parity-16 costs %.1f allocs/op, want <= 20 (per-decision allocation crept back in)", got)

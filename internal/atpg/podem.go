@@ -117,7 +117,7 @@ type engine struct {
 
 	// Fan-in scratch reused across imply calls: imply runs once per
 	// search decision and backtrack, so per-call allocation here is what
-	// the allocs/op regression test (and golint G007) forbid.
+	// the allocs/op tests in alloc_test.go forbid.
 	inG, inB []Value
 
 	// done aborts the search when it becomes readable (nil = never);

@@ -1,6 +1,8 @@
 package atpg
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/fault"
@@ -206,5 +208,16 @@ func TestValueAndStatusStrings(t *testing.T) {
 	}
 	if Detected.String() != "detected" || Redundant.String() != "redundant" || Aborted.String() != "aborted" {
 		t.Error("Status strings wrong")
+	}
+}
+
+// TestGenerateContextCanceled pins the poll in the PODEM search loop: a
+// cancelled context stops the search at its first decision.
+func TestGenerateContextCanceled(t *testing.T) {
+	c := gen.ParityTree(16)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if res, err := GenerateContext(ctx, c, fault.Universe(c)[0], Options{}); res != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("GenerateContext on a cancelled context = %+v, %v; want nil, context.Canceled", res, err)
 	}
 }

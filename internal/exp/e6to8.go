@@ -270,19 +270,3 @@ func Experiments() []Experiment {
 		{"E9", func(ctx context.Context, cfg Config) (Renderable, error) { return e9ScanTestTime(ctx, cfg) }},
 	}
 }
-
-// All runs every experiment and returns the renderables in order.
-func All(cfg Config) ([]Renderable, error) { return AllContext(context.Background(), cfg) }
-
-// AllContext is All with cancellation between and within experiments.
-func AllContext(ctx context.Context, cfg Config) ([]Renderable, error) {
-	var out []Renderable
-	for _, e := range Experiments() {
-		r, err := e.Run(ctx, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", e.ID, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}

@@ -25,8 +25,7 @@ func runAllocs(t *testing.T, c *netlist.Circuit, faults []fault.Fault, n int) fl
 // buffers up front, and the per-pattern loop reuses them (self-append
 // and buffer-reset idioms only). If allocations scale with the pattern
 // count, something inside the loop started allocating — exactly the
-// regression the per-worker-arena PPSFP rewrite must not reintroduce,
-// and what codelint rule G007 flags statically.
+// regression the per-worker-arena PPSFP rewrite must not reintroduce.
 func TestRunAllocsPatternIndependent(t *testing.T) {
 	c := gen.RandomDAG(7, 12, 60, gen.DAGOptions{})
 	faults := fault.Universe(c)

@@ -246,13 +246,22 @@ func Run(c *netlist.Circuit, faults []fault.Fault, src pattern.Source, opts Opti
 	return RunContext(context.Background(), c, faults, src, opts)
 }
 
-// RunContext is Run with cancellation: the done channel is polled once
-// per 64-pattern block, so an expired or cancelled context stops the run
-// within one batch of work. On cancellation the partial Result
-// accumulated over the completed blocks is returned alongside ctx.Err();
-// every FirstDetect entry in it is valid (detection indices never depend
-// on the faults not yet simulated). When ctx carries a progress.Func,
-// one "patterns" sample is emitted per block at the same granularity.
+// faultPollStride is how many faults a block simulates between polls of
+// the done channel: one block on a 10,000-gate multiplier takes about
+// 0.7 s, too long to wait for a deadline.
+const faultPollStride = 256
+
+// RunContext is Run with cancellation: the done channel is polled at
+// the start of every 64-pattern block and every 256 faults within one,
+// so an expired or cancelled context stops the run within a few hundred
+// fault propagations. On cancellation the partial Result is returned
+// alongside ctx.Err(). Its Patterns counts the blocks every fault
+// completed; a fault the interrupted block already reached may also
+// carry its detections from that block, so FirstDetect may hold indices
+// at or past Patterns. Every FirstDetect entry is valid either way
+// (detection indices never depend on the faults not yet simulated).
+// When ctx carries a progress.Func, one "patterns" sample is emitted
+// per block.
 func RunContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, src pattern.Source, opts Options) (*Result, error) {
 	if opts.MaxPatterns <= 0 {
 		opts.MaxPatterns = 32768
@@ -310,7 +319,15 @@ func RunContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, s
 			return nil, err
 		}
 		kept := active[:0]
-		for _, f := range active {
+		for i, f := range active {
+			if i%faultPollStride == faultPollStride-1 {
+				select {
+				case <-done:
+					res.Patterns = base
+					return res, ctx.Err()
+				default:
+				}
+			}
 			s.epoch++
 			s.minLevel = len(s.buckets)
 			s.maxLevel = -1

@@ -1,7 +1,10 @@
 package fsim
 
 import (
+	"context"
+	"errors"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/gen"
@@ -249,5 +252,66 @@ func TestBadFaultRejected(t *testing.T) {
 	}
 	if _, err := Run(c, []fault.Fault{{Gate: 0, Pin: 5}}, pattern.NewLFSR(1), DefaultOptions()); err == nil {
 		t.Error("expected error for out-of-range pin")
+	}
+}
+
+// TestRunContextCanceledBeforeFirstBlock pins the poll at the start of
+// every block, on a fault list too short to reach the in-block poll: a
+// cancelled context stops the run before anything is simulated.
+func TestRunContextCanceledBeforeFirstBlock(t *testing.T) {
+	c := gen.C17()
+	faults := fault.CollapsedUniverse(c)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := RunContext(ctx, c, faults, pattern.NewLFSR(1), Options{MaxPatterns: 1 << 16})
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if res.Patterns != 0 || len(res.FirstDetect) != 0 {
+		t.Fatalf("cancelled run simulated %d patterns, %d detections", res.Patterns, len(res.FirstDetect))
+	}
+}
+
+// TestRunContextPartialResultValid pins RunContext's contract for a run
+// stopped by its deadline, wherever in a block it stops: every
+// FirstDetect entry equals the full run's, and every fault the full run
+// first detects below Patterns is present.
+func TestRunContextPartialResultValid(t *testing.T) {
+	c := gen.Multiplier(16)
+	faults := fault.CollapsedUniverse(c)
+	opts := Options{MaxPatterns: 2048, DropFaults: true}
+	start := time.Now()
+	full, err := Run(c, faults, pattern.NewLFSR(1), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first block simulates every fault and dominates the run, so
+	// deadlines at fractions of it stop the run at different points
+	// inside that block.
+	whole := time.Since(start)
+	for _, d := range []time.Duration{whole / 50, whole / 10, whole / 3} {
+		ctx, cancel := context.WithTimeout(context.Background(), d)
+		res, err := RunContext(ctx, c, faults, pattern.NewLFSR(1), opts)
+		cancel()
+		if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("%v: err = %v", d, err)
+		}
+		for f, p := range res.FirstDetect {
+			if q, ok := full.FirstDetect[f]; !ok || q != p {
+				t.Fatalf("%v: %v first detected at %d, full run says %d (%v)", d, f, p, q, ok)
+			}
+		}
+		for f, p := range full.FirstDetect {
+			if q, ok := res.FirstDetect[f]; p < res.Patterns && (!ok || q != p) {
+				t.Fatalf("%v: %v first detected at %d < Patterns %d, partial run says %d (%v)", d, f, p, res.Patterns, q, ok)
+			}
+		}
+		inBlock := 0
+		for _, p := range res.FirstDetect {
+			if p >= res.Patterns {
+				inBlock++
+			}
+		}
+		t.Logf("%v: stopped after %d patterns (%v); %d of %d detections from the interrupted block", d, res.Patterns, err, inBlock, len(res.FirstDetect))
 	}
 }

@@ -30,9 +30,9 @@ func RunParallel(c *netlist.Circuit, faults []fault.Fault, src func() pattern.So
 }
 
 // RunParallelContext is RunParallel with cancellation: every worker polls
-// the context per pattern block (see RunContext). On cancellation the
-// workers' partial results are merged and returned alongside ctx.Err();
-// any other worker error discards the results as before.
+// the context as RunContext does. On cancellation the workers' partial
+// results are merged and returned alongside ctx.Err(); any other worker
+// error discards the results as before.
 func RunParallelContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, src func() pattern.Source, workers int, opts Options) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

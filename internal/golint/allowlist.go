@@ -59,68 +59,6 @@ var impureAllowlist = map[string][]string{
 	"internal/perf": {"time.Now", "time.Since"},
 }
 
-// hotLoopEntries pins the measured-loop entry functions for G007: the
-// innermost engine functions whose main loop is what the benchmarks
-// time. Allocation sites inside those loops — and in everything the
-// loops call, transitively — are hot-path findings. The table names the
-// innermost loop owners deliberately: planners and parallel drivers
-// above them (GenerateTestsContext, RunParallelContext, …) do per-run
-// setup that is allowed to allocate. Matching is by function name
-// within the package (methods included), which is unambiguous for the
-// pinned set and keeps the table free of receiver spellings. The
-// testdata entry keeps the rule's golden fixture honest.
-var hotLoopEntries = []struct {
-	pkg   string
-	funcs []string
-}{
-	{"internal/fsim", []string{"RunContext"}},
-	{"internal/atpg", []string{"search"}},
-	{"internal/tpi", []string{"solve", "run"}},
-	{"internal/implic", []string{"sweep", "learn"}},
-	{"testdata/codelint/g007", []string{"Hot"}},
-}
-
-// isHotLoopEntry reports whether the function is a pinned measured-loop
-// entry for G007.
-func isHotLoopEntry(pkgPath, fn string) bool {
-	for _, e := range hotLoopEntries {
-		if !pathMatchesAny(pkgPath, []string{e.pkg}) {
-			continue
-		}
-		for _, f := range e.funcs {
-			if f == fn {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// hotAllocAllowlist enumerates the vetted allocation-bearing functions
-// reachable from a measured loop (G007). Every entry must say why the
-// allocation cannot dominate the steady state — typically because the
-// function builds the algorithm's *output* (amortized once per node or
-// region, not once per pattern). The self-check test pins this table;
-// growing it is a reviewed decision, not a reflex.
-var hotAllocAllowlist = []struct {
-	pkg, fn, why string
-}{
-	// The fixture entry proves a listed function's sites go quiet while
-	// its unlisted neighbors still fire.
-	{"testdata/codelint/g007", "Warm", "fixture: vetted setup-phase allocation"},
-}
-
-// hotAllocAllowed reports whether the function's allocation sites are
-// vetted for G007.
-func hotAllocAllowed(pkgPath, fn string) bool {
-	for _, e := range hotAllocAllowlist {
-		if e.fn == fn && pathMatchesAny(pkgPath, []string{e.pkg}) {
-			return true
-		}
-	}
-	return false
-}
-
 // engineOptionStructs pins the option structs whose fields G011 audits
 // against the cache-key canonicalization: every struct the serve run
 // closures hand to an engine. internal/lint.Options is deliberately
@@ -199,67 +137,6 @@ func keyExemptField(tag, name string) bool {
 	}
 	for _, e := range keyExemptFields {
 		if e.tag == match {
-			return true
-		}
-	}
-	return false
-}
-
-// ctxLoopExemptPackages vets whole packages out of G012: request-
-// materialization and analysis primitives whose loops are bounded by
-// the circuit or pattern block they walk, completing between the polls
-// of the engine loops above them. Every entry says why the latency is
-// bounded without a poll.
-var ctxLoopExemptPackages = []struct {
-	pkg, why string
-}{
-	{"internal/netlist",
-		"parse/validate/insert worklists are bounded by gate count and run once per request, before any engine loop"},
-	{"internal/bench",
-		"bench parsing and writing walk the netlist once; bounded by input size"},
-	{"internal/gen",
-		"circuit generators emit a fixed structure per spec; bounded by the requested size"},
-	{"internal/logic",
-		"truth-table evaluation is bounded by fanin width"},
-	{"internal/fault",
-		"fault collapsing walks the gate list a constant number of times"},
-	{"internal/pattern",
-		"pattern sources emit one vector per call; no loop outlives a block"},
-	{"internal/testability",
-		"COP fixpoints are bounded by topological depth; called per candidate between planner polls"},
-	{"internal/lint",
-		"lint rules run single-pass worklists bounded by gate count; the implication-based rules reach cancellation through implic.NewContext"},
-}
-
-// ctxLoopPackageExempt reports whether the package is vetted out of
-// G012.
-func ctxLoopPackageExempt(path string) bool {
-	for _, e := range ctxLoopExemptPackages {
-		if pathMatchesAny(path, []string{e.pkg}) {
-			return true
-		}
-	}
-	return false
-}
-
-// ctxLoopAllowlist vets individual functions whose unbounded loops are
-// tolerated without a poll, with a written reason each.
-var ctxLoopAllowlist = []struct {
-	pkg, fn, why string
-}{
-	{"internal/tpi", "reconstruct",
-		"replays the finished DP decision chain once after solve returns; bounded by node count, and solve itself polls per node"},
-	{"internal/atpg", "backtrace",
-		"walks a single objective-to-input path, bounded by circuit depth; the enclosing search loop polls once per decision"},
-	{"testdata/codelint/g012", "Vetted",
-		"fixture: proves the allowlist silences a listed function while its neighbors still fire"},
-}
-
-// ctxLoopAllowed reports whether the function's loops are vetted for
-// G012.
-func ctxLoopAllowed(pkgPath, fn string) bool {
-	for _, e := range ctxLoopAllowlist {
-		if e.fn == fn && pathMatchesAny(pkgPath, []string{e.pkg}) {
 			return true
 		}
 	}

@@ -1,7 +1,6 @@
 package golint
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -9,36 +8,20 @@ import (
 )
 
 // This file is the whole-module half of the framework: where the G001–
-// G005 analyzers judge one file at a time, the allocation rule (G007)
-// needs to know what a function *reaches* — an allocation is only a
-// hot-path bug if the function holding it is called from a measured
-// loop, possibly through several layers of helpers. ModuleFacts builds
-// that view once per Run: an intra-module static call graph with a
-// per-function summary (allocation sites, callees with loop context,
-// field reads and feeds, context polls, unbounded loops) that every
-// analyzer can query through Pass.Mod.
-
-// allocSite is one statically-identified allocation in a function body.
-type allocSite struct {
-	pos token.Pos
-	// what names the allocating construct for the finding message, e.g.
-	// "make([]Value)" or "append that may grow its backing array".
-	what string
-	// inLoop reports whether the site sits inside a for/range body of
-	// its enclosing declared function.
-	inLoop bool
-	// cold reports whether the site sits on an error/panic path (a
-	// block that returns a non-nil error or panics), which the hot-path
-	// rule tolerates: failure paths run once, not per iteration.
-	cold bool
-}
+// G005 analyzers judge one file at a time, the dataflow and lifecycle
+// rules (G011, G015, G016) need to know what a function *reaches* — a
+// field read or a directory sync may sit several helpers away from the
+// handler or installer that depends on it. ModuleFacts builds that view
+// once per Run: an intra-module static call graph with a per-function
+// summary (callees, function-value references, handler wiring, and
+// field reads and feeds) that every analyzer can query through
+// Pass.Mod.
 
 // callSite is one statically-resolved call to a module-internal
 // function.
 type callSite struct {
 	callee *types.Func
 	pos    token.Pos
-	inLoop bool
 }
 
 // fieldUse is one read of a named struct's field.
@@ -59,31 +42,16 @@ type feedSite struct {
 	value ast.Expr
 }
 
-// loopSite is one statically-unbounded for statement: `for {}`, a
-// cond-only `for x {}`, or a 3-clause loop with no condition. Range
-// loops and loops with a post statement are considered bounded by the
-// values they walk.
-type loopSite struct {
-	pos  token.Pos
-	body *ast.BlockStmt
-	// nested reports whether the loop body contains another loop
-	// (outside nested function literals) — the "does real work per
-	// iteration" half of the G012 compound test.
-	nested bool
-}
-
 // funcFacts is the per-function summary node of the call graph.
 type funcFacts struct {
 	fn   *types.Func
 	pkg  *Package
 	decl *ast.FuncDecl
 
-	allocs []allocSite
-	calls  []callSite
+	calls []callSite
 	// refs are function-value references (a module function mentioned
 	// outside call position: handler registration, method values,
-	// callbacks). They are reachability-only edges — G007's hot set
-	// deliberately ignores them because a reference is not an execution.
+	// callbacks). They are reachability-only edges.
 	refs []callSite
 
 	// wires are module functions referenced by a call that carries a
@@ -95,15 +63,6 @@ type funcFacts struct {
 	// cache-key rule (G011).
 	fieldReads []fieldUse
 	fieldFeeds []feedSite
-
-	// polls are direct context-poll sites: ctx.Err() calls and receives
-	// from struct{}-element channels (the ctx.Done()/done-channel
-	// convention every engine uses).
-	polls []token.Pos
-	// loops are the statically-unbounded loops; hasLoop is true when the
-	// body contains any loop at all (used for the compound test).
-	loops   []loopSite
-	hasLoop bool
 }
 
 // ModuleFacts is the whole-module analysis context shared by every
@@ -118,8 +77,7 @@ type ModuleFacts struct {
 	// file, position) so every traversal of the graph is replayable.
 	order []*types.Func
 
-	hot   map[*types.Func]string // lazily-built hot set, see hotFuncs
-	serve *serveGraph            // lazily-built serve dataflow, see taint.go
+	serve *serveGraph // lazily-built serve dataflow, see taint.go
 
 	// dirSyncers / headerWriters are the lazily-built interprocedural
 	// summaries of the lifecycle rules — which functions fsync a
@@ -147,7 +105,7 @@ func newModuleFacts(l *Loader, pkgs []*Package) *ModuleFacts {
 					continue
 				}
 				ff := &funcFacts{fn: fn, pkg: pkg, decl: fd}
-				summarize(l, pkg, fd, ff)
+				summarize(l, pkg, ff)
 				m.funcs[fn] = ff
 				m.order = append(m.order, fn)
 			}
@@ -161,99 +119,31 @@ func newModuleFacts(l *Loader, pkgs []*Package) *ModuleFacts {
 func (m *ModuleFacts) factsOf(fn *types.Func) *funcFacts { return m.funcs[fn] }
 
 // summarize fills ff by walking the function body once with an ancestor
-// stack, classifying allocation sites and resolving static callees.
-func summarize(l *Loader, pkg *Package, fd *ast.FuncDecl, ff *funcFacts) {
+// stack, resolving static callees, references and field accesses.
+func summarize(l *Loader, pkg *Package, ff *funcFacts) {
 	info := pkg.Info
-	inspectWithStack(fd.Body, func(n ast.Node, stack []ast.Node) bool {
+	inspectWithStack(ff.decl.Body, func(n ast.Node, stack []ast.Node) bool {
 		switch n := n.(type) {
-		case *ast.ForStmt:
-			ff.hasLoop = true
-			if n.Cond == nil || n.Post == nil {
-				ff.loops = append(ff.loops, loopSite{pos: n.Pos(), body: n.Body, nested: containsLoop(n.Body)})
-			}
-		case *ast.RangeStmt:
-			ff.hasLoop = true
 		case *ast.Ident:
 			summarizeRef(l, info, n, stack, ff)
 		case *ast.SelectorExpr:
 			summarizeFieldAccess(info, n, stack, ff)
-		case *ast.BinaryExpr:
-			if n.Op == token.ADD && isStringType(info.TypeOf(n)) {
-				ff.allocs = append(ff.allocs, newAllocSite(info, n.OpPos,
-					"string concatenation builds a fresh string", fd, stack))
-			}
-		case *ast.UnaryExpr:
-			if n.Op == token.AND {
-				if _, ok := n.X.(*ast.CompositeLit); ok {
-					ff.allocs = append(ff.allocs, newAllocSite(info, n.Pos(),
-						fmt.Sprintf("&%s{…} composite literal escapes to the heap", exprText(compositeTypeExpr(n.X.(*ast.CompositeLit)))), fd, stack))
-				}
-			}
-			if n.Op == token.ARROW && isSignalChan(info.TypeOf(n.X)) {
-				ff.polls = append(ff.polls, n.Pos())
-			}
 		case *ast.CompositeLit:
-			if site, ok := compositeAlloc(info, n, stack); ok {
-				ff.allocs = append(ff.allocs, newAllocSite(info, n.Pos(), site, fd, stack))
-			}
 			summarizeLitFeeds(info, n, ff)
 		case *ast.CallExpr:
-			summarizeCall(l, pkg, fd, ff, n, stack)
+			summarizeCall(l, info, ff, n)
 		}
 		return true
 	})
 }
 
-// summarizeCall classifies one call expression: builtin allocators,
-// allocating conversions, known stdlib allocators, context polls, and
-// statically-resolved module-internal callees.
-func summarizeCall(l *Loader, pkg *Package, fd *ast.FuncDecl, ff *funcFacts, call *ast.CallExpr, stack []ast.Node) {
-	info := pkg.Info
-	// Builtins: make and new always allocate; append allocates when it
-	// grows, so everything except the x = append(x, …) reuse idiom (and
-	// its x = append(x[:k], …) reslice form) counts.
-	if id, ok := call.Fun.(*ast.Ident); ok {
-		if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
-			switch id.Name {
-			case "make":
-				ff.allocs = append(ff.allocs, newAllocSite(info, call.Pos(),
-					fmt.Sprintf("make(%s)", exprText(call.Args[0])), fd, stack))
-			case "new":
-				ff.allocs = append(ff.allocs, newAllocSite(info, call.Pos(),
-					fmt.Sprintf("new(%s)", exprText(call.Args[0])), fd, stack))
-			case "append":
-				if !isSelfAppend(call, stack) {
-					ff.allocs = append(ff.allocs, newAllocSite(info, call.Pos(),
-						fmt.Sprintf("append to %s may grow its backing array", exprText(call.Args[0])), fd, stack))
-				}
-			}
-			return
-		}
-	}
-	// Allocating conversions: string(bytes), []byte(s), []rune(s) copy.
-	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		to := info.TypeOf(call.Fun)
-		from := info.TypeOf(call.Args[0])
-		if isCopyingConversion(to, from) {
-			ff.allocs = append(ff.allocs, newAllocSite(info, call.Pos(),
-				fmt.Sprintf("%s(…) conversion copies its operand", exprText(call.Fun)), fd, stack))
-			return
-		}
-	}
-	// Known stdlib allocators (their bodies are outside the module, so
-	// the call graph cannot see into them).
-	if path, name := pkgQualified(info, call.Fun); path != "" {
-		if reason := stdlibAllocator(path, name); reason != "" {
-			ff.allocs = append(ff.allocs, newAllocSite(info, call.Pos(), reason, fd, stack))
-		}
-	}
-	if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "Err" && isContextType(info.TypeOf(sel.X)) {
-		ff.polls = append(ff.polls, call.Pos())
-	}
+// summarizeCall records one call expression's statically-resolved
+// module-internal callee and its serve-handler wiring.
+func summarizeCall(l *Loader, info *types.Info, ff *funcFacts, call *ast.CallExpr) {
 	// Statically-resolved module-internal callee.
 	callee := staticCallee(info, call)
 	if callee != nil && callee.Pkg() != nil && isModulePath(l.ModPath, callee.Pkg().Path()) {
-		ff.calls = append(ff.calls, callSite{callee: callee, pos: call.Pos(), inLoop: inLoopAt(stack, call.Pos())})
+		ff.calls = append(ff.calls, callSite{callee: callee, pos: call.Pos()})
 	}
 	// Serve-handler wiring: a call carrying a "/v1/..." string literal
 	// marks its module-internal callee and every module function passed
@@ -350,38 +240,6 @@ func selectorWrite(stack []ast.Node, sel *ast.SelectorExpr) (bool, ast.Expr) {
 	return false, nil
 }
 
-// containsLoop reports whether the block contains a for/range statement
-// outside nested function literals (a closure defined in a loop body
-// does not execute per iteration).
-func containsLoop(body *ast.BlockStmt) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n.(type) {
-		case *ast.FuncLit:
-			return false
-		case *ast.ForStmt, *ast.RangeStmt:
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// isSignalChan reports whether t is a channel of empty structs — the
-// ctx.Done()/done-channel signalling convention. Receiving from one is
-// counted as a context poll.
-func isSignalChan(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	ch, ok := t.Underlying().(*types.Chan)
-	if !ok {
-		return false
-	}
-	st, ok := ch.Elem().Underlying().(*types.Struct)
-	return ok && st.NumFields() == 0
-}
-
 // namedStructOf unwraps pointers and aliases down to a named type whose
 // underlying type is a struct, returning its TypeName (nil otherwise).
 func namedStructOf(t types.Type) *types.TypeName {
@@ -447,104 +305,11 @@ func hasServeLiteral(call *ast.CallExpr) bool {
 	return false
 }
 
-// newAllocSite records an allocation with its loop and cold-path
-// context derived from the ancestor stack.
-func newAllocSite(info *types.Info, pos token.Pos, what string, fd *ast.FuncDecl, stack []ast.Node) allocSite {
-	return allocSite{
-		pos:    pos,
-		what:   what,
-		inLoop: inLoopAt(stack, pos),
-		cold:   onColdPath(info, fd, stack),
-	}
-}
-
-// compositeAlloc classifies a composite literal: slice and map literals
-// allocate backing storage; struct and array value literals do not (and
-// &T{…} is reported at its unary parent). Untyped element literals
-// inside a surrounding slice/map literal carry no type expression and
-// are covered by the outer report.
-func compositeAlloc(info *types.Info, lit *ast.CompositeLit, stack []ast.Node) (string, bool) {
-	if lit.Type == nil {
-		return "", false
-	}
-	if len(stack) > 0 {
-		if u, ok := stack[len(stack)-1].(*ast.UnaryExpr); ok && u.Op == token.AND {
-			return "", false
-		}
-	}
-	switch info.TypeOf(lit).Underlying().(type) {
-	case *types.Slice:
-		return fmt.Sprintf("%s{…} slice literal allocates backing storage", exprText(lit.Type)), true
-	case *types.Map:
-		return fmt.Sprintf("%s{…} map literal allocates", exprText(lit.Type)), true
-	}
-	return "", false
-}
-
-// compositeTypeExpr returns the literal's type expression (for
-// messages); literals inside &T{…} always carry one.
-func compositeTypeExpr(lit *ast.CompositeLit) ast.Expr {
-	if lit.Type != nil {
-		return lit.Type
-	}
-	return &ast.Ident{Name: "…"}
-}
-
-// isSelfAppend recognizes the amortized reuse idiom x = append(x, …)
-// (including x = append(x[:k], …)): after warmup the backing array is
-// reused, so the steady state is allocation-free — exactly the
-// discipline the preallocated-arena rewrite institutionalizes.
-func isSelfAppend(call *ast.CallExpr, stack []ast.Node) bool {
-	if len(call.Args) == 0 || len(stack) == 0 {
-		return false
-	}
-	assign, ok := stack[len(stack)-1].(*ast.AssignStmt)
-	if !ok || len(assign.Lhs) != 1 || len(assign.Rhs) != 1 || assign.Rhs[0] != ast.Expr(call) {
-		return false
-	}
-	dst := exprText(assign.Lhs[0])
-	src := call.Args[0]
-	if slice, ok := src.(*ast.SliceExpr); ok {
-		src = slice.X
-	}
-	return exprText(src) == dst
-}
-
-// isCopyingConversion reports whether a conversion from `from` to `to`
-// copies memory: string <-> []byte/[]rune in either direction.
-func isCopyingConversion(to, from types.Type) bool {
-	return (isStringType(to) && isByteOrRuneSlice(from)) ||
-		(isByteOrRuneSlice(to) && isStringType(from))
-}
-
-// stdlibAllocator names the well-known allocating stdlib helpers the
-// source-level walk cannot see into, with the reason used in messages.
-func stdlibAllocator(path, name string) string {
-	switch path {
-	case "fmt":
-		switch name {
-		case "Sprintf", "Sprint", "Sprintln", "Errorf":
-			return "fmt." + name + " allocates its result (and boxes every argument)"
-		}
-	case "strconv":
-		switch name {
-		case "Itoa", "FormatInt", "FormatUint", "FormatFloat", "Quote":
-			return "strconv." + name + " allocates its result string"
-		}
-	case "strings":
-		switch name {
-		case "Join", "Repeat", "Split", "Fields", "Replace", "ReplaceAll", "ToUpper", "ToLower":
-			return "strings." + name + " allocates its result"
-		}
-	}
-	return ""
-}
-
 // staticCallee resolves a call to its target *types.Func when the
 // target is statically known: package-level functions and methods
 // called through a concrete receiver. Interface dispatch and calls
 // through function values return nil — a documented soundness gap the
-// hot-path rule trades for zero false joins.
+// dataflow rules trade for zero false joins.
 func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
@@ -572,51 +337,4 @@ func staticCallee(info *types.Info, call *ast.CallExpr) *types.Func {
 // inside it.
 func isModulePath(modPath, path string) bool {
 	return path == modPath || strings.HasPrefix(path, modPath+"/")
-}
-
-// hotFuncs computes (once per Run) the set of functions that execute
-// per-iteration of a measured loop: for every entry in the
-// hotLoopEntries table, the callees invoked inside the entry's loops,
-// closed transitively over the call graph. The map value is the entry
-// the function was first reached from, for finding messages; the
-// traversal visits entries and callees in deterministic order so the
-// attribution is stable.
-func (m *ModuleFacts) hotFuncs() map[*types.Func]string {
-	if m.hot != nil {
-		return m.hot
-	}
-	m.hot = make(map[*types.Func]string)
-	type seed struct {
-		fn    *types.Func
-		entry string
-	}
-	var queue []seed
-	for _, fn := range m.order {
-		ff := m.funcs[fn]
-		if !isHotLoopEntry(ff.pkg.Path, fn.Name()) {
-			continue
-		}
-		entry := ff.pkg.Types.Name() + "." + fn.Name()
-		for _, cs := range ff.calls {
-			if cs.inLoop {
-				queue = append(queue, seed{fn: cs.callee, entry: entry})
-			}
-		}
-	}
-	for len(queue) > 0 {
-		s := queue[0]
-		queue = queue[1:]
-		if _, seen := m.hot[s.fn]; seen {
-			continue
-		}
-		ff := m.funcs[s.fn]
-		if ff == nil {
-			continue // outside the analyzed set (or its dependency closure)
-		}
-		m.hot[s.fn] = s.entry
-		for _, cs := range ff.calls {
-			queue = append(queue, seed{fn: cs.callee, entry: s.entry})
-		}
-	}
-	return m.hot
 }

@@ -25,15 +25,9 @@
 //	     the vetted package allowlist (see allowlist.go)
 //	G005 error-hygiene               discarded error returns and
 //	     fmt.Errorf wrapping a live error without %w
-//	G007 alloc-hot-path              allocation sites reachable (through
-//	     the intra-module call graph) from the measured loops of the
-//	     engine packages, modulo the pinned hotAllocAllowlist
 //	G011 cache-key-soundness         engine option fields read on the
 //	     serve path but absent from the cache-key canonicalization, and
 //	     keyed or fed fields nothing ever reads (see taint.go)
-//	G012 cancellation-reachability   statically-unbounded loops reachable
-//	     from the /v1/* handler wiring that never poll their context
-//	     within a bounded number of call frames
 //	G015 durability-discipline       journal-writing packages (see the
 //	     durabilityPackages table): in-place state writes, renames of
 //	     never-fsynced blobs, renames with no directory sync, and
@@ -42,13 +36,18 @@
 //	     assertions, NDJSON stream loops that flush optionally or not at
 //	     all, and writes after a completed error response
 //
-// G001–G005 judge one file at a time; G007 additionally consults
-// Pass.Mod, the whole-module call graph built once per Run (see
-// callgraph.go). G011 and G012 further consult the interprocedural
-// dataflow built on top of it (see taint.go): backward reachability
-// from the /v1/* handler wiring and forward field-sensitive taint from
-// the cache-keyed option structs. G015 and G016 reuse the same call
-// graph for directory-sync and header-write summaries.
+// G001–G005 judge one file at a time. G011 consults Pass.Mod, the
+// whole-module call graph built once per Run (see callgraph.go), and
+// the interprocedural dataflow built on top of it (see taint.go):
+// backward reachability from the /v1/* handler wiring and forward
+// field-sensitive taint from the cache-keyed option structs. G015 and
+// G016 reuse the same call graph for directory-sync and header-write
+// summaries.
+//
+// Two engine contracts are held by behavioural tests, not rules: the
+// allocation-free measured loops by the testing.AllocsPerRun tests in
+// fsim, atpg, tpi and implic, and the request deadline by the
+// request-driven sweep TestEndpointTimeouts in internal/serve.
 //
 // Findings mirror the internal/lint model — stable rule IDs, the same
 // Severity scale, a locus, and a fix hint — so cmd/lint and
@@ -79,9 +78,10 @@ func ParseSeverity(s string) (Severity, error) { return lint.ParseSeverity(s) }
 
 // Stable rule identifiers. Like the lint.Rule* constants these are part
 // of the output contract: CI filters and goldens key on them, so
-// existing IDs must never be renumbered. G006, G008, G009, G010, G013
-// and G014 are retired (doc-comment, goroutine-discipline,
-// lock-discipline, worker-state-sharing, engine-output-purity and
+// existing IDs must never be renumbered. G006, G007, G008, G009, G010,
+// G012, G013 and G014 are retired (doc-comment, alloc-hot-path,
+// goroutine-discipline, lock-discipline, worker-state-sharing,
+// cancellation-reachability, engine-output-purity and
 // resource-lifecycle) and must never be reused for a new rule.
 const (
 	// RuleNondetIteration: map iteration order leaks into output.
@@ -98,15 +98,9 @@ const (
 	// RuleErrorHygiene: discarded error return, or fmt.Errorf wrapping
 	// an error value without %w.
 	RuleErrorHygiene = "G005"
-	// RuleAllocHotPath: allocation site reachable from a measured engine
-	// loop (see the hotLoopEntries table in allowlist.go).
-	RuleAllocHotPath = "G007"
 	// RuleCacheKeySoundness: engine option field read on the serve path
 	// but not consumed by the cache-key canonicalization (or vice versa).
 	RuleCacheKeySoundness = "G011"
-	// RuleCancelReachability: statically-unbounded loop reachable from a
-	// /v1/* handler that never polls its context.
-	RuleCancelReachability = "G012"
 	// RuleDurabilityDiscipline: a journal-writing package breaks the
 	// append+Sync or tmp→fsync→rename→dir-sync shape.
 	RuleDurabilityDiscipline = "G015"
@@ -167,9 +161,7 @@ func Analyzers() []*Analyzer {
 		analyzerG003(),
 		analyzerG004(),
 		analyzerG005(),
-		analyzerG007(),
 		analyzerG011(),
-		analyzerG012(),
 		analyzerG015(),
 		analyzerG016(),
 	}

@@ -55,12 +55,12 @@ func TestLoadWildcard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(pkgs) != 11 {
+	if len(pkgs) != 9 {
 		var got []string
 		for _, p := range pkgs {
 			got = append(got, p.Path)
 		}
-		t.Errorf("loaded %d packages (%v), want 11", len(pkgs), got)
+		t.Errorf("loaded %d packages (%v), want 9", len(pkgs), got)
 	}
 	for i := 1; i < len(pkgs); i++ {
 		if pkgs[i-1].Path >= pkgs[i].Path {
@@ -93,16 +93,16 @@ func TestLoadPrunesNestedModules(t *testing.T) {
 }
 
 // TestLoadSkipsBuildConstrainedFiles proves the loader honors build
-// constraints: the g007 fixture carries an excluded.go behind a
-// never-satisfied build tag that redeclares Hot. If the loader parsed
-// it, type-checking the package would fail on the duplicate before any
-// finding count could even diverge.
+// constraints: the loader fixture carries an excluded.go behind a
+// never-satisfied build tag that redeclares UseGenerics. If the loader
+// parsed it, type-checking the package would fail on the duplicate
+// before any finding count could even diverge.
 func TestLoadSkipsBuildConstrainedFiles(t *testing.T) {
 	l, err := NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := l.Load("repro/testdata/codelint/g007")
+	pkgs, err := l.Load("repro/testdata/codelint/loader")
 	if err != nil {
 		t.Fatalf("build-tag-excluded file reached the type checker: %v", err)
 	}

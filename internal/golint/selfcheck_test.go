@@ -2,7 +2,6 @@ package golint
 
 import (
 	"go/ast"
-	"strings"
 	"testing"
 )
 
@@ -63,93 +62,6 @@ func TestAllowlistPinned(t *testing.T) {
 	}
 	if allowedImpurity("repro/internal/serve", "rand.Intn") {
 		t.Error("the global RNG is never allowlisted")
-	}
-}
-
-// TestHotLoopEntriesPinned pins the G007 measured-loop entry table: the
-// innermost loop owners of the four engine packages plus the fixture.
-// Adding an entry widens what "hot" means and is a reviewed decision;
-// losing one silently blinds the rule to a whole engine.
-func TestHotLoopEntriesPinned(t *testing.T) {
-	want := map[string][]string{
-		"repro/internal/fsim":           {"RunContext"},
-		"repro/internal/atpg":           {"search"},
-		"repro/internal/tpi":            {"solve", "run"},
-		"repro/internal/implic":         {"sweep", "learn"},
-		"repro/testdata/codelint/g007":  {"Hot"},
-		"repro/internal/does-not-exist": nil,
-	}
-	total := 0
-	for pkg, funcs := range want {
-		total += len(funcs)
-		for _, fn := range funcs {
-			if !isHotLoopEntry(pkg, fn) {
-				t.Errorf("hotLoopEntries lost %s.%s", pkg, fn)
-			}
-		}
-	}
-	declared := 0
-	for _, e := range hotLoopEntries {
-		declared += len(e.funcs)
-	}
-	if declared != total {
-		t.Errorf("hotLoopEntries declares %d functions, want %d — update this pin together with the table", declared, total)
-	}
-	if isHotLoopEntry("repro/internal/fsim", "RunParallelContext") {
-		t.Error("the parallel driver is per-run setup, never a measured-loop entry")
-	}
-	if isHotLoopEntry("repro/internal/atpg", "GenerateTestsContext") {
-		t.Error("the ATPG planner is per-fault setup, never a measured-loop entry")
-	}
-}
-
-// TestHotAllocAllowlistPinned pins the G007 alloc allowlist and its
-// justifications: every entry must carry a why, and the fixture entry
-// is the only one. No engine function is vetted.
-func TestHotAllocAllowlistPinned(t *testing.T) {
-	want := map[string]bool{
-		"testdata/codelint/g007.Warm": true,
-	}
-	if len(hotAllocAllowlist) != len(want) {
-		t.Errorf("hotAllocAllowlist has %d entries, want %d — update this pin together with the table", len(hotAllocAllowlist), len(want))
-	}
-	for _, e := range hotAllocAllowlist {
-		if !want[e.pkg+"."+e.fn] {
-			t.Errorf("unexpected allowlist entry %s.%s", e.pkg, e.fn)
-		}
-		if e.why == "" {
-			t.Errorf("allowlist entry %s.%s carries no justification", e.pkg, e.fn)
-		}
-	}
-	if hotAllocAllowed("repro/internal/atpg", "imply") {
-		t.Error("imply was the G007 bring-up fix; it must never be allowlisted back")
-	}
-}
-
-// TestHotAllocAllowlistLoadBearing runs G007 on tpi, whose cut DP
-// keeps its table in one reused arena, and asserts it is clean with no
-// engine package allowlisted: the hot loops hold no unvetted
-// allocation sites at all.
-func TestHotAllocAllowlistLoadBearing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks tpi")
-	}
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.Load("repro/internal/tpi")
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := Run(l, pkgs, Analyzers())
-	if n := len(rep.ByRule(RuleAllocHotPath)); n != 0 {
-		t.Errorf("tpi: %d G007 findings:\n%v", n, rep.ByRule(RuleAllocHotPath))
-	}
-	for _, e := range hotAllocAllowlist {
-		if strings.HasPrefix(e.pkg, "internal/") {
-			t.Errorf("engine function %s.%s is allowlisted; G007 must guard the engines with no exemption", e.pkg, e.fn)
-		}
 	}
 }
 
@@ -214,82 +126,6 @@ func TestCacheKeyFieldAllowlistPinned(t *testing.T) {
 	}
 	if keyExemptField("seed", "Seed") {
 		t.Error("seed changes engine results and must never be key-exempt")
-	}
-}
-
-// TestCtxLoopTablesPinned pins the G012 exemptions: the bounded
-// request-materialization packages and the two vetted engine walks, all
-// with written reasons.
-func TestCtxLoopTablesPinned(t *testing.T) {
-	wantPkgs := map[string]bool{
-		"internal/netlist": true, "internal/bench": true, "internal/gen": true,
-		"internal/logic": true, "internal/fault": true, "internal/pattern": true,
-		"internal/testability": true, "internal/lint": true,
-	}
-	if len(ctxLoopExemptPackages) != len(wantPkgs) {
-		t.Errorf("ctxLoopExemptPackages has %d entries, want %d — update this pin together with the table", len(ctxLoopExemptPackages), len(wantPkgs))
-	}
-	for _, e := range ctxLoopExemptPackages {
-		if !wantPkgs[e.pkg] {
-			t.Errorf("unexpected package exemption %s", e.pkg)
-		}
-		if e.why == "" {
-			t.Errorf("package exemption %s carries no justification", e.pkg)
-		}
-	}
-	for _, engine := range []string{"repro/internal/fsim", "repro/internal/atpg", "repro/internal/tpi", "repro/internal/implic", "repro/internal/serve"} {
-		if ctxLoopPackageExempt(engine) {
-			t.Errorf("%s must never be package-exempt from G012: its loops are the ones the rule exists for", engine)
-		}
-	}
-	wantFns := map[string]bool{
-		"internal/tpi.reconstruct":      true,
-		"internal/atpg.backtrace":       true,
-		"testdata/codelint/g012.Vetted": true,
-	}
-	if len(ctxLoopAllowlist) != len(wantFns) {
-		t.Errorf("ctxLoopAllowlist has %d entries, want %d — update this pin together with the table", len(ctxLoopAllowlist), len(wantFns))
-	}
-	for _, e := range ctxLoopAllowlist {
-		if !wantFns[e.pkg+"."+e.fn] {
-			t.Errorf("unexpected function allowlist entry %s.%s", e.pkg, e.fn)
-		}
-		if e.why == "" {
-			t.Errorf("function allowlist entry %s.%s carries no justification", e.pkg, e.fn)
-		}
-	}
-	if ctxLoopAllowed("repro/internal/implic", "computeDominators") {
-		t.Error("computeDominators polls now; it must never return to the allowlist")
-	}
-}
-
-// TestCtxLoopAllowlistLoadBearing asserts the vetted engine functions
-// still contain the unbounded loops their entries cover — a stale entry
-// fails here and gets removed.
-func TestCtxLoopAllowlistLoadBearing(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks tpi and atpg")
-	}
-	l, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := l.Load("repro/internal/tpi", "repro/internal/atpg")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := newModuleFacts(l, pkgs)
-	covered := make(map[string]bool)
-	for _, fn := range m.order {
-		ff := m.funcs[fn]
-		if ctxLoopAllowed(ff.pkg.Path, fn.Name()) && len(ff.loops) > 0 {
-			covered[ff.pkg.Path+"."+fn.Name()] = true
-		}
-	}
-	for _, want := range []string{"repro/internal/tpi.reconstruct", "repro/internal/atpg.backtrace"} {
-		if !covered[want] {
-			t.Errorf("%s no longer holds an unbounded loop; prune its ctxLoopAllowlist entry", want)
-		}
 	}
 }
 

@@ -12,14 +12,13 @@ import (
 // This file is the interprocedural dataflow half of the whole-module
 // framework: where callgraph.go summarizes what each function *does*,
 // serveGraph derives what the serving layer can *reach* and which data
-// can *flow* — the three facts the G011 and G012 rules are built on:
+// can *flow* — the two facts the G011 rule is built on:
 //
 //   - backward reachability from the /v1/* handler wiring (call edges
 //     plus function-value reference edges, so method values, deferred
-//     calls, and registered callbacks are all followed),
+//     calls, and registered callbacks are all followed), and
 //   - forward field-sensitive taint from reads of the canonicalized
-//     (cache-keyed) option structs through call edges, and
-//   - per-function poll/loop depth metrics for the cancellation rule.
+//     (cache-keyed) option structs through call edges.
 //
 // Soundness stance, matching the call graph's: interface dispatch and
 // calls through function values are not followed (documented gap — the
@@ -29,22 +28,6 @@ import (
 // tainted result. Over-taint errs toward "this feed is keyed", which is
 // the safe direction for a rule whose error case is "read but not
 // keyed".
-
-// pollInf / loopInf are the "no poll / no loop anywhere below" depths.
-const (
-	pollInf = 1 << 20
-	loopInf = 1 << 20
-)
-
-// maxPollFrames is how many call-graph frames away a context poll may
-// live for an unbounded loop to count as polled: the loop body itself
-// (frame 0) or a callee whose poll depth is < maxPollFrames.
-const maxPollFrames = 3
-
-// maxLoopFrames bounds the "compound loop" test: an unbounded loop does
-// per-iteration work worth polling for when its body contains another
-// loop, or calls a function whose loop depth is < maxLoopFrames.
-const maxLoopFrames = 3
 
 // keyedField is one field of a canonicalized serve option struct.
 type keyedField struct {
@@ -84,9 +67,6 @@ type serveGraph struct {
 	// reachList is the reachable set in summary order.
 	reachList []*funcFacts
 
-	pollDepth map[*types.Func]int
-	loopDepth map[*types.Func]int
-
 	// keyedStructs are the canonicalized option structs discovered from
 	// root return types, with their field classification.
 	keyedStructs []*types.TypeName
@@ -120,8 +100,6 @@ func (m *ModuleFacts) serveFacts() *serveGraph {
 	g := &serveGraph{
 		m:           m,
 		reach:       make(map[*types.Func]string),
-		pollDepth:   make(map[*types.Func]int),
-		loopDepth:   make(map[*types.Func]int),
 		keyedFields: make(map[string]*keyedField),
 		taintVar:    make(map[types.Object]bool),
 		taintRet:    make(map[*types.Func]bool),
@@ -199,44 +177,6 @@ func (g *serveGraph) computeReach() {
 			g.reachList = append(g.reachList, g.m.funcs[fn])
 		}
 	}
-}
-
-// pollDepthOf returns how many call frames separate fn from a direct
-// context poll: 0 when fn polls itself, 1 + min over callees otherwise,
-// pollInf when no poll is reachable. Cycles contribute pollInf (a poll
-// beyond a back edge is not a per-iteration guarantee).
-func (g *serveGraph) pollDepthOf(fn *types.Func) int {
-	return g.depthOf(fn, g.pollDepth, func(ff *funcFacts) bool { return len(ff.polls) > 0 }, pollInf)
-}
-
-// loopDepthOf returns how many call frames separate fn from a loop: 0
-// when fn's body loops, 1 + min over callees otherwise.
-func (g *serveGraph) loopDepthOf(fn *types.Func) int {
-	return g.depthOf(fn, g.loopDepth, func(ff *funcFacts) bool { return ff.hasLoop }, loopInf)
-}
-
-// depthOf is the shared memoized DFS for the two depth metrics.
-func (g *serveGraph) depthOf(fn *types.Func, memo map[*types.Func]int, hit func(*funcFacts) bool, inf int) int {
-	if d, ok := memo[fn]; ok {
-		return d
-	}
-	ff := g.m.factsOf(fn)
-	if ff == nil {
-		return inf // outside the analyzed set: assumed flat / unpolled
-	}
-	memo[fn] = inf // cycle guard: back edges read as "nothing below"
-	best := inf
-	if hit(ff) {
-		best = 0
-	} else {
-		for _, cs := range ff.calls {
-			if d := g.depthOf(cs.callee, memo, hit, inf); d < inf && d+1 < best {
-				best = d + 1
-			}
-		}
-	}
-	memo[fn] = best
-	return best
 }
 
 // findKeyedStructs discovers the canonicalized option structs: for every
@@ -541,10 +481,6 @@ func (g *serveGraph) collectFlows() {
 func (g *serveGraph) readInReach(owner *types.TypeName, field string) bool {
 	return len(g.reads[fieldKey(owner, field)]) > 0
 }
-
-// rootFor returns the root attribution for a reachable function ("" when
-// unreachable).
-func (g *serveGraph) rootFor(fn *types.Func) string { return g.reach[fn] }
 
 // isZeroExpr reports whether the expression is a zero value: constant 0,
 // "", false, or nil.

@@ -115,3 +115,30 @@ func TestRunResetAllocFree(t *testing.T) {
 		t.Fatal("reset did not restore the constant base")
 	}
 }
+
+// TestSweepLearnAllocFree pins the build's two loops: on a built
+// engine, a repeat sweep refills every literal's implied list in the
+// array it already owns, and a repeat learn finds every contrapositive
+// already recorded, so neither allocates. The first learn may still
+// record edges; AllocsPerRun's warm-up call absorbs it.
+func TestSweepLearnAllocFree(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    *netlist.Circuit
+	}{
+		{"dag300", gen.RandomDAG(2, 16, 300, gen.DAGOptions{})},
+		{"dag1000", gen.RandomDAG(1, 16, 1000, gen.DAGOptions{})},
+		{"mul6", gen.Multiplier(6)},
+		{"rpr", gen.RPResistant(2, 3, 12, 80)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := New(tc.c, Options{})
+			if got := testing.AllocsPerRun(3, func() { e.sweep() }); got != 0 {
+				t.Errorf("a repeat sweep costs %.1f allocs, want 0", got)
+			}
+			if got := testing.AllocsPerRun(3, func() { e.learn() }); got != 0 {
+				t.Errorf("a repeat learn costs %.1f allocs, want 0", got)
+			}
+		})
+	}
+}

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/bench"
 	"repro/internal/cli"
 )
 
@@ -299,46 +300,108 @@ func TestRequestTimeout(t *testing.T) {
 	}
 }
 
-// TestEndpointTimeouts pins the deadline of engine loops that run for
-// seconds on large circuits. Each slow request, sent with a 200 ms
-// budget to a one-worker server, must end in a 504 within the bound,
-// and the worker must be free for a c17 follow-up at once.
+// TestEndpointTimeouts is the deadline sweep: every endpoint and
+// planner, sent with a 200 ms budget to a one-worker server, on the
+// worst generator families at the 10,000-gate generator bound and on
+// one inline body over it. Each row must answer 200 or 504 within the
+// budget plus 250 ms of the engine's start (the clock starts after the
+// circuit is parsed or generated, so the hook's timestamp is the
+// reference), leave the worker free at once, and serve a c17 follow-up
+// promptly. Two rows pin earlier overruns on their own:
 //   - lint: the static implication pass on a circuit just under its
 //     3000-gate limit;
 //   - atpg: after each vector, the fault-drop loop simulates every
-//     remaining fault of 21,244 collapsed ones. Generating the circuit,
-//     which runs before the deadline starts, takes long enough under
-//     -race that the row runs only without -short.
+//     remaining fault of 21,244 collapsed ones.
+//
+// Generating and parsing the large circuits takes seconds, and -race
+// slows the engines between their polls past the bound, so every row
+// but the lint one runs only without -short.
 func TestEndpointTimeouts(t *testing.T) {
-	rows := []struct {
+	const budget = 200 * time.Millisecond
+	const slack = 250 * time.Millisecond
+	type row struct {
 		name, endpoint, body string
 		long                 bool
-	}{
+	}
+	rows := []row{
 		{"lint", "/v1/lint", `{"generate":"dag:gates=2980,seed=11","options":{"timeout_ms":200}}`, false},
 		{"atpg", "/v1/atpg", `{"generate":"dag:gates=5000,seed=6","options":{"timeout_ms":200}}`, true},
+	}
+	engines := []struct{ name, endpoint, options string }{
+		{"observe", "/v1/plan", `"planner":"observe",`},
+		{"control", "/v1/plan", `"planner":"control",`},
+		{"hybrid", "/v1/plan", `"planner":"hybrid",`},
+		{"faultsim", "/v1/faultsim", ``},
+		{"atpg", "/v1/atpg", ``},
+		{"atpg-learn", "/v1/atpg", `"learn":true,`},
+		{"lint", "/v1/lint", ``},
+	}
+	circuit := func(spec string) string { return fmt.Sprintf(`"generate":%q`, spec) }
+	rca, err := cli.Generate("rca:width=2000")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var text strings.Builder
+	if err := bench.Write(&text, rca); err != nil {
+		t.Fatal(err)
+	}
+	inline := fmt.Sprintf(`"bench":%q`, text.String())
+	for _, family := range []struct{ name, circuit string }{
+		{"dag", circuit("dag:gates=9900,seed=5")},
+		{"mul", circuit("mul:width=40")},
+		{"rpr", circuit("rpr:cones=40,width=40,glue=2000,seed=3")},
+		{"inline-rca", inline},
+	} {
+		for _, e := range engines {
+			rows = append(rows, row{e.name + "/" + family.name, e.endpoint,
+				fmt.Sprintf(`{%s,"options":{%s"timeout_ms":200}}`, family.circuit, e.options), true})
+		}
+	}
+	// One 64-pattern block on the multiplier outlasts the budget, so
+	// the short run must stop inside its only block.
+	rows = append(rows, row{"faultsim/mul-patterns=64", "/v1/faultsim",
+		fmt.Sprintf(`{%s,"options":{"patterns":64,"timeout_ms":200}}`, circuit("mul:width=40")), true})
+	for _, planner := range []string{"cuts", "observe", "control", "hybrid"} {
+		rows = append(rows, row{planner + "/tree", "/v1/plan",
+			fmt.Sprintf(`{%s,"options":{"planner":%q,"timeout_ms":200}}`, circuit("tree:leaves=3333,seed=3"), planner), true})
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			if row.long && testing.Short() {
-				t.Skip("circuit generation is too slow under -short")
+				t.Skip("circuit generation is too slow, and -race too slow between polls, under -short")
 			}
 			s, ts := newTestServer(t, Config{Workers: 1})
-			start := time.Now()
-			st, _, b := post(t, ts.URL+row.endpoint, row.body)
-			if st != http.StatusGatewayTimeout {
-				t.Fatalf("status = %d body=%.200s, want 504", st, b)
+			started := make(chan time.Time, 1)
+			testHookCompute = func(string) {
+				select {
+				case started <- time.Now():
+				default:
+				}
 			}
-			if elapsed := time.Since(start); elapsed > 2*time.Second {
-				t.Fatalf("deadline enforcement took %v", elapsed)
+			defer func() { testHookCompute = nil }()
+			st, _, b := post(t, ts.URL+row.endpoint, row.body)
+			answered := time.Now()
+			if st != http.StatusOK && st != http.StatusGatewayTimeout {
+				t.Fatalf("status = %d body=%.200s, want 200 or 504", st, b)
+			}
+			var start time.Time
+			select {
+			case start = <-started:
+			default:
+				t.Fatal("the engine never started")
+			}
+			if elapsed := answered.Sub(start); elapsed > budget+slack {
+				t.Fatalf("status %d answered %v after the engine started, want <= %v", st, elapsed, budget+slack)
 			}
 			if running := s.pool.Stats().Running; running != 0 {
-				t.Fatalf("%d worker(s) still running after the 504", running)
+				t.Fatalf("%d worker(s) still running after the answer", running)
 			}
-			start = time.Now()
+			t.Logf("status %d after %v", st, answered.Sub(start))
+			follow := time.Now()
 			if st, _, b := post(t, ts.URL+row.endpoint, `{"generate":"c17"}`); st != http.StatusOK {
 				t.Fatalf("follow-up: status = %d body=%s", st, b)
 			}
-			if elapsed := time.Since(start); elapsed > 500*time.Millisecond {
+			if elapsed := time.Since(follow); elapsed > 500*time.Millisecond {
 				t.Fatalf("follow-up took %v on the freed worker", elapsed)
 			}
 		})

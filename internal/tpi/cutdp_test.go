@@ -1,6 +1,8 @@
 package tpi
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"repro/internal/gen"
@@ -289,5 +291,18 @@ func TestCutPlanTestPointsRoundTrip(t *testing.T) {
 	}
 	if _, err := c.InsertTestPoints(pts); err != nil {
 		t.Fatalf("insertion failed: %v", err)
+	}
+}
+
+// TestCutsDPContextCanceled pins the cut DP's per-node poll: a
+// cancelled context aborts the plan. A plan at the serve generator bound
+// (tree:leaves=3333) takes about 18 ms, but an inline 94,520-gate tree,
+// well inside the body limit, takes 0.84 s.
+func TestCutsDPContextCanceled(t *testing.T) {
+	c := gen.RandomTree(1, 200, gen.TreeOptions{})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if p, err := PlanCutsDPContext(ctx, c, 4); p != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("PlanCutsDPContext on a cancelled context = %+v, %v; want nil, context.Canceled", p, err)
 	}
 }

@@ -244,9 +244,9 @@ func Simulate(c *Circuit, faults []Fault, src PatternSource, opts SimOptions) (*
 	return fsim.Run(c, faults, src, opts)
 }
 
-// SimulateContext is Simulate with cancellation: the run stops at the
-// next 64-pattern block boundary once ctx is done, returning the partial
-// result over completed blocks alongside ctx.Err().
+// SimulateContext is Simulate with cancellation: once ctx is done the
+// run stops within 256 faults of work, returning the partial result
+// alongside ctx.Err() (see fsim.RunContext for what it holds).
 func SimulateContext(ctx context.Context, c *Circuit, faults []Fault, src PatternSource, opts SimOptions) (*SimResult, error) {
 	return fsim.RunContext(ctx, c, faults, src, opts)
 }
