@@ -44,29 +44,26 @@ func CollapseExcluding(c *netlist.Circuit, redundant []Fault) []Fault {
 }
 
 func collapseExcluding(c *netlist.Circuit, redundant []Fault) ([]Fault, []dominanceDrop) {
-	uf := buildUnions(c)
-	collapsed := Collapse(c, Universe(c))
-	redRoot := make(map[Fault]bool, len(redundant))
+	x := newFaultIndex(c)
+	uf := buildUnions(c, x)
+	collapsed := collapse(c, x, uf, Universe(c))
+	redRoot := make([]bool, x.size)
 	for _, f := range redundant {
-		redRoot[uf.find(f)] = true
+		redRoot[uf.find(x.of(f))] = true
 	}
-	repOf := make(map[Fault]Fault, len(collapsed))
-	for _, rep := range collapsed {
-		repOf[uf.find(rep)] = rep
+	// repOf[root] is the position in collapsed of the class's
+	// representative, plus one (0 = the class has none).
+	repOf := make([]int32, x.size)
+	for k, rep := range collapsed {
+		repOf[uf.find(x.of(rep))] = int32(k + 1)
 	}
-	classRep := func(f Fault) (Fault, bool) {
-		rep, ok := repOf[uf.find(f)]
-		return rep, ok
+	classRep := func(f Fault) (int, bool) {
+		k := repOf[uf.find(x.of(f))]
+		return int(k) - 1, k > 0
 	}
-	inputFault := func(id, pin int, v bool) Fault {
-		driver := c.Fanin(id)[pin]
-		if c.FanoutCount(driver) > 1 {
-			return Fault{Gate: id, Pin: pin, Stuck: v}
-		}
-		return Fault{Gate: driver, Pin: -1, Stuck: v}
-	}
+	redundantRep := func(k int) bool { return redRoot[uf.find(x.of(collapsed[k]))] }
 
-	dropped := make(map[Fault]bool)
+	dropped := make([]bool, len(collapsed))
 	var drops []dominanceDrop
 	for id := 0; id < c.NumGates(); id++ {
 		g := c.Gate(id)
@@ -80,9 +77,8 @@ func collapseExcluding(c *netlist.Circuit, redundant []Fault) ([]Fault, []domina
 		if g.Type.Inverting() {
 			controlled = !cv
 		}
-		dropFault := Fault{Gate: id, Pin: -1, Stuck: !controlled}
-		dRep, ok := classRep(dropFault)
-		if !ok || dropped[dRep] || redRoot[uf.find(dRep)] {
+		dRep, ok := classRep(Fault{Gate: id, Pin: -1, Stuck: !controlled})
+		if !ok || dropped[dRep] || redundantRep(dRep) {
 			continue
 		}
 		// Witness: any input fault at the non-controlling value whose
@@ -90,18 +86,17 @@ func collapseExcluding(c *netlist.Circuit, redundant []Fault) ([]Fault, []domina
 		// (A dominance chain through an already-dropped witness stays
 		// sound by transitivity; a redundant witness would not.)
 		for pin := range g.Fanin {
-			w := inputFault(id, pin, !cv)
-			wRep, ok := classRep(w)
-			if ok && wRep != dRep && !redRoot[uf.find(wRep)] {
+			wRep, ok := classRep(inputFault(c, id, pin, !cv))
+			if ok && wRep != dRep && !redundantRep(wRep) {
 				dropped[dRep] = true
-				drops = append(drops, dominanceDrop{Dropped: dRep, Witness: wRep})
+				drops = append(drops, dominanceDrop{Dropped: collapsed[dRep], Witness: collapsed[wRep]})
 				break
 			}
 		}
 	}
-	kept := make([]Fault, 0, len(collapsed)-len(dropped))
-	for _, rep := range collapsed {
-		if !dropped[rep] && !redRoot[uf.find(rep)] {
+	kept := make([]Fault, 0, len(collapsed)-len(drops))
+	for k, rep := range collapsed {
+		if !dropped[k] && !redundantRep(k) {
 			kept = append(kept, rep)
 		}
 	}

@@ -1,6 +1,9 @@
 package fault
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/gen"
@@ -197,8 +200,7 @@ func TestFaultStringAndName(t *testing.T) {
 }
 
 // TestCollapseDeterministic pins the ordering contract on the two
-// map-fed collapse paths: both accumulate into maps and must sort
-// before returning, so repeated runs over the same circuit agree
+// collapse paths: repeated runs over the same circuit agree
 // element-for-element. The serve layer caches responses by content
 // hash, so any order wobble here would show up as spurious cache
 // misses and byte-diverging replies.
@@ -234,5 +236,253 @@ func TestCollapseDeterministic(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// The map-based union-find collapsing that the dense fault index
+// replaced, kept as the reference the tests below compare against.
+
+type refUnionFind struct{ parent map[Fault]Fault }
+
+func (u *refUnionFind) find(f Fault) Fault {
+	p, ok := u.parent[f]
+	if !ok {
+		return f
+	}
+	root := u.find(p)
+	u.parent[f] = root
+	return root
+}
+
+func (u *refUnionFind) union(a, b Fault) {
+	ra, rb := u.find(a), u.find(b)
+	if ra != rb {
+		u.parent[ra] = rb
+	}
+}
+
+func refLess(a, b Fault) bool {
+	if a.Gate != b.Gate {
+		return a.Gate < b.Gate
+	}
+	if a.Pin != b.Pin {
+		return a.Pin < b.Pin
+	}
+	return !a.Stuck && b.Stuck
+}
+
+func refSort(faults []Fault) {
+	sort.Slice(faults, func(i, j int) bool { return refLess(faults[i], faults[j]) })
+}
+
+func refUniverse(c *netlist.Circuit) []Fault {
+	var faults []Fault
+	for id := 0; id < c.NumGates(); id++ {
+		faults = append(faults, Fault{Gate: id, Pin: -1, Stuck: false}, Fault{Gate: id, Pin: -1, Stuck: true})
+	}
+	for id := 0; id < c.NumGates(); id++ {
+		for pin, f := range c.Fanin(id) {
+			if c.FanoutCount(f) > 1 {
+				faults = append(faults, Fault{Gate: id, Pin: pin, Stuck: false}, Fault{Gate: id, Pin: pin, Stuck: true})
+			}
+		}
+	}
+	refSort(faults)
+	return faults
+}
+
+func refInputFault(c *netlist.Circuit, id, pin int, v bool) Fault {
+	driver := c.Fanin(id)[pin]
+	if c.FanoutCount(driver) > 1 {
+		return Fault{Gate: id, Pin: pin, Stuck: v}
+	}
+	return Fault{Gate: driver, Pin: -1, Stuck: v}
+}
+
+func refBuildUnions(c *netlist.Circuit) *refUnionFind {
+	uf := &refUnionFind{parent: make(map[Fault]Fault)}
+	for id := 0; id < c.NumGates(); id++ {
+		g := c.Gate(id)
+		out0 := Fault{Gate: id, Pin: -1, Stuck: false}
+		out1 := Fault{Gate: id, Pin: -1, Stuck: true}
+		switch g.Type {
+		case netlist.Buf:
+			uf.union(refInputFault(c, id, 0, false), out0)
+			uf.union(refInputFault(c, id, 0, true), out1)
+		case netlist.Not:
+			uf.union(refInputFault(c, id, 0, false), out1)
+			uf.union(refInputFault(c, id, 0, true), out0)
+		case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
+			v := g.Type == netlist.Or || g.Type == netlist.Nor
+			out := out0
+			if g.Type == netlist.Nand || g.Type == netlist.Or {
+				out = out1
+			}
+			for pin := range g.Fanin {
+				uf.union(refInputFault(c, id, pin, v), out)
+			}
+		}
+	}
+	return uf
+}
+
+func refCollapse(c *netlist.Circuit, faults []Fault) []Fault {
+	uf := refBuildUnions(c)
+	classBest := make(map[Fault]Fault)
+	better := func(a, b Fault) bool {
+		if la, lb := c.Level(a.Gate), c.Level(b.Gate); la != lb {
+			return la < lb
+		}
+		return refLess(a, b)
+	}
+	for _, f := range faults {
+		root := uf.find(f)
+		if cur, ok := classBest[root]; !ok || better(f, cur) {
+			classBest[root] = f
+		}
+	}
+	var out []Fault
+	for _, f := range classBest {
+		out = append(out, f)
+	}
+	refSort(out)
+	return out
+}
+
+func refEquivalenceClasses(c *netlist.Circuit, faults []Fault) [][]Fault {
+	uf := refBuildUnions(c)
+	groups := make(map[Fault][]Fault)
+	for _, f := range faults {
+		root := uf.find(f)
+		groups[root] = append(groups[root], f)
+	}
+	var out [][]Fault
+	for _, g := range groups {
+		refSort(g)
+		out = append(out, g)
+	}
+	sort.Slice(out, func(i, j int) bool { return refLess(out[i][0], out[j][0]) })
+	return out
+}
+
+func refCollapseExcluding(c *netlist.Circuit, redundant []Fault) ([]Fault, []dominanceDrop) {
+	uf := refBuildUnions(c)
+	collapsed := refCollapse(c, refUniverse(c))
+	redRoot := make(map[Fault]bool)
+	for _, f := range redundant {
+		redRoot[uf.find(f)] = true
+	}
+	repOf := make(map[Fault]Fault)
+	for _, rep := range collapsed {
+		repOf[uf.find(rep)] = rep
+	}
+	dropped := make(map[Fault]bool)
+	var drops []dominanceDrop
+	for id := 0; id < c.NumGates(); id++ {
+		g := c.Gate(id)
+		cv, ok := g.Type.ControllingValue()
+		if !ok {
+			continue
+		}
+		controlled := cv
+		if g.Type.Inverting() {
+			controlled = !cv
+		}
+		dRep, ok := repOf[uf.find(Fault{Gate: id, Pin: -1, Stuck: !controlled})]
+		if !ok || dropped[dRep] || redRoot[uf.find(dRep)] {
+			continue
+		}
+		for pin := range g.Fanin {
+			wRep, ok := repOf[uf.find(refInputFault(c, id, pin, !cv))]
+			if ok && wRep != dRep && !redRoot[uf.find(wRep)] {
+				dropped[dRep] = true
+				drops = append(drops, dominanceDrop{Dropped: dRep, Witness: wRep})
+				break
+			}
+		}
+	}
+	var kept []Fault
+	for _, rep := range collapsed {
+		if !dropped[rep] && !redRoot[uf.find(rep)] {
+			kept = append(kept, rep)
+		}
+	}
+	return kept, drops
+}
+
+// referenceCircuits spans the generator families.
+func referenceCircuits() []*netlist.Circuit {
+	out := []*netlist.Circuit{
+		gen.C17(),
+		gen.AndCone(6),
+		gen.ParityTree(8),
+		gen.RippleCarryAdder(4),
+		gen.Comparator(4),
+		gen.Decoder(3),
+		gen.Multiplier(5),
+		gen.ALUSlice(8),
+		gen.BarrelShifter(8),
+		gen.RPResistant(2, 3, 12, 80),
+		gen.RandomTree(3, 200, gen.TreeOptions{}),
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		out = append(out,
+			gen.RandomDAG(seed, 4, 150, gen.DAGOptions{}),
+			gen.RandomDAG(seed, 16, 300, gen.DAGOptions{}))
+	}
+	return out
+}
+
+// TestCollapseMatchesReference: the dense-index collapsing returns
+// exactly what the map-based union-find returned, for the universe, a
+// shuffled sample of it with repeats, and redundant sets of several
+// densities.
+func TestCollapseMatchesReference(t *testing.T) {
+	for _, c := range referenceCircuits() {
+		t.Run(c.Name(), func(t *testing.T) {
+			u := Universe(c)
+			if want := refUniverse(c); !slices.Equal(u, want) {
+				t.Fatalf("Universe differs from the reference:\n got  %v\n want %v", u, want)
+			}
+			rng := rand.New(rand.NewSource(int64(len(u))))
+			var sample []Fault
+			for _, i := range rng.Perm(len(u)) {
+				if i%3 != 0 {
+					sample = append(sample, u[i])
+				}
+				if i%11 == 0 {
+					sample = append(sample, u[i])
+				}
+			}
+			for name, list := range map[string][]Fault{"universe": u, "sample": sample} {
+				if got, want := Collapse(c, list), refCollapse(c, list); !slices.Equal(got, want) {
+					t.Errorf("%s: Collapse = %v, reference %v", name, got, want)
+				}
+				got, want := EquivalenceClasses(c, list), refEquivalenceClasses(c, list)
+				if !slices.EqualFunc(got, want, slices.Equal) {
+					t.Errorf("%s: EquivalenceClasses = %v, reference %v", name, got, want)
+				}
+			}
+			if got, want := CollapseWithDominance(c), func() []Fault { k, _ := refCollapseExcluding(c, nil); return k }(); !slices.Equal(got, want) {
+				t.Errorf("CollapseWithDominance = %v, reference %v", got, want)
+			}
+			for _, every := range []int{2, 7, 40} {
+				var red []Fault
+				for i, f := range u {
+					if rng.Intn(every) == 0 || i%(every+1) == 0 {
+						red = append(red, f)
+					}
+				}
+				kept, drops := collapseExcluding(c, red)
+				wantKept, wantDrops := refCollapseExcluding(c, red)
+				if !slices.Equal(kept, wantKept) || !slices.Equal(drops, wantDrops) {
+					t.Errorf("CollapseExcluding with %d redundant: kept %v drops %v, reference kept %v drops %v",
+						len(red), kept, drops, wantKept, wantDrops)
+				}
+				if got := CollapseExcluding(c, red); !slices.Equal(got, wantKept) {
+					t.Errorf("CollapseExcluding with %d redundant = %v, reference %v", len(red), got, wantKept)
+				}
+			}
+		})
 	}
 }

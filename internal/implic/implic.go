@@ -25,7 +25,10 @@
 // is constant at the opposite value. The closure of the proven constants
 // (the base) stays assigned between propagations, so every later
 // propagation starts from it and constant knowledge compounds across
-// learning rounds without being re-derived per literal.
+// learning rounds without being re-derived per literal. Each stored
+// closure is resumed rather than re-derived: later sweeps and the
+// redundancy proofs start a literal from its implied list and propagate
+// only what changed since that list was stored.
 package implic
 
 import (
@@ -96,8 +99,15 @@ type Engine struct {
 	pending  []Lit
 	gq       []int32
 	inq      []bool
-	seeds    []Lit // redundancy-pass seed scratch
 	conflict bool
+
+	// What resume needs to bring a stored closure up to date: joined
+	// lists the signals in the order they entered the base (they never
+	// leave it), seen[l] is len(joined) when imp[l] was stored, and
+	// mark[l] is len(learned[l]) as of the last sweep.
+	joined []int32
+	seen   []int32
+	mark   []int32
 
 	// build-time cancellation (context.go); cleared before build returns
 	// so post-build queries never observe a dead request context.
@@ -127,6 +137,8 @@ func build(ctx context.Context, c *netlist.Circuit, opts Options) *Engine {
 		feas:    make([]bool, 2*n),
 		val:     make([]int8, n),
 		inq:     make([]bool, n),
+		seen:    make([]int32, 2*n),
+		mark:    make([]int32, 2*n),
 	}
 	for i := range e.consts {
 		e.consts[i] = -1
@@ -216,7 +228,9 @@ func (e *Engine) Implies(from, to Lit) bool {
 // sweep recomputes the implied set of every literal under the current
 // learned database and constants, and reports whether a new constant was
 // proven. A constant proven mid-sweep joins the base at once, so the
-// literals after it see it.
+// literals after it see it. A literal feasible in the previous sweep
+// resumes its stored closure; the first sweep has none and runs each
+// literal from the base.
 func (e *Engine) sweep() (newConst bool) {
 	e.rebuildBase()
 	n := e.c.NumGates()
@@ -228,7 +242,13 @@ func (e *Engine) sweep() (newConst bool) {
 				e.imp[l] = nil
 				continue
 			}
-			if e.run(l) {
+			conflict, same := false, false
+			if e.feas[l] {
+				conflict, same = e.resume(l)
+			} else {
+				conflict = e.run(l)
+			}
+			if conflict {
 				e.reset()
 				e.feas[l] = false
 				e.imp[l] = nil
@@ -241,25 +261,28 @@ func (e *Engine) sweep() (newConst bool) {
 				continue
 			}
 			e.feas[l] = true
-			e.imp[l] = e.assigned(e.imp[l][:0], sig)
+			if !same {
+				e.imp[l] = e.assigned(e.imp[l][:0], sig)
+			}
+			e.seen[l] = int32(len(e.joined))
 			e.reset()
 		}
+	}
+	for l, list := range e.learned {
+		e.mark[l] = int32(len(list))
 	}
 	return newConst
 }
 
-// rebuildBase propagates the proven constants from scratch. It runs once
-// per sweep because the learned database grows between sweeps, and with
-// it the closure of the constants. Sound constants never conflict.
+// rebuildBase extends the base to the closure of the proven constants
+// under the learned database, which grows between sweeps. Every
+// constant is already in the base, and the base is a fixpoint under the
+// database of the last sweep, so replaying the edges learned since
+// reaches the closure a propagation from scratch would. Sound constants
+// never conflict.
 func (e *Engine) rebuildBase() {
-	for _, l := range e.base {
-		e.val[l.Signal()] = -1
-	}
-	e.base = e.base[:0]
-	for sig, cv := range e.consts {
-		if cv >= 0 {
-			e.assign(sig, cv)
-		}
+	for _, y := range e.base {
+		e.replayLearned(y)
 	}
 	e.propagate()
 	e.commit()
@@ -269,6 +292,7 @@ func (e *Engine) rebuildBase() {
 // cannot write into the base it reads, so the new base is built in the
 // previous one's array.
 func (e *Engine) commit() {
+	e.joined = append(e.joined, e.touched...)
 	e.spare = e.assigned(e.spare[:0], -1)
 	e.base, e.spare = e.spare, e.base
 	e.touched = e.touched[:0]
@@ -328,17 +352,73 @@ func (e *Engine) learn() bool {
 	return added
 }
 
-// run propagates the seed literals on top of the base to a fixpoint,
+// run propagates the seed literal on top of the base to a fixpoint,
 // leaving the assignment in e.val (-1 = unassigned), and reports whether
 // a conflict arose. Propagation reaches the same fixpoint, or the same
 // conflict, in any order, so starting from the base gives what
-// propagating every constant along with the seeds would. Callers must
+// propagating every constant along with the seed would. Callers must
 // call reset (or commit) afterwards.
-func (e *Engine) run(seeds ...Lit) (conflict bool) {
-	for _, s := range seeds {
-		e.assign(s.Signal(), litVal(s))
-	}
+func (e *Engine) run(seed Lit) (conflict bool) {
+	e.assign(seed.Signal(), litVal(seed))
 	return e.propagate()
+}
+
+// resume is run(l) for a literal whose closure imp[l] is stored: it
+// reaches the same fixpoint, or the same conflict, without re-deriving
+// that closure. The learned database and the base have only grown since
+// imp[l] was stored, so the stored closure is part of the new one and
+// was a fixpoint under the old state. resume therefore loads it without
+// queueing anything, replays the edges learned since for the literals
+// it loaded, and re-evaluates the gates next to the signals that joined
+// the base since. same reports that the fixpoint is exactly the stored
+// closure on the same base, so imp[l] needs no update. Callers must
+// call reset afterwards.
+func (e *Engine) resume(l Lit) (conflict, same bool) {
+	e.load(l)
+	for _, y := range e.imp[l] {
+		e.load(y)
+	}
+	if e.conflict {
+		return true, false
+	}
+	loaded := e.touched
+	for _, s := range loaded {
+		e.replayLearned(MkLit(int(s), e.val[s] == 1))
+	}
+	delta := e.joined[e.seen[l]:]
+	for _, s := range delta {
+		e.enqueue(int(s))
+		for _, g := range e.c.Fanout(int(s)) {
+			e.enqueue(g)
+		}
+	}
+	if e.propagate() {
+		return true, false
+	}
+	return false, len(delta) == 0 && len(e.touched) == len(loaded)
+}
+
+// replayLearned assigns what y implies by the edges learned since the
+// last sweep.
+func (e *Engine) replayLearned(y Lit) {
+	for _, t := range e.learned[y][e.mark[y]:] {
+		e.assign(t.Signal(), litVal(t))
+	}
+}
+
+// load assigns the literal of a stored closure. Unlike assign it queues
+// neither gates nor learned edges, since the closure was a fixpoint; a
+// literal contradicting the base records a conflict.
+func (e *Engine) load(y Lit) {
+	sig, v := y.Signal(), litVal(y)
+	switch e.val[sig] {
+	case v:
+	case -1:
+		e.val[sig] = v
+		e.touched = append(e.touched, int32(sig))
+	default:
+		e.conflict = true
+	}
 }
 
 // litVal returns the literal's value as a propagation value.

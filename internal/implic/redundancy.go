@@ -210,20 +210,26 @@ func (e *Engine) prove(f fault.Fault, cone []bool, marked *[]int) proof {
 	// non-controlling value (a controlling side value kills the effect
 	// before it leaves the gate). Side pins are fanins of the consuming
 	// gate, so acyclicity keeps them outside the fault's fanout cone and
-	// the conditions refer to fault-free values only.
-	seeds := append(e.seeds[:0], want)
-	if !f.IsStem() {
+	// the conditions refer to fault-free values only. The excitation's
+	// closure is resumed from the build, and the side pins propagate on
+	// top of it.
+	defer e.reset()
+	conflict, _ := e.resume(want)
+	if !conflict && !f.IsStem() {
 		if cvb, hasCtl := c.Type(f.Gate).ControllingValue(); hasCtl {
+			ncv := int8(1)
+			if cvb {
+				ncv = 0
+			}
 			for pin, w := range c.Fanin(f.Gate) {
 				if pin != f.Pin {
-					seeds = append(seeds, MkLit(w, !cvb))
+					e.assign(w, ncv)
 				}
 			}
+			conflict = e.propagate()
 		}
 	}
-	e.seeds = seeds
-	defer e.reset()
-	if e.run(seeds...) {
+	if conflict {
 		return proof{kind: conflicting}
 	}
 

@@ -90,10 +90,10 @@ func TestRedundantAmongContextCanceled(t *testing.T) {
 	}
 }
 
-// TestRunResetAllocFree pins the propagation step after the build: a
-// run on any literal, conflicting or not, and the reset after it reuse
-// the engine's worklists and allocate nothing, and the reset restores
-// the constant base exactly.
+// TestRunResetAllocFree pins the propagation steps after the build: a
+// run on any literal, or a resume of any feasible one, conflicting or
+// not, and the reset after it reuse the engine's worklists and allocate
+// nothing, and the reset restores the constant base exactly.
 func TestRunResetAllocFree(t *testing.T) {
 	// dag:gates=300,seed=2 has 61 proven constants.
 	e := New(gen.RandomDAG(2, 16, 300, gen.DAGOptions{}), Options{})
@@ -111,16 +111,67 @@ func TestRunResetAllocFree(t *testing.T) {
 	if got != 0 {
 		t.Fatalf("run+reset over every literal costs %.1f allocs, want 0", got)
 	}
+	got = testing.AllocsPerRun(5, func() {
+		for l := Lit(0); l < n; l++ {
+			if e.feas[l] {
+				e.resume(l)
+				e.reset()
+			}
+		}
+	})
+	if got != 0 {
+		t.Fatalf("resume+reset over every feasible literal costs %.1f allocs, want 0", got)
+	}
 	if !slices.Equal(e.val, base) {
 		t.Fatal("reset did not restore the constant base")
 	}
 }
 
+// TestResumeMatchesRun: on every golden circuit, resuming a feasible
+// literal's stored closure after the build assigns exactly what a run
+// from the base assigns, or conflicts exactly when the run does. The
+// row dag:inputs=4,gates=300,seed=27 keeps a non-empty base delta
+// under -short.
+func TestResumeMatchesRun(t *testing.T) {
+	for _, gc := range goldenCircuits() {
+		if gc.long && testing.Short() {
+			continue
+		}
+		t.Run(gc.spec, func(t *testing.T) {
+			e := gc.engine()
+			var want, got []Lit
+			stale := 0
+			for l := Lit(0); int(l) < 2*e.c.NumGates(); l++ {
+				if !e.feas[l] {
+					continue
+				}
+				if int(e.seen[l]) < len(e.joined) {
+					stale++
+				}
+				wantConflict := e.run(l)
+				want = e.assigned(want[:0], -1)
+				e.reset()
+				gotConflict, _ := e.resume(l)
+				got = e.assigned(got[:0], -1)
+				e.reset()
+				if gotConflict != wantConflict || (!wantConflict && !slices.Equal(got, want)) {
+					t.Fatalf("literal %d: resume conflict=%v assigned %v, run conflict=%v assigned %v",
+						l, gotConflict, got, wantConflict, want)
+				}
+			}
+			if gc.spec == "dag:inputs=4,gates=300,seed=27" && stale == 0 {
+				t.Error("no stored closure predates the last constant; the row no longer covers the base delta")
+			}
+		})
+	}
+}
+
 // TestSweepLearnAllocFree pins the build's two loops: on a built
-// engine, a repeat sweep refills every literal's implied list in the
-// array it already owns, and a repeat learn finds every contrapositive
-// already recorded, so neither allocates. The first learn may still
-// record edges; AllocsPerRun's warm-up call absorbs it.
+// engine, a repeat sweep resumes every feasible literal's stored
+// closure and keeps or refills its implied list in the array it already
+// owns, and a repeat learn finds every contrapositive already recorded,
+// so neither allocates. The first learn may still record edges;
+// AllocsPerRun's warm-up call absorbs it.
 func TestSweepLearnAllocFree(t *testing.T) {
 	for _, tc := range []struct {
 		name string

@@ -46,6 +46,51 @@ func TestPlanCutsDPAllocsSizeIndependent(t *testing.T) {
 	}
 }
 
+// observeDPAllocs measures the allocations one P2 plan at k=8 makes on
+// top of its coverage model, which allocates per gate, and the plan's
+// DP state count.
+func observeDPAllocs(t *testing.T, leaves int) (float64, int64) {
+	t.Helper()
+	c, err := cli.Generate(fmt.Sprintf("tree:leaves=%d,seed=1", leaves))
+	if err != nil {
+		t.Fatal(err)
+	}
+	faults := fault.CollapsedUniverse(c)
+	var states int64
+	plan := testing.AllocsPerRun(3, func() {
+		p, err := PlanObservationPointsDP(c, faults, 8, 1.0/4096, OPOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		states = p.StatesVisited
+	})
+	model := testing.AllocsPerRun(3, func() { newOPModel(c, faults, OPOptions{}) })
+	return plan - model, states
+}
+
+// TestPlanObservationPointsDPAllocsBounded pins the observe DP's
+// allocation budget. Every memo vector comes from one arena and the
+// knapsacks share their scratch; allocating a vector per child and two
+// per state cost 10,900 allocations on the 200-leaf tree and 140,700 on
+// the 2000-leaf one. Only the arena's chunks and the per-plan tables may
+// grow with the states visited, so thirteen times the states adds only a
+// few allocations.
+func TestPlanObservationPointsDPAllocsBounded(t *testing.T) {
+	small, smallStates := observeDPAllocs(t, 200)
+	large, largeStates := observeDPAllocs(t, 2000)
+	if largeStates < 10*smallStates {
+		t.Fatalf("states %d vs %d: the sizes no longer differ enough to show growth", smallStates, largeStates)
+	}
+	if small > 64 || large > 64 {
+		t.Fatalf("the observe DP costs %.0f allocs/op over %d states and %.0f over %d, want <= 64 (per-state allocation crept back in)",
+			small, smallStates, large, largeStates)
+	}
+	if large-small > 16 {
+		t.Fatalf("observe DP allocs grew with the states visited: %.0f at %d states vs %.0f at %d (want delta <= 16)",
+			small, smallStates, large, largeStates)
+	}
+}
+
 // TestOverlayEvaluationAllocFree pins the control planner's inner step:
 // setting a candidate on the overlay and counting the covered faults
 // reuses the overlay's buffers and allocates nothing.

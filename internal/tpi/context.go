@@ -8,7 +8,7 @@ import (
 )
 
 // Cancellation support for the planners. The DP cores are recursive
-// (regionDP.dp) or deeply nested (cutDP.computeNode inside a binary
+// (opDP.dp) or deeply nested (cutDP.computeNode inside a binary
 // search), so rather than threading an error return through every
 // recurrence, cancellation aborts via a private panic value that the
 // exported *Context wrappers recover into a plain ctx.Err() return. The

@@ -3,6 +3,7 @@ package tpi
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"repro/internal/fault"
@@ -186,87 +187,155 @@ func (m *opModel) coveredCount(ops []int, dth float64) int {
 	return total
 }
 
-// regionDP computes, for one region, the best number of covered faults
-// for every OP budget 0..kMax, by the exact tree DP over (node, nearest
-// observer above). Memoisation is keyed by (node, observer-ancestor);
-// observer == -1 encodes "external only" (nearest real observer is the
-// downstream logic beyond the stem).
-type regionDP struct {
+// opDP runs the exact tree DP of every scored region of one plan: for
+// each region, the best number of covered faults for every OP budget
+// 0..kMax, over (node, nearest observer above) states. The observer anc
+// is an in-region ancestor holding an OP, or -1 for "external only"
+// (the nearest real observer is the downstream logic beyond the stem).
+//
+// memo[n][i] holds the vector of state (n, anc), where i is 0 for
+// anc == -1 and depth[anc]+1 otherwise. The per-node slot tables and
+// the vectors are carved from bump arenas when a node is first visited,
+// so memory follows the states visited, as the deadline bounds them. A
+// knapsack computes its children's vectors before combining them, so
+// its scratch vectors are never live across a dp call and two serve the
+// whole plan.
+type opDP struct {
 	m      *opModel
-	stem   int
 	kMax   int
 	dth    float64
-	memo   map[[2]int][]int
+	depth  []int32   // per gate: edges from the gate up to its stem
+	memo   [][][]int // per gate: its slot table, nil until visited
+	slots  [][]int   // arena of slot tables
+	arena  []int     // arena of budget vectors
+	acc    []int     // knapsack scratch
+	optB   []int     // option B's knapsack in dp and reconstruct
+	stack  []int     // splitKnapsack's prefix tables, used as a stack
 	states int64
 	ctx    context.Context
 	done   <-chan struct{}
 }
 
-// run returns best[k] = max faults covered in the region using exactly at
-// most k OPs placed inside the region.
-func (r *regionDP) run() []int {
-	return r.dp(r.stem, -1)
+func newOPDP(ctx context.Context, m *opModel, kMax int, dth float64) *opDP {
+	n := m.c.NumGates()
+	d := &opDP{
+		m:     m,
+		kMax:  kMax,
+		dth:   dth,
+		depth: make([]int32, n),
+		memo:  make([][][]int, n),
+		acc:   make([]int, kMax+1),
+		optB:  make([]int, kMax+1),
+		ctx:   ctx,
+		done:  ctx.Done(),
+	}
+	order := m.c.TopoOrder()
+	for i := len(order) - 1; i >= 0; i-- {
+		if id := order[i]; m.parent[id] >= 0 {
+			d.depth[id] = d.depth[m.parent[id]] + 1
+		}
+	}
+	return d
+}
+
+// vec returns a zeroed budget vector from the arena. The arena grows by
+// whole new chunks, each at least double the last, so the vectors handed
+// out before stay valid.
+func (d *opDP) vec() []int {
+	w := d.kMax + 1
+	if len(d.arena)+w > cap(d.arena) {
+		d.arena = make([]int, 0, max(2*cap(d.arena), w, 4096))
+	}
+	n := len(d.arena)
+	d.arena = d.arena[:n+w]
+	return d.arena[n : n+w : n+w]
+}
+
+// slotTable returns node n's slot table, carving it from the slot arena
+// the way vec carves vectors.
+func (d *opDP) slotTable(n int) [][]int {
+	if t := d.memo[n]; t != nil {
+		return t
+	}
+	size := int(d.depth[n]) + 1
+	if len(d.slots)+size > cap(d.slots) {
+		d.slots = make([][]int, 0, max(2*cap(d.slots), size, 1024))
+	}
+	k := len(d.slots)
+	d.slots = d.slots[:k+size]
+	d.memo[n] = d.slots[k : k+size : k+size]
+	return d.memo[n]
 }
 
 // phiFor returns the observability factor from node n's output to the
 // nearest observer: ancestor `anc` (an in-region node holding an OP), or
 // the external path when anc == -1.
-func (r *regionDP) phiFor(n, anc int) float64 {
+func (d *opDP) phiFor(n, anc int) float64 {
 	if anc >= 0 {
-		return r.m.pathObs(n, anc)
+		return d.m.pathObs(n, anc)
 	}
-	return r.m.pathObs(n, r.stem) * r.m.stemExt[r.stem]
+	stem := d.m.region[n]
+	return d.m.pathObs(n, stem) * d.m.stemExt[stem]
 }
 
 // dp returns the budget-indexed best-coverage vector for the subtree
-// rooted at n given the nearest observer at or above n's parent.
-func (r *regionDP) dp(n, anc int) []int {
-	key := [2]int{n, anc}
-	if v, ok := r.memo[key]; ok {
+// rooted at n given the nearest observer at or above n's parent: best[k]
+// is the most faults covered with at most k OPs placed in the subtree.
+func (d *opDP) dp(n, anc int) []int {
+	table, slot := d.slotTable(n), 0
+	if anc >= 0 {
+		slot = int(d.depth[anc]) + 1
+	}
+	if v := table[slot]; v != nil {
 		return v
 	}
-	pollDone(r.ctx, r.done)
-	children := r.m.regionChildren[n]
+	pollDone(d.ctx, d.done)
+	children := d.m.regionChildren[n]
 	// Option A: no OP at n — faults here see the inherited observer.
-	hereA := r.m.coveredAt(n, r.phiFor(n, anc), r.dth)
-	optA := r.knapsack(children, anc, r.kMax)
-	for k := 0; k <= r.kMax; k++ {
-		optA[k] += hereA
+	hereA := d.m.coveredAt(n, d.phiFor(n, anc), d.dth)
+	result := d.knapsack(d.vec(), children, anc, d.kMax)
+	for k := 0; k <= d.kMax; k++ {
+		result[k] += hereA
 	}
 	// Option B: OP at n — faults here observed directly; children inherit
 	// observer n; budget shifted by one.
-	result := optA
-	if r.kMax >= 1 {
-		hereB := r.m.coveredAt(n, 1, r.dth)
-		optB := r.knapsack(children, n, r.kMax-1)
-		for k := 1; k <= r.kMax; k++ {
+	if d.kMax >= 1 {
+		hereB := d.m.coveredAt(n, 1, d.dth)
+		optB := d.knapsack(d.optB, children, n, d.kMax-1)
+		for k := 1; k <= d.kMax; k++ {
 			if v := optB[k-1] + hereB; v > result[k] {
 				result[k] = v
 			}
 		}
 	}
 	// Enforce monotonicity in budget (spending less is always allowed).
-	for k := 1; k <= r.kMax; k++ {
+	for k := 1; k <= d.kMax; k++ {
 		if result[k] < result[k-1] {
 			result[k] = result[k-1]
 		}
 	}
-	r.states += int64(len(result))
-	r.memo[key] = result
+	d.states += int64(len(result))
+	table[slot] = result
 	return result
 }
 
-// knapsack combines the children's dp vectors under observer anc into a
-// budget-indexed sum, up to budget limit (entries above limit are filled
-// from limit). The returned slice always has kMax+1 entries.
-func (r *regionDP) knapsack(children []int, anc, limit int) []int {
-	acc := make([]int, r.kMax+1)
+// knapsack combines the children's dp vectors under observer anc into
+// dst, a budget-indexed sum up to budget limit (entries above limit are
+// filled from limit), and returns dst, which has kMax+1 entries. The
+// children's vectors are computed first, so the combining loop makes no
+// dp call and dst may be shared scratch.
+func (d *opDP) knapsack(dst []int, children []int, anc, limit int) []int {
 	if limit < 0 {
-		return acc
+		clear(dst)
+		return dst
 	}
 	for _, ch := range children {
-		chv := r.dp(ch, anc)
-		next := make([]int, r.kMax+1)
+		d.dp(ch, anc)
+	}
+	clear(dst)
+	acc, next := dst, d.acc
+	for _, ch := range children {
+		chv := d.dp(ch, anc)
 		for k := 0; k <= limit; k++ {
 			best := 0
 			for j := 0; j <= k; j++ {
@@ -276,70 +345,80 @@ func (r *regionDP) knapsack(children []int, anc, limit int) []int {
 			}
 			next[k] = best
 		}
-		for k := limit + 1; k <= r.kMax; k++ {
+		for k := limit + 1; k <= d.kMax; k++ {
 			next[k] = next[limit]
 		}
-		acc = next
+		acc, next = next, acc
 	}
-	for k := limit + 1; k <= r.kMax; k++ {
+	for k := limit + 1; k <= d.kMax; k++ {
 		acc[k] = acc[limit]
 	}
-	return acc
+	if len(children)%2 == 1 {
+		copy(dst, acc)
+	}
+	return dst
 }
 
 // reconstruct re-derives an OP placement achieving dp(n, anc)[k].
-func (r *regionDP) reconstruct(n, anc, k int, out *[]int) {
-	children := r.m.regionChildren[n]
-	target := r.dp(n, anc)[k]
+func (d *opDP) reconstruct(n, anc, k int, out *[]int) {
+	children := d.m.regionChildren[n]
+	target := d.dp(n, anc)[k]
 	// Try option B first when it meets the target (placing OPs earlier
 	// tends to put them closer to the faults; either choice is optimal).
 	if k >= 1 {
-		hereB := r.m.coveredAt(n, 1, r.dth)
-		optB := r.knapsack(children, n, r.kMax-1)
+		hereB := d.m.coveredAt(n, 1, d.dth)
+		optB := d.knapsack(d.optB, children, n, d.kMax-1)
 		if optB[k-1]+hereB == target {
 			*out = append(*out, n)
-			r.splitKnapsack(children, n, k-1, out)
+			d.splitKnapsack(children, n, k-1, out)
 			return
 		}
 	}
-	r.splitKnapsack(children, anc, k, out)
+	d.splitKnapsack(children, anc, k, out)
 }
 
 // splitKnapsack apportions budget k among children consistently with the
 // knapsack optimum under observer anc.
-func (r *regionDP) splitKnapsack(children []int, anc, k int, out *[]int) {
+func (d *opDP) splitKnapsack(children []int, anc, k int, out *[]int) {
 	if len(children) == 0 || k < 0 {
 		return
 	}
-	// Recompute prefix knapsacks to find a consistent split.
-	prefixes := make([][]int, len(children)+1)
-	prefixes[0] = make([]int, r.kMax+1)
+	// Recompute prefix knapsacks to find a consistent split: row i of
+	// the table is prefix[i*w : (i+1)*w]. The table sits on the stack
+	// above the caller's, and the recursive calls below push theirs
+	// above it; if that regrows the stack, this table stays in the old
+	// array, which nothing writes any more.
+	w := d.kMax + 1
+	base, size := len(d.stack), (len(children)+1)*w
+	d.stack = slices.Grow(d.stack, size)[:base+size]
+	prefix := d.stack[base:]
+	clear(prefix[:w])
 	for i, ch := range children {
-		chv := r.dp(ch, anc)
-		next := make([]int, r.kMax+1)
-		for kk := 0; kk <= r.kMax; kk++ {
+		chv := d.dp(ch, anc)
+		prev, next := prefix[i*w:(i+1)*w], prefix[(i+1)*w:(i+2)*w]
+		for kk := 0; kk <= d.kMax; kk++ {
 			best := 0
 			for j := 0; j <= kk; j++ {
-				if v := prefixes[i][kk-j] + chv[j]; v > best {
+				if v := prev[kk-j] + chv[j]; v > best {
 					best = v
 				}
 			}
 			next[kk] = best
 		}
-		prefixes[i+1] = next
 	}
 	remaining := k
 	for i := len(children) - 1; i >= 0; i-- {
 		ch := children[i]
-		chv := r.dp(ch, anc)
+		chv := d.dp(ch, anc)
 		for j := 0; j <= remaining; j++ {
-			if prefixes[i][remaining-j]+chv[j] == prefixes[i+1][remaining] {
-				r.reconstruct(ch, anc, j, out)
+			if prefix[i*w+remaining-j]+chv[j] == prefix[(i+1)*w+remaining] {
+				d.reconstruct(ch, anc, j, out)
 				remaining -= j
 				break
 			}
 		}
 	}
+	d.stack = d.stack[:base]
 }
 
 // PlanObservationPointsDP selects at most k observation points maximising
@@ -386,23 +465,24 @@ func planObservationPointsDP(ctx context.Context, c *netlist.Circuit, faults []f
 	sort.Ints(stems)
 	report := progress.FromContext(ctx)
 	done := ctx.Done()
-	dps := make([]*regionDP, len(stems))
+	d := newOPDP(ctx, m, k, dth)
 	tables := make([][]int, len(stems))
 	for i, s := range stems {
 		if report != nil {
 			report("op-regions", int64(i), int64(len(stems)))
 		}
-		r := &regionDP{m: m, stem: s, kMax: k, dth: dth, memo: make(map[[2]int][]int), ctx: ctx, done: done}
-		tables[i] = r.run()
-		dps[i] = r
-		plan.StatesVisited += r.states
+		tables[i] = d.dp(s, -1)
 	}
-	// Knapsack across regions.
+	plan.StatesVisited = d.states
+	// Knapsack across regions. choice[i*(k+1)+kk] is the budget given to
+	// region i when regions 0..i share budget kk; it grows by a row per
+	// region, so a plan its deadline cuts short never holds the rest.
 	acc := make([]int, k+1)
-	choice := make([][]int, len(stems)) // choice[i][k] = budget given to region i
+	var choice []int
 	prev := make([]int, k+1)
 	for i := range stems {
-		choice[i] = make([]int, k+1)
+		row := len(choice)
+		choice = slices.Grow(choice, k+1)[:row+k+1]
 		copy(prev, acc)
 		for kk := 0; kk <= k; kk++ {
 			pollDone(ctx, done)
@@ -413,7 +493,7 @@ func planObservationPointsDP(ctx context.Context, c *netlist.Circuit, faults []f
 				}
 			}
 			acc[kk] = best
-			choice[i][kk] = bestJ
+			choice[row+kk] = bestJ
 		}
 	}
 	plan.CoveredAfter = acc[k]
@@ -421,9 +501,9 @@ func planObservationPointsDP(ctx context.Context, c *netlist.Circuit, faults []f
 	remaining := k
 	for i := len(stems) - 1; i >= 0; i-- {
 		pollDone(ctx, done)
-		j := choice[i][remaining]
+		j := choice[i*(k+1)+remaining]
 		if j > 0 {
-			dps[i].reconstruct(stems[i], -1, j, &plan.Points)
+			d.reconstruct(stems[i], -1, j, &plan.Points)
 		}
 		remaining -= j
 	}
