@@ -3,10 +3,8 @@
 // map-iteration order leaking into output (G001), process exits that
 // bypass the internal/cli exit-code contract (G002), dropped or
 // shadowed context.Context arguments (G003), impure calls inside
-// deterministic engine packages (G004), error-hygiene defects (G005),
-// engine option fields missing from the serve cache key (G011),
-// durability discipline in the journal-owning packages (G015), and
-// streaming-handler discipline (G016).
+// deterministic engine packages (G004), and error-hygiene defects
+// (G005). Every rule judges one file at a time.
 //
 // Inputs are positional package patterns — directory paths, module
 // import paths, or "/..." wildcards — defaulting to ./... from the
@@ -21,7 +19,7 @@
 //	codelint ./...
 //	codelint -json ./internal/serve
 //	codelint -severity info -fail error ./cmd/...
-//	codelint -only g003,g011 ./internal/serve
+//	codelint -only g003,g005 ./internal/serve
 //	codelint -list -json
 package main
 
@@ -42,7 +40,7 @@ func main() {
 		jsonOut  = flag.Bool("json", false, "emit findings as JSON")
 		sevName  = flag.String("severity", "info", "minimum severity to report: info | warning | error")
 		failName = flag.String("fail", "warning", "minimum severity that fails the run: info | warning | error")
-		only     = flag.String("only", "", "comma-separated rule IDs to run (e.g. g003,g011); default all")
+		only     = flag.String("only", "", "comma-separated rule IDs to run (e.g. g003,g005); default all")
 		list     = flag.Bool("list", false, "print the rule registry (id, severity, summary) and exit")
 	)
 	flag.Parse()

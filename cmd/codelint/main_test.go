@@ -25,8 +25,7 @@ func fixture(t *testing.T, name string) string {
 // output must be order-deterministic and byte-stable, the same
 // contract the serve cache enforces on engine responses.
 func TestGoldenJSON(t *testing.T) {
-	for _, rule := range []string{"g001", "g002", "g003", "g004", "g005",
-		"g011", "g015", "g016"} {
+	for _, rule := range []string{"g001", "g002", "g003", "g004", "g005"} {
 		t.Run(rule, func(t *testing.T) {
 			want, err := os.ReadFile(fixture(t, rule+".golden.json"))
 			if err != nil {
@@ -107,39 +106,39 @@ func TestOnlySelection(t *testing.T) {
 	var out bytes.Buffer
 	failed, err := run(&out, config{
 		dir:      ".",
-		patterns: []string{fixture(t, "g003"), fixture(t, "g011")},
+		patterns: []string{fixture(t, "g003"), fixture(t, "g004")},
 		sevName:  "info",
 		failName: "warning",
-		only:     "g003,g015",
+		only:     "g003,g005",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !failed {
-		t.Error("-only g003,g015 should still fail on the g003 fixture")
+		t.Error("-only g003,g005 should still fail on the g003 fixture")
 	}
 	text := out.String()
 	if !bytes.Contains([]byte(text), []byte("G003")) {
 		t.Errorf("selected rule G003 missing from output:\n%s", text)
 	}
-	if bytes.Contains([]byte(text), []byte("G011")) {
-		t.Errorf("unselected rule G011 leaked into output:\n%s", text)
+	if bytes.Contains([]byte(text), []byte("G004")) {
+		t.Errorf("unselected rule G004 leaked into output:\n%s", text)
 	}
 
 	// Deselecting the fixture's rule turns the run clean.
 	out.Reset()
 	failed, err = run(&out, config{
 		dir:      ".",
-		patterns: []string{fixture(t, "g011")},
+		patterns: []string{fixture(t, "g004")},
 		sevName:  "info",
 		failName: "warning",
-		only:     "g015",
+		only:     "g005",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if failed {
-		t.Errorf("-only g015 on the g011 fixture should be clean:\n%s", out.String())
+		t.Errorf("-only g005 on the g004 fixture should be clean:\n%s", out.String())
 	}
 }
 
@@ -154,6 +153,9 @@ func TestUsageErrors(t *testing.T) {
 		{dir: ".", sevName: "info", failName: "error", only: "g014"}, // retired rule
 		{dir: ".", sevName: "info", failName: "error", only: "g007"}, // retired rule
 		{dir: ".", sevName: "info", failName: "error", only: "g012"}, // retired rule
+		{dir: ".", sevName: "info", failName: "error", only: "g011"}, // retired rule
+		{dir: ".", sevName: "info", failName: "error", only: "g015"}, // retired rule
+		{dir: ".", sevName: "info", failName: "error", only: "g016"}, // retired rule
 		{dir: "/", sevName: "info", failName: "error"},               // no enclosing module
 	} {
 		var out bytes.Buffer
@@ -222,10 +224,10 @@ func TestListRules(t *testing.T) {
 		t.Fatalf("list: failed=%v err=%v", failed, err)
 	}
 	lines := strings.Split(strings.TrimRight(out.String(), "\n"), "\n")
-	if len(lines) != 8 {
-		t.Fatalf("-list printed %d rows, want 8:\n%s", len(lines), out.String())
+	if len(lines) != 5 {
+		t.Fatalf("-list printed %d rows, want 5:\n%s", len(lines), out.String())
 	}
-	if !strings.HasPrefix(lines[0], "G001  ") || !strings.HasPrefix(lines[7], "G016  ") {
+	if !strings.HasPrefix(lines[0], "G001  ") || !strings.HasPrefix(lines[4], "G005  ") {
 		t.Errorf("-list rows out of registry order:\n%s", out.String())
 	}
 	for _, line := range lines {
@@ -242,8 +244,8 @@ func TestListRules(t *testing.T) {
 	if err := json.Unmarshal(out.Bytes(), &rows); err != nil {
 		t.Fatalf("-list -json did not decode: %v\n%s", err, out.String())
 	}
-	if len(rows) != 8 || rows[0].ID != "G001" || rows[7].ID != "G016" {
-		t.Errorf("-list -json rows = %d (%s..%s), want 8 G001..G016", len(rows), rows[0].ID, rows[len(rows)-1].ID)
+	if len(rows) != 5 || rows[0].ID != "G001" || rows[4].ID != "G005" {
+		t.Errorf("-list -json rows = %d (%s..%s), want 5 G001..G005", len(rows), rows[0].ID, rows[len(rows)-1].ID)
 	}
 	for _, r := range rows {
 		if r.Name == "" || r.Doc == "" || (r.Severity != golint.Error && r.Severity != golint.Warning) {
@@ -252,10 +254,10 @@ func TestListRules(t *testing.T) {
 	}
 
 	out.Reset()
-	if _, err := run(&out, config{dir: ".", sevName: "info", failName: "warning", list: true, only: "g015"}); err != nil {
+	if _, err := run(&out, config{dir: ".", sevName: "info", failName: "warning", list: true, only: "g004"}); err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.TrimRight(out.String(), "\n"); strings.Count(got, "\n") != 0 || !strings.HasPrefix(got, "G015") {
-		t.Errorf("-list -only g015 = %q, want the single G015 row", got)
+	if got := strings.TrimRight(out.String(), "\n"); strings.Count(got, "\n") != 0 || !strings.HasPrefix(got, "G004") {
+		t.Errorf("-list -only g004 = %q, want the single G004 row", got)
 	}
 }

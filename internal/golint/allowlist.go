@@ -59,90 +59,6 @@ var impureAllowlist = map[string][]string{
 	"internal/perf": {"time.Now", "time.Since"},
 }
 
-// engineOptionStructs pins the option structs whose fields G011 audits
-// against the cache-key canonicalization: every struct the serve run
-// closures hand to an engine. internal/lint.Options is deliberately
-// absent — /v1/lint runs it at defaults and its report is advisory;
-// adding it is a one-line policy change here when lint options get a
-// request surface. The testdata entry keeps the rule's golden fixture
-// honest.
-var engineOptionStructs = []struct {
-	pkg, typ string
-}{
-	{"internal/fsim", "Options"},
-	{"internal/atpg", "Options"},
-	{"internal/implic", "Options"},
-	{"internal/tpi", "CPOptions"},
-	{"internal/tpi", "OPOptions"},
-	{"testdata/codelint/g011", "EngineOpts"},
-}
-
-// isEngineOptionStruct reports whether the named struct is pinned for
-// G011 feed tracking.
-func isEngineOptionStruct(pkgPath, typ string) bool {
-	for _, e := range engineOptionStructs {
-		if e.typ == typ && pathMatchesAny(pkgPath, []string{e.pkg}) {
-			return true
-		}
-	}
-	return false
-}
-
-// cacheKeyFieldAllowlist vets engine option fields that are read on the
-// serve path but deliberately pinned at their zero-value defaults —
-// constant inputs cannot split or poison the cache. The allowlist only
-// holds while no feed exists: feeding a listed field from unkeyed data
-// re-raises the error (see g011.go).
-var cacheKeyFieldAllowlist = []struct {
-	pkg, typ, field, why string
-}{
-	{"internal/tpi", "CPOptions", "COP",
-		"serve pins COP tuning to its zero-value defaults; a constant cannot split the cache"},
-	{"internal/tpi", "OPOptions", "COP",
-		"serve pins COP tuning to its zero-value defaults; a constant cannot split the cache"},
-	{"internal/implic", "Options", "LearnRounds",
-		"serve pins the contrapositive-learning depth to the engine default; constant input"},
-	{"testdata/codelint/g011", "EngineOpts", "Tuning",
-		"fixture: vetted zero-value default pin"},
-}
-
-// cacheKeyFieldAllowed reports whether the field's zero-default pin is
-// vetted for G011.
-func cacheKeyFieldAllowed(pkgPath, typ, field string) bool {
-	for _, e := range cacheKeyFieldAllowlist {
-		if e.typ == typ && e.field == field && pathMatchesAny(pkgPath, []string{e.pkg}) {
-			return true
-		}
-	}
-	return false
-}
-
-// keyExemptFields vets serve option fields excluded from the cache key
-// on purpose, matched by json tag name across every canonicalized
-// struct. Keep this list about *transport* concerns only — anything
-// that can change an engine result must be keyed.
-var keyExemptFields = []struct {
-	tag, why string
-}{
-	{"timeout_ms",
-		"deadlines shape latency and the 504 contract, never the engine result; stripped before hashing so an impatient client still hits the patient client's cache entry"},
-}
-
-// keyExemptField reports whether a serve option field is a vetted
-// key exclusion.
-func keyExemptField(tag, name string) bool {
-	match := tag
-	if match == "" {
-		match = name
-	}
-	for _, e := range keyExemptFields {
-		if e.tag == match {
-			return true
-		}
-	}
-	return false
-}
-
 // allowedImpurity reports whether the qualified symbol (e.g.
 // "time.Now") is allowlisted for the package.
 func allowedImpurity(pkgPath, symbol string) bool {
@@ -153,30 +69,6 @@ func allowedImpurity(pkgPath, symbol string) bool {
 					return true
 				}
 			}
-		}
-	}
-	return false
-}
-
-// durabilityPackages scopes G015: the packages that persist state the
-// process must be able to trust after a crash. Only journals and
-// result blobs live here; adding a package opts its writes into the
-// append+Sync / tmp→fsync→rename→dir-sync discipline.
-var durabilityPackages = []struct {
-	pkg, why string
-}{
-	{"internal/jobs",
-		"owns the job journal and result blobs; DESIGN.md's durability invariants are this package's contract"},
-	{"testdata/codelint/g015",
-		"fixture: exercises every dirty and clean durability shape the rule knows"},
-}
-
-// isDurabilityPackage reports whether the package's writes are held to
-// the G015 durability discipline.
-func isDurabilityPackage(pkgPath string) bool {
-	for _, e := range durabilityPackages {
-		if pathMatchesAny(pkgPath, []string{e.pkg}) {
-			return true
 		}
 	}
 	return false

@@ -25,29 +25,18 @@
 //	     the vetted package allowlist (see allowlist.go)
 //	G005 error-hygiene               discarded error returns and
 //	     fmt.Errorf wrapping a live error without %w
-//	G011 cache-key-soundness         engine option fields read on the
-//	     serve path but absent from the cache-key canonicalization, and
-//	     keyed or fed fields nothing ever reads (see taint.go)
-//	G015 durability-discipline       journal-writing packages (see the
-//	     durabilityPackages table): in-place state writes, renames of
-//	     never-fsynced blobs, renames with no directory sync, and
-//	     journal appends that never reach disk
-//	G016 streaming-discipline        serve handlers: bare http.Flusher
-//	     assertions, NDJSON stream loops that flush optionally or not at
-//	     all, and writes after a completed error response
 //
-// G001–G005 judge one file at a time. G011 consults Pass.Mod, the
-// whole-module call graph built once per Run (see callgraph.go), and
-// the interprocedural dataflow built on top of it (see taint.go):
-// backward reachability from the /v1/* handler wiring and forward
-// field-sensitive taint from the cache-keyed option structs. G015 and
-// G016 reuse the same call graph for directory-sync and header-write
-// summaries.
-//
-// Two engine contracts are held by behavioural tests, not rules: the
-// allocation-free measured loops by the testing.AllocsPerRun tests in
-// fsim, atpg, tpi and implic, and the request deadline by the
-// request-driven sweep TestEndpointTimeouts in internal/serve.
+// Every rule judges one file at a time: golint has no call graph and
+// no interprocedural dataflow. Five contracts that once had
+// whole-module rules are held by behavioural tests on the running
+// code instead: the allocation-free measured loops by the
+// testing.AllocsPerRun tests in fsim, atpg, tpi and implic; the
+// request deadline by TestEndpointTimeouts in internal/serve; cache-key
+// soundness by the reflection-driven perturbation test in
+// internal/serve/keysound_test.go; the event stream and error
+// responses by the writer-level tests in internal/serve/writer_test.go;
+// and job-store durability by the crash-state enumeration in
+// internal/jobs/crash_test.go.
 //
 // Findings mirror the internal/lint model — stable rule IDs, the same
 // Severity scale, a locus, and a fix hint — so cmd/lint and
@@ -79,10 +68,11 @@ func ParseSeverity(s string) (Severity, error) { return lint.ParseSeverity(s) }
 // Stable rule identifiers. Like the lint.Rule* constants these are part
 // of the output contract: CI filters and goldens key on them, so
 // existing IDs must never be renumbered. G006, G007, G008, G009, G010,
-// G012, G013 and G014 are retired (doc-comment, alloc-hot-path,
-// goroutine-discipline, lock-discipline, worker-state-sharing,
-// cancellation-reachability, engine-output-purity and
-// resource-lifecycle) and must never be reused for a new rule.
+// G011, G012, G013, G014, G015 and G016 are retired (doc-comment,
+// alloc-hot-path, goroutine-discipline, lock-discipline,
+// worker-state-sharing, cache-key-soundness, cancellation-reachability,
+// engine-output-purity, resource-lifecycle, durability-discipline and
+// streaming-discipline) and must never be reused for a new rule.
 const (
 	// RuleNondetIteration: map iteration order leaks into output.
 	RuleNondetIteration = "G001"
@@ -98,15 +88,6 @@ const (
 	// RuleErrorHygiene: discarded error return, or fmt.Errorf wrapping
 	// an error value without %w.
 	RuleErrorHygiene = "G005"
-	// RuleCacheKeySoundness: engine option field read on the serve path
-	// but not consumed by the cache-key canonicalization (or vice versa).
-	RuleCacheKeySoundness = "G011"
-	// RuleDurabilityDiscipline: a journal-writing package breaks the
-	// append+Sync or tmp→fsync→rename→dir-sync shape.
-	RuleDurabilityDiscipline = "G015"
-	// RuleStreamingDiscipline: a serve handler breaks the streaming
-	// contract (flusher discipline, write after an error response).
-	RuleStreamingDiscipline = "G016"
 )
 
 // Finding is one diagnostic produced by an analyzer.
@@ -161,9 +142,6 @@ func Analyzers() []*Analyzer {
 		analyzerG003(),
 		analyzerG004(),
 		analyzerG005(),
-		analyzerG011(),
-		analyzerG015(),
-		analyzerG016(),
 	}
 }
 
@@ -258,15 +236,11 @@ func (r *Report) ByRule(rule string) []Finding {
 
 // Run executes every analyzer over every package and returns the
 // ordered report. Packages are inspected in the order given; the final
-// finding order is position-sorted and independent of it. Module facts
-// (the call graph) are built once over the full package set, so the
-// whole-module rules see every requested package regardless of which
-// one the pass currently visits.
+// finding order is position-sorted and independent of it.
 func Run(l *Loader, pkgs []*Package, analyzers []*Analyzer) *Report {
 	r := &Report{Module: l.ModPath}
-	facts := newModuleFacts(l, pkgs)
 	for _, pkg := range pkgs {
-		pass := &Pass{Loader: l, Pkg: pkg, Mod: facts}
+		pass := &Pass{Loader: l, Pkg: pkg}
 		for _, a := range analyzers {
 			r.Findings = append(r.Findings, a.Run(pass)...)
 		}

@@ -335,14 +335,10 @@ func (f importerFunc) Import(path string) (*types.Package, error) { return f(pat
 
 // Pass hands one package to one analyzer.
 type Pass struct {
-	// Loader is the driver that loaded the package (for module facts).
+	// Loader is the driver that loaded the package (for positions).
 	Loader *Loader
 	// Pkg is the package under analysis.
 	Pkg *Package
-	// Mod is the whole-module call graph and per-function summary set,
-	// built once per Run over every requested package. The per-file
-	// rules ignore it; the whole-module rules query it.
-	Mod *ModuleFacts
 }
 
 // finding builds a Finding anchored at pos with the pass's package and

@@ -4,6 +4,8 @@
 package implic_test
 
 import (
+	"context"
+	"fmt"
 	"os"
 	"testing"
 
@@ -60,6 +62,47 @@ func TestRedundantFaultsArePODEMUntestable(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestRedundantFaultsUndetectedExhaustively checks the proofs at serve
+// size: on 16-input DAGs one fault simulation of every input pattern
+// gives each fault's exact detectability, so a proven fault that any
+// pattern detects is a false positive. The 2000-gate rows skip under
+// -short.
+func TestRedundantFaultsUndetectedExhaustively(t *testing.T) {
+	for _, gates := range []int{300, 1000, 2000} {
+		for seed := int64(1); seed <= 3; seed++ {
+			t.Run(fmt.Sprintf("dag-%d-seed-%d", gates, seed), func(t *testing.T) {
+				if gates >= 2000 && testing.Short() {
+					t.Skip("2000-gate rows take seconds")
+				}
+				c := gen.RandomDAG(seed, 16, gates, gen.DAGOptions{})
+				faults := fault.CollapsedUniverse(c)
+				proven, err := implic.New(c, implic.Options{}).RedundantAmongContext(context.Background(), faults)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := fsim.Run(c, faults, pattern.NewCounter(16), fsim.Options{MaxPatterns: 1 << 16, DropFaults: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				proofs := 0
+				for i, f := range faults {
+					if !proven[i] {
+						continue
+					}
+					proofs++
+					if p, ok := res.FirstDetect[f]; ok {
+						t.Errorf("%s is proven redundant but pattern %d detects it", f.Name(c), p)
+					}
+				}
+				if proofs == 0 {
+					t.Fatal("no fault proven redundant: the check is vacuous")
+				}
+				t.Logf("%d proofs, none detected by any of 65,536 patterns", proofs)
+			})
+		}
 	}
 }
 

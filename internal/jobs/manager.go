@@ -76,8 +76,9 @@ type Stats struct {
 	Completed int64 `json:"completed"`
 	Requeued  int64 `json:"requeued"`
 	Expired   int64 `json:"expired"`
-	// JournalFsyncs counts store fsyncs (journal state records and
-	// result blobs).
+	// JournalFsyncs counts store fsyncs: journal state records, result
+	// blobs, and the directory syncs that make new, renamed and removed
+	// names durable.
 	JournalFsyncs int64 `json:"journal_fsyncs"`
 }
 
@@ -109,6 +110,11 @@ type Manager struct {
 // process died — and starts the scheduler workers and the retention
 // sweeper.
 func New(cfg Config, run Runner) (*Manager, error) {
+	return newManager(cfg, run, osFS{})
+}
+
+// newManager is New over the given file system.
+func newManager(cfg Config, run Runner, fsys fileSystem) (*Manager, error) {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -135,7 +141,7 @@ func New(cfg Config, run Runner) (*Manager, error) {
 
 	var recovered []*job
 	if cfg.Dir != "" {
-		st, err := openStore(cfg.Dir)
+		st, err := openStore(fsys, cfg.Dir)
 		if err != nil {
 			return nil, err
 		}

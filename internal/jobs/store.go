@@ -3,7 +3,9 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,6 +22,13 @@ import (
 // journaled — so a journal that says done implies a readable result,
 // and a crash between the two leaves a running job that recovery
 // simply re-queues.
+//
+// Every directory entry the store creates, renames or removes is made
+// durable by a directory fsync before anything depends on it: the new
+// journal before Submit returns (a 202 the client saw must survive a
+// power loss), the store directory itself at open, the renamed result
+// blob before its done record, and a collected journal before its
+// result blob is unlinked.
 //
 // Recovery is deliberately forgiving at the tail and strict in the
 // middle: a torn final line is what an append interrupted by SIGKILL
@@ -56,19 +65,105 @@ type createRecord struct {
 	CreatedMS  int64           `json:"created_ms"`
 }
 
+// fileSystem is every file operation the store performs. Production
+// uses osFS; the crash-state tests substitute a recording
+// implementation that models what survives a power loss.
+type fileSystem interface {
+	// OpenFile opens (with os.O_CREATE, creates) a file for writing.
+	OpenFile(name string, flag int, perm os.FileMode) (file, error)
+	Rename(oldpath, newpath string) error
+	Remove(name string) error
+	MkdirAll(path string, perm os.FileMode) error
+	// SyncDir fsyncs a directory, making the entries created, renamed
+	// or removed in it durable.
+	SyncDir(dir string) error
+	// ReadDir returns the names of the entries in dir that are not
+	// directories.
+	ReadDir(dir string) ([]string, error)
+	ReadFile(name string) ([]byte, error)
+	// Stat reports whether name exists: nil, or the error os.Stat
+	// returns.
+	Stat(name string) error
+}
+
+// file is an open file: appends, fsync, close.
+type file interface {
+	Write(b []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
+// osFS is the production fileSystem.
+type osFS struct{}
+
+func (osFS) OpenFile(name string, flag int, perm os.FileMode) (file, error) {
+	return os.OpenFile(name, flag, perm)
+}
+func (osFS) Rename(oldpath, newpath string) error         { return os.Rename(oldpath, newpath) }
+func (osFS) Remove(name string) error                     { return os.Remove(name) }
+func (osFS) MkdirAll(path string, perm os.FileMode) error { return os.MkdirAll(path, perm) }
+func (osFS) ReadFile(name string) ([]byte, error)         { return os.ReadFile(name) }
+
+func (osFS) Stat(name string) error {
+	_, err := os.Stat(name)
+	return err
+}
+
+func (osFS) SyncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	serr := d.Sync()
+	cerr := d.Close()
+	if serr != nil {
+		return serr
+	}
+	return cerr
+}
+
+func (osFS) ReadDir(dir string) ([]string, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range entries {
+		if !e.IsDir() {
+			names = append(names, e.Name())
+		}
+	}
+	return names, nil
+}
+
 // store persists jobs under one directory. A nil *store (no -job-dir)
 // disables persistence; the manager checks before every call.
 type store struct {
+	fs     fileSystem
 	dir    string
 	fsyncs atomic.Int64
 }
 
-// openStore creates dir if needed and returns the store.
-func openStore(dir string) (*store, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// openStore creates dir if needed and returns the store. It syncs the
+// parent of dir and of every ancestor MkdirAll creates, so the path to
+// the journals is as durable as the journals. dir's parent is synced
+// even when dir exists: the process that created it may have died
+// before syncing it.
+func openStore(fsys fileSystem, dir string) (*store, error) {
+	parents := []string{filepath.Dir(dir)}
+	for d := filepath.Dir(dir); fsys.Stat(d) != nil && filepath.Dir(d) != d; d = filepath.Dir(d) {
+		parents = append(parents, filepath.Dir(d))
+	}
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("jobs: create store dir: %w", err)
 	}
-	return &store{dir: dir}, nil
+	st := &store{fs: fsys, dir: dir}
+	for _, p := range parents {
+		if err := st.syncDir(p); err != nil {
+			return nil, fmt.Errorf("jobs: sync store dir parent: %w", err)
+		}
+	}
+	return st, nil
 }
 
 func (st *store) journalPath(id string) string { return filepath.Join(st.dir, id+".jnl") }
@@ -82,7 +177,7 @@ func (st *store) appendLine(id string, rec record, sync bool) error {
 	if err != nil {
 		return fmt.Errorf("jobs: marshal journal record: %w", err)
 	}
-	f, err := os.OpenFile(st.journalPath(id), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := st.fs.OpenFile(st.journalPath(id), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("jobs: open journal: %w", err)
 	}
@@ -106,10 +201,11 @@ func (st *store) appendLine(id string, rec record, sync bool) error {
 	return nil
 }
 
-// appendCreate journals the job's create record (fsynced: acceptance
-// of a 202 must survive a crash).
+// appendCreate journals the job's create record and makes the new
+// journal's directory entry durable: acceptance of a 202 must survive
+// a crash, and fsyncing the file alone does not persist its name.
 func (st *store) appendCreate(j *job) error {
-	return st.appendLine(j.id, record{Op: "create", Create: &createRecord{
+	err := st.appendLine(j.id, record{Op: "create", Create: &createRecord{
 		ID:         j.id,
 		Endpoint:   j.endpoint,
 		Key:        j.key,
@@ -117,6 +213,13 @@ func (st *store) appendCreate(j *job) error {
 		DeadlineMS: j.deadline.Milliseconds(),
 		CreatedMS:  j.createdMS,
 	}}, true)
+	if err != nil {
+		return err
+	}
+	if err := st.syncDir(st.dir); err != nil {
+		return fmt.Errorf("jobs: sync journal dir: %w", err)
+	}
+	return nil
 }
 
 // appendState journals a state transition (fsynced).
@@ -135,7 +238,7 @@ func (st *store) appendProgress(id string, p Progress) error {
 // blob or no file at all.
 func (st *store) writeResult(id string, val []byte) error {
 	tmp := st.resultPath(id) + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
+	f, err := st.fs.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("jobs: create result temp: %w", err)
 	}
@@ -149,7 +252,7 @@ func (st *store) writeResult(id string, val []byte) error {
 	}
 	cerr := f.Close()
 	if werr != nil || serr != nil || cerr != nil {
-		_ = os.Remove(tmp)
+		_ = st.fs.Remove(tmp)
 		if werr == nil {
 			werr = serr
 		}
@@ -158,33 +261,24 @@ func (st *store) writeResult(id string, val []byte) error {
 		}
 		return fmt.Errorf("jobs: write result: %w", werr)
 	}
-	if err := os.Rename(tmp, st.resultPath(id)); err != nil {
-		_ = os.Remove(tmp)
+	if err := st.fs.Rename(tmp, st.resultPath(id)); err != nil {
+		_ = st.fs.Remove(tmp)
 		return fmt.Errorf("jobs: install result: %w", err)
 	}
 	// The rename updated directory metadata; without a directory fsync a
 	// crash can forget the installed name even though the blob's bytes
 	// are durable.
-	if err := st.syncDir(); err != nil {
+	if err := st.syncDir(st.dir); err != nil {
 		return fmt.Errorf("jobs: sync result dir: %w", err)
 	}
 	return nil
 }
 
-// syncDir fsyncs the store directory so renames inside it survive a
-// crash (the tail of the tmp→fsync→rename→dir-sync discipline).
-func (st *store) syncDir() error {
-	d, err := os.Open(st.dir)
-	if err != nil {
+// syncDir fsyncs dir so the entries created, renamed or removed in it
+// survive a crash.
+func (st *store) syncDir(dir string) error {
+	if err := st.fs.SyncDir(dir); err != nil {
 		return err
-	}
-	serr := d.Sync()
-	cerr := d.Close()
-	if serr != nil {
-		return serr
-	}
-	if cerr != nil {
-		return cerr
 	}
 	st.fsyncs.Add(1)
 	return nil
@@ -192,22 +286,26 @@ func (st *store) syncDir() error {
 
 // readResult returns the job's result blob.
 func (st *store) readResult(id string) ([]byte, error) {
-	b, err := os.ReadFile(st.resultPath(id))
+	b, err := st.fs.ReadFile(st.resultPath(id))
 	if err != nil {
 		return nil, fmt.Errorf("jobs: read result: %w", err)
 	}
 	return b, nil
 }
 
-// remove deletes the job's journal and result files (GC).
+// remove deletes the job's journal and then its result blob (GC). The
+// journal's removal is synced first: if only the blob's unlink
+// survived a crash, recovery would find a done journal without its
+// blob and report the job failed.
 func (st *store) remove(id string) error {
-	jerr := os.Remove(st.journalPath(id))
-	rerr := os.Remove(st.resultPath(id))
-	if jerr != nil && !os.IsNotExist(jerr) {
-		return fmt.Errorf("jobs: remove journal: %w", jerr)
+	if err := st.fs.Remove(st.journalPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("jobs: remove journal: %w", err)
 	}
-	if rerr != nil && !os.IsNotExist(rerr) {
-		return fmt.Errorf("jobs: remove result: %w", rerr)
+	if err := st.syncDir(st.dir); err != nil {
+		return fmt.Errorf("jobs: sync journal dir: %w", err)
+	}
+	if err := st.fs.Remove(st.resultPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("jobs: remove result: %w", err)
 	}
 	return nil
 }
@@ -218,21 +316,21 @@ func (st *store) remove(id string) error {
 // the caller re-journals and re-queues them. Corrupted journals yield
 // Failed jobs; a torn final line is silently dropped.
 func (st *store) recover(now time.Time) ([]*job, error) {
-	entries, err := os.ReadDir(st.dir)
+	files, err := st.fs.ReadDir(st.dir)
 	if err != nil {
 		return nil, fmt.Errorf("jobs: scan store dir: %w", err)
 	}
 	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".jnl") {
-			names = append(names, e.Name())
+	for _, name := range files {
+		if strings.HasSuffix(name, ".jnl") {
+			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
 	var out []*job
 	for _, name := range names {
 		id := strings.TrimSuffix(name, ".jnl")
-		b, err := os.ReadFile(filepath.Join(st.dir, name))
+		b, err := st.fs.ReadFile(filepath.Join(st.dir, name))
 		if err != nil {
 			return nil, fmt.Errorf("jobs: read journal %s: %w", name, err)
 		}
@@ -320,7 +418,7 @@ func (st *store) replay(id string, data []byte, now time.Time) *job {
 	case Done:
 		// The done record is only written after the result blob rename,
 		// so a missing blob means the directory was tampered with.
-		if _, err := os.Stat(st.resultPath(id)); err != nil {
+		if err := st.fs.Stat(st.resultPath(id)); err != nil {
 			return fail("result blob missing for completed job")
 		}
 	case Queued, Running:
@@ -333,8 +431,8 @@ func (st *store) replay(id string, data []byte, now time.Time) *job {
 	return j
 }
 
-// Fsyncs reports how many fsyncs the store has issued (journal state
-// records and result blobs).
+// Fsyncs reports how many fsyncs the store has issued: journal
+// records, result blobs, and directory syncs.
 func (st *store) Fsyncs() int64 {
 	if st == nil {
 		return 0

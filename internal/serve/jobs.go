@@ -184,7 +184,8 @@ func (s *Server) handleJobEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	// NewResponseController reaches the underlying Flusher through
 	// wrapped ResponseWriters; a nil-tolerated comma-ok Flusher would
-	// silently stop streaming behind middleware (rule G016).
+	// silently stop streaming behind middleware
+	// (TestEventStreamFlushesThroughWrapper).
 	rc := http.NewResponseController(w)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")

@@ -430,16 +430,20 @@ type testPointJSON struct {
 }
 
 type planResponse struct {
-	Circuit       circuitInfo     `json:"circuit"`
-	Planner       string          `json:"planner"`
-	Points        []testPointJSON `json:"points"`
-	MaxCost       int             `json:"max_cost,omitempty"`
-	BaseCost      int             `json:"base_cost,omitempty"`
-	CoveredBefore int             `json:"covered_before,omitempty"`
-	CoveredAfter  int             `json:"covered_after,omitempty"`
-	TotalFaults   int             `json:"total_faults,omitempty"`
-	PrunedFaults  int             `json:"pruned_faults,omitempty"`
-	StatesVisited int64           `json:"states_visited,omitempty"`
+	Circuit  circuitInfo     `json:"circuit"`
+	Planner  string          `json:"planner"`
+	Points   []testPointJSON `json:"points"`
+	MaxCost  int             `json:"max_cost,omitempty"`
+	BaseCost int             `json:"base_cost,omitempty"`
+	// CoveredBefore and CoveredAfter count the faults whose COP-modelled
+	// detection probability reaches dth, without and with the points.
+	// They are not exact fault coverage: on 1000- and 2000-gate 16-input
+	// DAGs they read 7–12 points above exhaustive simulation.
+	CoveredBefore int   `json:"covered_before,omitempty"`
+	CoveredAfter  int   `json:"covered_after,omitempty"`
+	TotalFaults   int   `json:"total_faults,omitempty"`
+	PrunedFaults  int   `json:"pruned_faults,omitempty"`
+	StatesVisited int64 `json:"states_visited,omitempty"`
 }
 
 func namedPoints(c *netlist.Circuit, pts []netlist.TestPoint) []testPointJSON {

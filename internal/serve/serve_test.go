@@ -408,25 +408,28 @@ func TestEndpointTimeouts(t *testing.T) {
 	}
 }
 
+// badRequestCases are the malformed bodies every engine endpoint
+// refuses with 400; TestErrorResponsesWriteOnce sends them too.
+var badRequestCases = []struct {
+	name, endpoint, body string
+	want                 int
+}{
+	{"malformed json", "/v1/plan", `{`, 400},
+	{"no circuit", "/v1/plan", `{}`, 400},
+	{"both circuit forms", "/v1/plan", `{"bench":"INPUT(a)\nOUTPUT(a)","generate":"c17"}`, 400},
+	{"bad bench", "/v1/plan", `{"bench":"INPUT(((("}`, 400},
+	{"bad generator", "/v1/plan", `{"generate":"nosuch:x=1"}`, 400},
+	{"unknown planner", "/v1/plan", `{"generate":"c17","options":{"planner":"magic"}}`, 400},
+	{"unknown option", "/v1/plan", `{"generate":"c17","options":{"plannner":"hybrid"}}`, 400},
+	{"negative budget", "/v1/plan", `{"generate":"c17","options":{"planner":"cuts","k":-1}}`, 400},
+	{"zero patterns", "/v1/faultsim", `{"generate":"c17","options":{"patterns":-5}}`, 400},
+	{"bad source", "/v1/faultsim", `{"generate":"c17","options":{"source":"dice"}}`, 400},
+	{"negative backtracks", "/v1/atpg", `{"generate":"c17","options":{"backtrack_limit":-1}}`, 400},
+}
+
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	cases := []struct {
-		name, endpoint, body string
-		want                 int
-	}{
-		{"malformed json", "/v1/plan", `{`, 400},
-		{"no circuit", "/v1/plan", `{}`, 400},
-		{"both circuit forms", "/v1/plan", `{"bench":"INPUT(a)\nOUTPUT(a)","generate":"c17"}`, 400},
-		{"bad bench", "/v1/plan", `{"bench":"INPUT(((("}`, 400},
-		{"bad generator", "/v1/plan", `{"generate":"nosuch:x=1"}`, 400},
-		{"unknown planner", "/v1/plan", `{"generate":"c17","options":{"planner":"magic"}}`, 400},
-		{"unknown option", "/v1/plan", `{"generate":"c17","options":{"plannner":"hybrid"}}`, 400},
-		{"negative budget", "/v1/plan", `{"generate":"c17","options":{"planner":"cuts","k":-1}}`, 400},
-		{"zero patterns", "/v1/faultsim", `{"generate":"c17","options":{"patterns":-5}}`, 400},
-		{"bad source", "/v1/faultsim", `{"generate":"c17","options":{"source":"dice"}}`, 400},
-		{"negative backtracks", "/v1/atpg", `{"generate":"c17","options":{"backtrack_limit":-1}}`, 400},
-	}
-	for _, tc := range cases {
+	for _, tc := range badRequestCases {
 		st, _, b := post(t, ts.URL+tc.endpoint, tc.body)
 		if st != tc.want {
 			t.Errorf("%s: status = %d body=%s, want %d", tc.name, st, b, tc.want)
@@ -553,6 +556,20 @@ func TestFaultsimAndATPGAndLint(t *testing.T) {
 	}
 	if want := at.Circuit.Inputs; len(at.Vectors[0]) != want {
 		t.Fatalf("vector width = %d, want %d inputs", len(at.Vectors[0]), want)
+	}
+	// Learned implications prune the search; they never change a
+	// fault's status on c17.
+	st, _, b = post(t, ts.URL+"/v1/atpg", `{"generate":"c17","options":{"learn":true}}`)
+	if st != 200 {
+		t.Fatalf("atpg learn: %d %s", st, b)
+	}
+	var learned atpgResponse
+	if err := json.Unmarshal(b, &learned); err != nil {
+		t.Fatal(err)
+	}
+	if at.Detected != learned.Detected || at.Redundant != learned.Redundant || at.Aborted != learned.Aborted {
+		t.Errorf("learning changed per-fault status: plain %d/%d/%d, learned %d/%d/%d",
+			at.Detected, at.Redundant, at.Aborted, learned.Detected, learned.Redundant, learned.Aborted)
 	}
 
 	st, _, b = post(t, ts.URL+"/v1/lint", `{"generate":"c17"}`)

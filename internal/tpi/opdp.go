@@ -64,6 +64,10 @@ type opModel struct {
 	regionNodes map[int][]int
 	// regionChildren[n] = in-region fanins of n.
 	regionChildren [][]int
+	// ctx and done are the plan's context, polled by coveredCount; done
+	// is nil for the planners that take no context.
+	ctx  context.Context
+	done <-chan struct{}
 }
 
 func newOPModel(c *netlist.Circuit, faults []fault.Fault, opts OPOptions) *opModel {
@@ -153,13 +157,14 @@ func (m *opModel) coveredAt(n int, phi, dth float64) int {
 // coveredCount evaluates a concrete OP placement under the model: each
 // fault is covered if its local probability times the observability to
 // its best observer (nearest OP on the in-region path, or the stem's
-// external observability) meets the threshold.
+// external observability) meets the threshold. The walk costs
+// O(gates × depth), so it polls the plan's context every 1024 steps.
 func (m *opModel) coveredCount(ops []int, dth float64) int {
 	isOP := make(map[int]bool, len(ops))
 	for _, s := range ops {
 		isOP[s] = true
 	}
-	total := 0
+	total, steps := 0, 0
 	for n := 0; n < m.c.NumGates(); n++ {
 		if len(m.nodeFaults[n]) == 0 {
 			continue
@@ -169,6 +174,9 @@ func (m *opModel) coveredCount(ops []int, dth float64) int {
 		phi := 1.0
 		cur := n
 		for {
+			if steps++; steps%1024 == 0 {
+				pollDone(m.ctx, m.done)
+			}
 			if isOP[cur] && phi > best {
 				best = phi
 			}
@@ -441,6 +449,7 @@ func planObservationPointsDP(ctx context.Context, c *netlist.Circuit, faults []f
 		k = n
 	}
 	m := newOPModel(c, faults, opts)
+	m.ctx, m.done = ctx, ctx.Done()
 	plan := &OPPlan{
 		TotalFaults:   len(faults),
 		CoveredBefore: m.coveredCount(nil, dth),

@@ -251,3 +251,29 @@ func TestOPDPHonorsDeadlineAcrossRegions(t *testing.T) {
 		t.Errorf("deadline of 200ms honoured after %v", d)
 	}
 }
+
+// TestOPDPHonorsDeadlineInCoverageWalk pins the coverage model's walk
+// from each faulty node up to its stem: on a 20,000-inverter chain over
+// the full fault universe (the collapsed one keeps only two faults) one
+// walk costs O(gates × depth), about a second, so it must poll.
+func TestOPDPHonorsDeadlineInCoverageWalk(t *testing.T) {
+	const n = 20000
+	b := netlist.NewBuilder("chain")
+	prev := b.Input("x")
+	for i := 0; i < n; i++ {
+		prev = b.NotGate(fmt.Sprintf("g%d", i), prev)
+	}
+	b.MarkOutput(prev)
+	c := b.MustBuild()
+	const deadline = 300 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	start := time.Now()
+	_, err := PlanObservationPointsDPContext(ctx, c, fault.Universe(c), 4, 1.0/4096, OPOptions{})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if d := time.Since(start); d > deadline+250*time.Millisecond {
+		t.Errorf("deadline of %v honoured after %v", deadline, d)
+	}
+}
