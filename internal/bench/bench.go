@@ -9,14 +9,22 @@
 //
 // Gate mnemonics are case-insensitive. One-input AND/OR gates are read as
 // buffers; one-input NAND/NOR as inverters (some published netlists use
-// this shorthand).
+// this shorthand). A line that starts with INPUT or OUTPUT is an
+// assignment, not a declaration, when the keyword is not followed by
+// "(" and the line holds an "=", so gates may be named "inputx" or
+// "OUTPUT_1".
+//
+// The parser scans the text once and slices every name out of it in
+// place: the gate names of a parsed circuit alias the input text, so the
+// circuit keeps the string given to ParseString (or Parse's copy of its
+// input) alive.
 package bench
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/netlist"
@@ -31,108 +39,177 @@ type ParseError struct {
 // Error implements the error interface.
 func (e *ParseError) Error() string { return fmt.Sprintf("bench: line %d: %s", e.Line, e.Msg) }
 
-type rawGate struct {
-	name  string
-	fn    string
-	fanin []string
-	line  int
+// Parse reads a .bench netlist whole and returns the validated circuit.
+// The name is used as the circuit name.
+func Parse(r io.Reader, name string) (*netlist.Circuit, error) {
+	src, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("bench: read: %w", err)
+	}
+	return ParseString(string(src), name)
 }
 
-// Parse reads a .bench netlist and returns the validated circuit. The
-// name is used as the circuit name.
-func Parse(r io.Reader, name string) (*netlist.Circuit, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+// ParseString is Parse over an in-memory netlist. The circuit's gate
+// names are substrings of src.
+func ParseString(src, name string) (*netlist.Circuit, error) {
+	p := newParser(src)
+	if err := p.scan(src); err != nil {
+		return nil, err
+	}
+	return p.assemble(name)
+}
 
-	var inputs, outputs []string
-	var raws []rawGate
+// Record kinds: one record per non-blank line.
+const (
+	inputDecl = iota
+	outputDecl
+	assignment
+)
+
+// record is one scanned line. sym is the input or the assigned signal,
+// and an assignment's fanin symbols are pins[pin0:pin1]. text is an
+// assignment's mnemonic or an OUTPUT's signal name; outputs are looked
+// up once every gate has a symbol, so that text whose gates follow their
+// fanins numbers its symbols in gate-ID order.
+type record struct {
+	kind       uint8
+	line       int32
+	sym        int32
+	pin0, pin1 int32
+	text       string
+}
+
+// parser holds the scanned netlist. Each distinct name is a symbol: its
+// first spelling in names, and its number in index. Assembly turns index
+// into the circuit's name-to-ID map.
+type parser struct {
+	index   map[string]int
+	names   []string
+	records []record
+	pins    []int32
+	outputs int // OUTPUT declarations, to size the output list
+}
+
+// newParser sizes every table from src's line and comma counts, which
+// bound the records, the defined names and the fanin pins. The line
+// count is capped in proportion to src's length, so that blank or
+// comment lines cannot reserve table entries that no text fills: a
+// netlist line takes 12 bytes or more in all but the smallest circuits,
+// and denser text grows the tables as it goes.
+func newParser(src string) *parser {
+	lines := min(strings.Count(src, "\n")+1, len(src)/12+1)
+	return &parser{
+		index:   make(map[string]int, lines),
+		names:   make([]string, 0, lines),
+		records: make([]record, 0, lines),
+		pins:    make([]int32, 0, lines+strings.Count(src, ",")),
+	}
+}
+
+// sym returns name's symbol, numbering it on first sight.
+func (p *parser) sym(name string) int32 {
+	if s, ok := p.index[name]; ok {
+		return int32(s)
+	}
+	s := len(p.names)
+	p.index[name] = s
+	p.names = append(p.names, name)
+	return int32(s)
+}
+
+// scan splits src into lines in place and records each one, stopping at
+// the first malformed line.
+func (p *parser) scan(src string) error {
 	lineNo := 0
-	for sc.Scan() {
+	for len(src) > 0 {
+		line := src
+		if i := strings.IndexByte(src, '\n'); i >= 0 {
+			line, src = src[:i], src[i+1:]
+		} else {
+			src = ""
+		}
 		lineNo++
-		line := strings.TrimSpace(sc.Text())
+		line = strings.TrimSpace(line)
 		if i := strings.IndexByte(line, '#'); i >= 0 {
 			line = strings.TrimSpace(line[:i])
 		}
 		if line == "" {
 			continue
 		}
+		var err error
 		switch {
-		case hasPrefixFold(line, "INPUT"):
-			sig, err := parseDecl(line, "INPUT", lineNo)
-			if err != nil {
-				return nil, err
-			}
-			inputs = append(inputs, sig)
-		case hasPrefixFold(line, "OUTPUT"):
-			sig, err := parseDecl(line, "OUTPUT", lineNo)
-			if err != nil {
-				return nil, err
-			}
-			outputs = append(outputs, sig)
+		case isDecl(line, "INPUT"):
+			err = p.decl(line, "INPUT", inputDecl, lineNo)
+		case isDecl(line, "OUTPUT"):
+			err = p.decl(line, "OUTPUT", outputDecl, lineNo)
 		default:
-			g, err := parseAssign(line, lineNo)
-			if err != nil {
-				return nil, err
-			}
-			raws = append(raws, g)
+			err = p.assign(line, lineNo)
+		}
+		if err != nil {
+			return err
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("bench: read: %w", err)
+	return nil
+}
+
+// isDecl reports whether line declares kw: it starts with the keyword in
+// any case, and the keyword is followed by "(" or the line holds no "=".
+func isDecl(line, kw string) bool {
+	if len(line) < len(kw) || !strings.EqualFold(line[:len(kw)], kw) {
+		return false
 	}
-	return assemble(name, inputs, outputs, raws)
+	return strings.HasPrefix(strings.TrimSpace(line[len(kw):]), "(") || strings.IndexByte(line, '=') < 0
 }
 
-// ParseString is Parse over an in-memory netlist.
-func ParseString(s, name string) (*netlist.Circuit, error) {
-	return Parse(strings.NewReader(s), name)
-}
-
-func hasPrefixFold(s, prefix string) bool {
-	return len(s) >= len(prefix) && strings.EqualFold(s[:len(prefix)], prefix)
-}
-
-// parseDecl parses "INPUT(sig)" / "OUTPUT(sig)".
-func parseDecl(line, kw string, lineNo int) (string, error) {
+// decl records "INPUT(sig)" / "OUTPUT(sig)".
+func (p *parser) decl(line, kw string, kind uint8, lineNo int) error {
 	rest := strings.TrimSpace(line[len(kw):])
 	if !strings.HasPrefix(rest, "(") || !strings.HasSuffix(rest, ")") {
-		return "", &ParseError{lineNo, fmt.Sprintf("malformed %s declaration %q", kw, line)}
+		return &ParseError{lineNo, fmt.Sprintf("malformed %s declaration %q", kw, line)}
 	}
 	sig := strings.TrimSpace(rest[1 : len(rest)-1])
 	if sig == "" {
-		return "", &ParseError{lineNo, fmt.Sprintf("empty signal in %s declaration", kw)}
+		return &ParseError{lineNo, fmt.Sprintf("empty signal in %s declaration", kw)}
 	}
-	return sig, nil
+	if kind == outputDecl {
+		p.outputs++
+		p.records = append(p.records, record{kind: kind, line: int32(lineNo), text: sig})
+	} else {
+		p.records = append(p.records, record{kind: kind, line: int32(lineNo), sym: p.sym(sig)})
+	}
+	return nil
 }
 
-// parseAssign parses "name = FN(a, b, ...)".
-func parseAssign(line string, lineNo int) (rawGate, error) {
+// assign records "name = FN(a, b, ...)".
+func (p *parser) assign(line string, lineNo int) error {
 	eq := strings.IndexByte(line, '=')
 	if eq < 0 {
-		return rawGate{}, &ParseError{lineNo, fmt.Sprintf("expected assignment, got %q", line)}
+		return &ParseError{lineNo, fmt.Sprintf("expected assignment, got %q", line)}
 	}
 	name := strings.TrimSpace(line[:eq])
 	if name == "" {
-		return rawGate{}, &ParseError{lineNo, "empty signal name on left-hand side"}
+		return &ParseError{lineNo, "empty signal name on left-hand side"}
 	}
 	rhs := strings.TrimSpace(line[eq+1:])
 	open := strings.IndexByte(rhs, '(')
 	if open < 0 || !strings.HasSuffix(rhs, ")") {
-		return rawGate{}, &ParseError{lineNo, fmt.Sprintf("malformed gate expression %q", rhs)}
+		return &ParseError{lineNo, fmt.Sprintf("malformed gate expression %q", rhs)}
 	}
-	fn := strings.ToUpper(strings.TrimSpace(rhs[:open]))
-	var fanin []string
-	for _, part := range strings.Split(rhs[open+1:len(rhs)-1], ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			return rawGate{}, &ParseError{lineNo, "empty fanin signal"}
+	pin0 := int32(len(p.pins))
+	args := rhs[open+1 : len(rhs)-1]
+	for more := true; more; {
+		var part string
+		part, args, more = strings.Cut(args, ",")
+		if part = strings.TrimSpace(part); part == "" {
+			return &ParseError{lineNo, "empty fanin signal"}
 		}
-		fanin = append(fanin, part)
+		p.pins = append(p.pins, p.sym(part))
 	}
-	if len(fanin) == 0 {
-		return rawGate{}, &ParseError{lineNo, "gate with no fanin"}
-	}
-	return rawGate{name: name, fn: fn, fanin: fanin, line: lineNo}, nil
+	p.records = append(p.records, record{
+		kind: assignment, line: int32(lineNo), sym: p.sym(name),
+		pin0: pin0, pin1: int32(len(p.pins)), text: strings.TrimSpace(rhs[:open]),
+	})
+	return nil
 }
 
 // gateType maps a mnemonic and arity onto a netlist gate type, applying
@@ -177,104 +254,174 @@ func gateType(fn string, arity, lineNo int) (netlist.GateType, error) {
 	return 0, &ParseError{lineNo, fmt.Sprintf("unknown gate function %q", fn)}
 }
 
-// assemble resolves names and builds the circuit.
-func assemble(name string, inputs, outputs []string, raws []rawGate) (*netlist.Circuit, error) {
-	b := netlist.NewBuilder(name)
-	ids := make(map[string]int, len(inputs)+len(raws))
-	for _, in := range inputs {
-		if _, dup := ids[in]; dup {
-			return nil, fmt.Errorf("bench: duplicate INPUT declaration %q", in)
-		}
-		ids[in] = b.Input(in)
+// assemble numbers the signals and builds the circuit. Inputs take the
+// first IDs in declaration order. Gates may be declared in any order:
+// passes over the gates still pending, in line order, give each gate
+// the next ID once all its fanins have one.
+func (p *parser) assemble(name string) (*netlist.Circuit, error) {
+	gateOf := make([]int32, len(p.names)) // symbol → gate ID, -1 while undriven
+	for s := range gateOf {
+		gateOf[s] = -1
 	}
-	// Gates may be declared in any order; resolve with a worklist keyed on
-	// how many fanins are already defined.
-	pending := make([]rawGate, len(raws))
-	copy(pending, raws)
+	gates := make([]netlist.Gate, 0, len(p.names))
+	for _, r := range p.records {
+		if r.kind != inputDecl {
+			continue
+		}
+		if gateOf[r.sym] >= 0 {
+			return nil, fmt.Errorf("bench: duplicate INPUT declaration %q", p.names[r.sym])
+		}
+		gateOf[r.sym] = int32(len(gates))
+		gates = append(gates, netlist.Gate{Type: netlist.Input, Name: p.names[r.sym]})
+	}
+
+	fanin := make([]int, 0, len(p.pins)) // every gate's fanin IDs, gate after gate
+	// place gives r its ID if its fanins all have one, and reports
+	// whether it did.
+	place := func(r *record) (bool, error) {
+		pins := p.pins[r.pin0:r.pin1]
+		for _, s := range pins {
+			if gateOf[s] < 0 {
+				return false, nil
+			}
+		}
+		t, err := gateType(strings.ToUpper(r.text), len(pins), int(r.line))
+		if err != nil {
+			return false, err
+		}
+		if t == netlist.Buf || t == netlist.Not {
+			pins = pins[:1] // the single-input shorthand keeps the first fanin
+		}
+		start := len(fanin)
+		for _, s := range pins {
+			fanin = append(fanin, int(gateOf[s]))
+		}
+		if gateOf[r.sym] >= 0 {
+			return false, &ParseError{int(r.line), fmt.Sprintf("signal %q defined twice", p.names[r.sym])}
+		}
+		gateOf[r.sym] = int32(len(gates))
+		gates = append(gates, netlist.Gate{Type: t, Name: p.names[r.sym], Fanin: fanin[start:len(fanin):len(fanin)]})
+		return true, nil
+	}
+	pending := make([]int32, 0, len(p.records)) // assignments not yet placed, in line order
+	for i, r := range p.records {
+		if r.kind == assignment {
+			pending = append(pending, int32(i))
+		}
+	}
 	for len(pending) > 0 {
-		progressed := false
 		remaining := pending[:0]
-		for _, g := range pending {
-			ready := true
-			for _, f := range g.fanin {
-				if _, ok := ids[f]; !ok {
-					ready = false
-					break
+		for _, i := range pending {
+			if ok, err := place(&p.records[i]); err != nil {
+				return nil, err
+			} else if !ok {
+				remaining = append(remaining, i)
+			}
+		}
+		if len(remaining) == len(pending) {
+			// Either an undefined signal or a cycle; report the first.
+			r := &p.records[pending[0]]
+			for _, s := range p.pins[r.pin0:r.pin1] {
+				if gateOf[s] < 0 {
+					return nil, &ParseError{int(r.line), fmt.Sprintf("undefined signal %q (or combinational loop)", p.names[s])}
 				}
 			}
-			if !ready {
-				remaining = append(remaining, g)
-				continue
-			}
-			t, err := gateType(g.fn, len(g.fanin), g.line)
-			if err != nil {
-				return nil, err
-			}
-			fanin := make([]int, 0, len(g.fanin))
-			// Single-input shorthand keeps only the first fanin.
-			n := len(g.fanin)
-			if t == netlist.Buf || t == netlist.Not {
-				n = 1
-			}
-			for _, f := range g.fanin[:n] {
-				fanin = append(fanin, ids[f])
-			}
-			if _, dup := ids[g.name]; dup {
-				return nil, &ParseError{g.line, fmt.Sprintf("signal %q defined twice", g.name)}
-			}
-			ids[g.name] = b.Add(t, g.name, fanin...)
-			progressed = true
+			return nil, &ParseError{int(r.line), "combinational loop"}
 		}
 		pending = remaining
-		if !progressed {
-			// Either an undefined signal or a cycle; report the first.
-			g := pending[0]
-			for _, f := range g.fanin {
-				if _, ok := ids[f]; !ok {
-					return nil, &ParseError{g.line, fmt.Sprintf("undefined signal %q (or combinational loop)", f)}
-				}
-			}
-			return nil, &ParseError{g.line, "combinational loop"}
-		}
 	}
-	for _, o := range outputs {
-		id, ok := ids[o]
+
+	outputs := make([]int, 0, p.outputs)
+	for _, r := range p.records {
+		if r.kind != outputDecl {
+			continue
+		}
+		s, ok := p.index[r.text]
 		if !ok {
-			return nil, fmt.Errorf("bench: OUTPUT %q has no driver", o)
+			return nil, fmt.Errorf("bench: OUTPUT %q has no driver", r.text)
 		}
-		b.MarkOutput(id)
+		outputs = append(outputs, int(gateOf[s]))
 	}
-	return b.Build()
+	// Every symbol now names a gate, so the index becomes the circuit's.
+	// It needs renumbering only when symbols and gate IDs differ, as
+	// when a gate is named before its definition.
+	for s, id := range gateOf {
+		if int(id) != s {
+			for s, nm := range p.names {
+				p.index[nm] = int(gateOf[s])
+			}
+			break
+		}
+	}
+	return netlist.Assemble(name, gates, outputs, p.index)
 }
 
 // Write emits the circuit in .bench format. Gates appear in topological
 // order so the output parses without forward references even in strict
 // readers.
 func Write(w io.Writer, c *netlist.Circuit) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "# %s\n# %d inputs, %d outputs, %d gates\n",
-		c.Name(), c.NumInputs(), c.NumOutputs(), c.NumGates()-c.NumInputs())
+	_, err := w.Write(Append(nil, c))
+	return err
+}
+
+// Append appends the circuit's .bench text, exactly as Write emits it,
+// to dst and returns the extended buffer.
+func Append(dst []byte, c *netlist.Circuit) []byte {
+	// Reserve an upper bound on the text up front. The header's fixed
+	// text and three counts fit in 96 bytes. A gate's name appears at
+	// most twice, in a declaration and an OUTPUT line or an assignment,
+	// around at most 20 bytes of fixed text; each fanin adds its name
+	// and a separator.
+	size := 96 + len(c.Name())
+	for id := 0; id < c.NumGates(); id++ {
+		size += 2*len(c.GateName(id)) + 20
+		for _, f := range c.Fanin(id) {
+			size += len(c.GateName(f)) + 2
+		}
+	}
+	dst = slices.Grow(dst, size)
+
+	dst = append(dst, "# "...)
+	dst = append(dst, c.Name()...)
+	dst = append(dst, "\n# "...)
+	dst = strconv.AppendInt(dst, int64(c.NumInputs()), 10)
+	dst = append(dst, " inputs, "...)
+	dst = strconv.AppendInt(dst, int64(c.NumOutputs()), 10)
+	dst = append(dst, " outputs, "...)
+	dst = strconv.AppendInt(dst, int64(c.NumGates()-c.NumInputs()), 10)
+	dst = append(dst, " gates\n"...)
 	for _, in := range c.Inputs() {
-		fmt.Fprintf(bw, "INPUT(%s)\n", c.GateName(in))
+		dst = append(dst, "INPUT("...)
+		dst = append(dst, c.GateName(in)...)
+		dst = append(dst, ")\n"...)
 	}
-	outs := append([]int(nil), c.Outputs()...)
-	sort.Ints(outs)
-	for _, o := range outs {
-		fmt.Fprintf(bw, "OUTPUT(%s)\n", c.GateName(o))
+	// Outputs in ascending ID order: the output list holds each ID once.
+	for id := 0; id < c.NumGates(); id++ {
+		if c.IsOutput(id) {
+			dst = append(dst, "OUTPUT("...)
+			dst = append(dst, c.GateName(id)...)
+			dst = append(dst, ")\n"...)
+		}
 	}
-	bw.WriteByte('\n')
+	dst = append(dst, '\n')
 	for _, id := range c.TopoOrder() {
 		g := c.Gate(id)
 		if g.Type == netlist.Input {
 			continue
 		}
-		names := make([]string, len(g.Fanin))
+		dst = append(dst, g.Name...)
+		dst = append(dst, " = "...)
+		dst = append(dst, mnemonic(g.Type)...)
+		dst = append(dst, '(')
 		for i, f := range g.Fanin {
-			names[i] = c.GateName(f)
+			if i > 0 {
+				dst = append(dst, ", "...)
+			}
+			dst = append(dst, c.GateName(f)...)
 		}
-		fmt.Fprintf(bw, "%s = %s(%s)\n", g.Name, mnemonic(g.Type), strings.Join(names, ", "))
+		dst = append(dst, ")\n"...)
 	}
-	return bw.Flush()
+	return dst
 }
 
 func mnemonic(t netlist.GateType) string {

@@ -191,3 +191,52 @@ func TestParseTestdataFiles(t *testing.T) {
 		}
 	}
 }
+
+// TestParseKeywordNamedGates: a gate whose name begins with INPUT or
+// OUTPUT, in any case, is an assignment and round-trips through Write,
+// while a keyword followed by "(" or a line without "=" stays a
+// declaration.
+func TestParseKeywordNamedGates(t *testing.T) {
+	cases := []struct {
+		text, gate string
+		typ        netlist.GateType
+	}{
+		{"INPUT(a)\nINPUT(b)\nOUTPUT(inputx)\ninputx = AND(a, b)\n", "inputx", netlist.And},
+		{"INPUT(a)\nOUTPUT(OUTPUT_1)\nOUTPUT_1 = NOT(a)\n", "OUTPUT_1", netlist.Not},
+		{"INPUT (a)\nINPUT(b)\noutput\t(Input2)\nInput2=OR(a,b)\n", "Input2", netlist.Or},
+	}
+	for _, tc := range cases {
+		c, err := ParseString(tc.text, "kw")
+		if err != nil {
+			t.Fatalf("%q: %v", tc.text, err)
+		}
+		id, ok := c.GateByName(tc.gate)
+		if !ok || c.Type(id) != tc.typ || !c.IsOutput(id) || c.NumInputs() != c.NumGates()-1 {
+			t.Fatalf("%q: gate %q missing, mistyped or not an output: %v", tc.text, tc.gate, c)
+		}
+		var sb strings.Builder
+		if err := Write(&sb, c); err != nil {
+			t.Fatal(err)
+		}
+		c2, err := ParseString(sb.String(), "kw")
+		if err != nil {
+			t.Fatalf("reparse of\n%s: %v", sb.String(), err)
+		}
+		var again strings.Builder
+		if err := Write(&again, c2); err != nil {
+			t.Fatal(err)
+		}
+		if again.String() != sb.String() {
+			t.Fatalf("round trip changed the text:\n%s\nvs\n%s", sb.String(), again.String())
+		}
+	}
+	for text, want := range map[string]string{
+		"INPUT a\nOUTPUT(z)\nz = NOT(a)\n":      "bench: line 1: malformed INPUT declaration \"INPUT a\"",
+		"INPUT(a)\noutput z\nz = NOT(a)\n":      "bench: line 2: malformed OUTPUT declaration \"output z\"",
+		"INPUT(a) = b\nOUTPUT(z)\nz = NOT(a)\n": "bench: line 1: malformed INPUT declaration \"INPUT(a) = b\"",
+	} {
+		if _, err := ParseString(text, "kw"); err == nil || err.Error() != want {
+			t.Errorf("%q: error %v, want %s", text, err, want)
+		}
+	}
+}

@@ -144,7 +144,7 @@ func (b *Builder) Build() (*Circuit, error) {
 		copy(fanin, g.Fanin)
 		gates[id] = Gate{Type: g.Type, Name: g.Name, Fanin: fanin}
 	}
-	return newCircuit(b.name, gates, append([]int(nil), b.outputs...))
+	return newCircuit(b.name, gates, append([]int(nil), b.outputs...), nil)
 }
 
 // MustBuild is Build for circuits that are known-correct by construction

@@ -28,13 +28,27 @@ type Circuit struct {
 // contains a cycle.
 var ErrCombinationalLoop = errors.New("netlist: combinational loop")
 
-// newCircuit validates the raw gate list and computes derived structure.
-func newCircuit(name string, gates []Gate, outputs []int) (*Circuit, error) {
-	c := &Circuit{
-		name:   name,
-		gates:  gates,
-		byName: make(map[string]int, len(gates)),
+// Assemble validates a gate list and returns its circuit, as Build does
+// for a Builder's gates. It takes ownership of gates, outputs and
+// byName, which must map every gate's name to its ID and hold nothing
+// else; a parser that already keeps such an index hands it over instead
+// of having a second one built. Only the index's size is checked here;
+// Validate checks every entry. Duplicate outputs are tolerated.
+func Assemble(name string, gates []Gate, outputs []int, byName map[string]int) (*Circuit, error) {
+	if len(byName) != len(gates) {
+		return nil, fmt.Errorf("netlist: name index has %d entries for %d gates", len(byName), len(gates))
 	}
+	return newCircuit(name, gates, outputs, byName)
+}
+
+// newCircuit validates the raw gate list and computes derived structure.
+// A nil byName is built from the gate names; a given one is trusted.
+func newCircuit(name string, gates []Gate, outputs []int, byName map[string]int) (*Circuit, error) {
+	c := &Circuit{name: name, gates: gates, byName: byName}
+	if byName == nil {
+		c.byName = make(map[string]int, len(gates))
+	}
+	inputs := 0
 	for id, g := range gates {
 		if !g.Type.Valid() {
 			return nil, fmt.Errorf("netlist: gate %d (%q): invalid type", id, g.Name)
@@ -42,10 +56,12 @@ func newCircuit(name string, gates []Gate, outputs []int) (*Circuit, error) {
 		if g.Name == "" {
 			return nil, fmt.Errorf("netlist: gate %d: empty name", id)
 		}
-		if prev, dup := c.byName[g.Name]; dup {
-			return nil, fmt.Errorf("netlist: duplicate gate name %q (ids %d and %d)", g.Name, prev, id)
+		if byName == nil {
+			if prev, dup := c.byName[g.Name]; dup {
+				return nil, fmt.Errorf("netlist: duplicate gate name %q (ids %d and %d)", g.Name, prev, id)
+			}
+			c.byName[g.Name] = id
 		}
-		c.byName[g.Name] = id
 		if n, min, max := len(g.Fanin), g.Type.MinFanin(), g.Type.MaxFanin(); n < min || (max >= 0 && n > max) {
 			return nil, fmt.Errorf("netlist: gate %q (%s): fanin count %d out of range", g.Name, g.Type, n)
 		}
@@ -55,11 +71,18 @@ func newCircuit(name string, gates []Gate, outputs []int) (*Circuit, error) {
 			}
 		}
 		if g.Type == Input {
+			inputs++
+		}
+	}
+	c.inputs = make([]int, 0, inputs)
+	for id, g := range gates {
+		if g.Type == Input {
 			c.inputs = append(c.inputs, id)
 		}
 	}
 
 	c.isOutput = make([]bool, len(gates))
+	c.outputs = make([]int, 0, len(outputs))
 	for _, o := range outputs {
 		if o < 0 || o >= len(gates) {
 			return nil, fmt.Errorf("netlist: output id %d out of range", o)
@@ -74,21 +97,47 @@ func newCircuit(name string, gates []Gate, outputs []int) (*Circuit, error) {
 		return nil, errors.New("netlist: circuit has no primary outputs")
 	}
 
-	c.fanout = make([][]int, len(gates))
-	for id, g := range gates {
-		for _, f := range g.Fanin {
-			c.fanout[f] = append(c.fanout[f], id)
-		}
-	}
-
+	c.buildFanout()
 	if err := c.levelize(); err != nil {
 		return nil, err
 	}
 	return c, nil
 }
 
+// buildFanout lays every signal's fanout list out in one flat slice, in
+// consumer-ID order with one entry per consuming pin.
+func (c *Circuit) buildFanout() {
+	n := len(c.gates)
+	// end[f] counts f's pins, then becomes the end of f's run, and the
+	// backwards fill below walks it down to the run's start.
+	end := make([]int, n+1)
+	for _, g := range c.gates {
+		for _, f := range g.Fanin {
+			end[f]++
+		}
+	}
+	for f := 1; f < n; f++ {
+		end[f] += end[f-1]
+	}
+	if n > 0 {
+		end[n] = end[n-1]
+	}
+	flat := make([]int, end[n])
+	for id := n - 1; id >= 0; id-- {
+		for _, f := range c.gates[id].Fanin {
+			end[f]--
+			flat[end[f]] = id
+		}
+	}
+	c.fanout = make([][]int, n)
+	for f := range c.fanout {
+		c.fanout[f] = flat[end[f]:end[f+1]:end[f+1]]
+	}
+}
+
 // levelize computes the topological order and logic levels via Kahn's
-// algorithm, detecting combinational loops.
+// algorithm, detecting combinational loops. The order doubles as the
+// queue: gates are appended when their last fanin is placed.
 func (c *Circuit) levelize() error {
 	n := len(c.gates)
 	c.level = make([]int, n)
@@ -96,24 +145,19 @@ func (c *Circuit) levelize() error {
 	indeg := make([]int, n)
 	for id := range c.gates {
 		indeg[id] = len(c.gates[id].Fanin)
-	}
-	queue := make([]int, 0, n)
-	for id := range c.gates {
 		if indeg[id] == 0 {
-			queue = append(queue, id)
+			c.order = append(c.order, id)
 		}
 	}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		c.order = append(c.order, id)
+	for head := 0; head < len(c.order); head++ {
+		id := c.order[head]
 		for _, s := range c.fanout[id] {
 			if l := c.level[id] + 1; l > c.level[s] {
 				c.level[s] = l
 			}
 			indeg[s]--
 			if indeg[s] == 0 {
-				queue = append(queue, s)
+				c.order = append(c.order, s)
 			}
 		}
 	}

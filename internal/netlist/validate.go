@@ -53,31 +53,32 @@ func (c *Circuit) Validate() error {
 		prev = id
 	}
 
-	// Output list and flags.
+	// Output list and flags. scratch holds one counter per signal and is
+	// reused by each check below.
 	if len(c.outputs) == 0 {
 		return fmt.Errorf("netlist: circuit has no primary outputs")
 	}
 	if len(c.isOutput) != n {
 		return fmt.Errorf("netlist: output flag slice has %d entries for %d gates", len(c.isOutput), n)
 	}
-	marked := 0
-	seen := make(map[int]bool, len(c.outputs))
+	scratch := make([]int, n)
 	for _, o := range c.outputs {
 		if o < 0 || o >= n {
 			return fmt.Errorf("netlist: output id %d out of range", o)
 		}
-		if seen[o] {
+		if scratch[o] != 0 {
 			return fmt.Errorf("netlist: output id %d listed twice", o)
 		}
-		seen[o] = true
+		scratch[o] = 1
 		if !c.isOutput[o] {
 			return fmt.Errorf("netlist: output id %d not flagged", o)
 		}
 	}
+	marked := 0
 	for id, f := range c.isOutput {
 		if f {
 			marked++
-			if !seen[id] {
+			if scratch[id] == 0 {
 				return fmt.Errorf("netlist: gate %d flagged as output but not listed", id)
 			}
 		}
@@ -88,27 +89,48 @@ func (c *Circuit) Validate() error {
 
 	// Fanin/fanout symmetry: the fanout lists must be exactly the
 	// transpose of the fanin lists, with one entry per consuming pin, in
-	// gate-ID order (the order newCircuit builds them in).
+	// gate-ID order (the order newCircuit builds them in). The lowest
+	// signal that breaks this is reported, a wrong count before a wrong
+	// entry.
 	if len(c.fanout) != n {
 		return fmt.Errorf("netlist: fanout table has %d entries for %d gates", len(c.fanout), n)
 	}
-	want := make([][]int, n)
-	for id, g := range c.gates {
+	clear(scratch)
+	for _, g := range c.gates {
 		for _, f := range g.Fanin {
-			want[f] = append(want[f], id)
+			scratch[f]++
 		}
 	}
-	for id := range want {
-		if len(want[id]) != len(c.fanout[id]) {
-			return fmt.Errorf("netlist: signal %d: fanout count %d, transpose of fanin gives %d",
-				id, len(c.fanout[id]), len(want[id]))
+	bad, badCount := n, 0
+	for id, cnt := range scratch {
+		if cnt != len(c.fanout[id]) {
+			bad, badCount = id, cnt
+			break
 		}
-		for i, s := range want[id] {
-			if c.fanout[id][i] != s {
-				return fmt.Errorf("netlist: signal %d: fanout entry %d is %d, transpose of fanin gives %d",
-					id, i, c.fanout[id][i], s)
+	}
+	// Every signal below bad has the right count, so a cursor per signal
+	// stays within its entries as the pins are walked in gate-ID order.
+	clear(scratch)
+	badEntry, badWant := -1, 0
+	for id, g := range c.gates {
+		for _, f := range g.Fanin {
+			if f >= bad {
+				continue
 			}
+			if c.fanout[f][scratch[f]] != id {
+				bad, badEntry, badWant = f, scratch[f], id
+				continue
+			}
+			scratch[f]++
 		}
+	}
+	if badEntry >= 0 {
+		return fmt.Errorf("netlist: signal %d: fanout entry %d is %d, transpose of fanin gives %d",
+			bad, badEntry, c.fanout[bad][badEntry], badWant)
+	}
+	if bad < n {
+		return fmt.Errorf("netlist: signal %d: fanout count %d, transpose of fanin gives %d",
+			bad, len(c.fanout[bad]), badCount)
 	}
 
 	// Topological order: a permutation in which every gate follows all of
@@ -117,7 +139,7 @@ func (c *Circuit) Validate() error {
 	if len(c.order) != n {
 		return fmt.Errorf("netlist: topo order has %d entries for %d gates", len(c.order), n)
 	}
-	pos := make([]int, n)
+	pos := scratch
 	for i := range pos {
 		pos[i] = -1
 	}

@@ -1,6 +1,8 @@
 package netlist
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -110,5 +112,78 @@ func TestValidateCatchesCorruption(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.wantSub)
 			}
 		})
+	}
+}
+
+// transposeError is the fanin/fanout symmetry check as it was first
+// written, over a transpose rebuilt in per-signal slices: the reference
+// for Validate's counting walk.
+func transposeError(c *Circuit) string {
+	want := make([][]int, len(c.gates))
+	for id, g := range c.gates {
+		for _, f := range g.Fanin {
+			want[f] = append(want[f], id)
+		}
+	}
+	for id := range want {
+		if len(want[id]) != len(c.fanout[id]) {
+			return fmt.Sprintf("netlist: signal %d: fanout count %d, transpose of fanin gives %d",
+				id, len(c.fanout[id]), len(want[id]))
+		}
+		for i, s := range want[id] {
+			if c.fanout[id][i] != s {
+				return fmt.Sprintf("netlist: signal %d: fanout entry %d is %d, transpose of fanin gives %d",
+					id, i, c.fanout[id][i], s)
+			}
+		}
+	}
+	return ""
+}
+
+// TestValidateFanoutMatchesTranspose corrupts the fanout lists of a
+// random reconvergent circuit in one to three places at a time and
+// checks that Validate reports exactly what the transpose reference
+// reports: the same signal, entry and message.
+func TestValidateFanoutMatchesTranspose(t *testing.T) {
+	build := func() *Circuit {
+		rng := rand.New(rand.NewSource(5))
+		b := NewBuilder("fan")
+		for i := 0; i < 8; i++ {
+			b.Input(fmt.Sprint("i", i))
+		}
+		for i := 0; i < 60; i++ {
+			n := b.NumGates()
+			b.AndGate("", rng.Intn(n), rng.Intn(n), rng.Intn(n))
+		}
+		b.MarkOutput(b.NumGates() - 1)
+		b.MarkOutput(b.NumGates() - 7)
+		return b.MustBuild()
+	}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 500; trial++ {
+		c := build()
+		for k := rng.Intn(3); k >= 0; k-- {
+			f := rng.Intn(len(c.fanout))
+			out := c.fanout[f]
+			switch op := rng.Intn(4); {
+			case op == 0 && len(out) > 0:
+				out[rng.Intn(len(out))] = rng.Intn(len(c.gates))
+			case op == 1 && len(out) > 0:
+				c.fanout[f] = out[:rng.Intn(len(out))]
+			case op == 2 && len(out) > 1:
+				i, j := rng.Intn(len(out)), rng.Intn(len(out))
+				out[i], out[j] = out[j], out[i]
+			default:
+				c.fanout[f] = append(out, rng.Intn(len(c.gates)))
+			}
+		}
+		want := transposeError(c)
+		got := ""
+		if err := c.Validate(); err != nil {
+			got = err.Error()
+		}
+		if got != want {
+			t.Fatalf("trial %d: Validate says %q, transpose reference %q", trial, got, want)
+		}
 	}
 }

@@ -25,10 +25,12 @@
 //     An entry is stored only after the request it came from succeeded,
 //     so a refused body is never memoized. A repeat body then reaches
 //     the result cache without decoding, parsing or generating,
-//     canonicalizing, or re-hashing; if its result is no longer cached
-//     the request takes the full path unchanged. A body that differs in
-//     any byte, whitespace included, misses the memo and still lands on
-//     its canonical key through the full path.
+//     canonicalizing, or re-hashing. If its result is no longer cached,
+//     the body is decoded and its circuit and engine runner rebuilt, but
+//     the memoized key is kept: derivation is deterministic in the body,
+//     so canonicalizing and hashing again would reproduce it. A body
+//     that differs in any byte, whitespace included, misses the memo and
+//     still lands on its canonical key through the full path.
 package serve
 
 import (
@@ -38,7 +40,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"strings"
+	"strconv"
 
 	"repro/internal/bench"
 	"repro/internal/cli"
@@ -103,26 +105,23 @@ func parseCircuit(req *netlistRequest) (*netlist.Circuit, error) {
 
 // canonicalNetlist renders the circuit in canonical .bench form: the
 // content-addressed half of every cache key.
-func canonicalNetlist(c *netlist.Circuit) (string, error) {
-	var b strings.Builder
-	if err := bench.Write(&b, c); err != nil {
-		return "", err
-	}
-	return b.String(), nil
-}
+func canonicalNetlist(c *netlist.Circuit) []byte { return bench.Append(nil, c) }
 
 // cacheKey derives the content address for one engine invocation:
 // SHA-256 over the endpoint name, the canonical netlist, and the
 // canonicalized (defaulted, timeout-stripped) options. opts must be a
-// struct so its JSON encoding has a fixed field order.
-func cacheKey(endpoint, canonNetlist string, opts any) (string, error) {
+// struct so its JSON encoding has a fixed field order. The hashed
+// stream is "endpoint\nlen(canon)\n", canon, then the options JSON.
+func cacheKey(endpoint string, canon []byte, opts any) (string, error) {
 	oj, err := json.Marshal(opts)
 	if err != nil {
 		return "", fmt.Errorf("serve: canonicalize options: %w", err)
 	}
 	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%d\n", endpoint, len(canonNetlist))
-	h.Write([]byte(canonNetlist))
+	hdr := append([]byte(endpoint), '\n')
+	hdr = strconv.AppendInt(hdr, int64(len(canon)), 10)
+	h.Write(append(hdr, '\n'))
+	h.Write(canon)
 	h.Write(oj)
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
@@ -153,12 +152,26 @@ func (e *requestError) Error() string { return e.msg }
 func badRequest(msg string) error { return &requestError{status: http.StatusBadRequest, msg: msg} }
 
 // derive takes the full path from a request body to its invocation:
-// decode the envelope, materialize the circuit, decode the options,
-// canonicalize the netlist, and hash the cache key.
+// materialize the circuit and runner, canonicalize the netlist, and hash
+// the cache key.
 func derive(endpoint string, parse parseFunc, body []byte, digest [sha256.Size]byte) (*invocation, error) {
+	inv, keyOpts, err := materialize(endpoint, parse, body, digest)
+	if err != nil {
+		return nil, err
+	}
+	if inv.key, err = cacheKey(endpoint, canonicalNetlist(inv.c), keyOpts); err != nil {
+		return nil, &requestError{status: http.StatusInternalServerError, msg: err.Error()}
+	}
+	return inv, nil
+}
+
+// materialize is derive short of the cache key: decode the envelope,
+// materialize the circuit, and decode the options into the runner. It
+// also returns the canonical options the key is hashed over.
+func materialize(endpoint string, parse parseFunc, body []byte, digest [sha256.Size]byte) (*invocation, any, error) {
 	var req netlistRequest
 	if err := json.Unmarshal(body, &req); err != nil {
-		return nil, badRequest("decode request: " + err.Error())
+		return nil, nil, badRequest("decode request: " + err.Error())
 	}
 	var async bool
 	switch req.Mode {
@@ -166,31 +179,23 @@ func derive(endpoint string, parse parseFunc, body []byte, digest [sha256.Size]b
 	case "async":
 		async = true
 	default:
-		return nil, badRequest(fmt.Sprintf("unknown mode %q (want \"sync\" or \"async\")", req.Mode))
+		return nil, nil, badRequest(fmt.Sprintf("unknown mode %q (want \"sync\" or \"async\")", req.Mode))
 	}
 	c, err := parseCircuit(&req)
 	if err != nil {
-		return nil, badRequest(err.Error())
+		return nil, nil, badRequest(err.Error())
 	}
 	keyOpts, timeoutMS, run, err := parse(req.Options)
 	if err != nil {
-		return nil, badRequest("decode options: " + err.Error())
-	}
-	canon, err := canonicalNetlist(c)
-	if err != nil {
-		return nil, &requestError{status: http.StatusInternalServerError, msg: err.Error()}
-	}
-	key, err := cacheKey(endpoint, canon, keyOpts)
-	if err != nil {
-		return nil, &requestError{status: http.StatusInternalServerError, msg: err.Error()}
+		return nil, nil, badRequest("decode options: " + err.Error())
 	}
 	return &invocation{
-		memoEntry: memoEntry{key: key, timeoutMS: timeoutMS, async: async},
+		memoEntry: memoEntry{timeoutMS: timeoutMS, async: async},
 		endpoint:  endpoint,
 		body:      body,
 		digest:    digest,
 		parse:     parse,
 		c:         c,
 		run:       run,
-	}, nil
+	}, keyOpts, nil
 }

@@ -170,11 +170,7 @@ func mustPlanKey(t *testing.T, spec string, keyOpts any) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon, err := canonicalNetlist(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := cacheKey("/v1/plan", canon, keyOpts)
+	key, err := cacheKey("/v1/plan", canonicalNetlist(c), keyOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,10 +61,7 @@ func stringAlternates(t *testing.T) map[string][]string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text, err := canonicalNetlist(c17)
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := string(canonicalNetlist(c17))
 	return map[string][]string{
 		"planner":  {"observe", "control"},
 		"source":   {"counter"},

@@ -46,11 +46,7 @@ func fullPathKey(t *testing.T, s *Server, endpoint, body string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon, err := canonicalNetlist(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	key, err := cacheKey(endpoint, canon, keyOpts)
+	key, err := cacheKey(endpoint, canonicalNetlist(c), keyOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,11 +83,7 @@ func TestMemoKeyEqualsFullPathKey(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	inline, err := canonicalNetlist(dag)
-	if err != nil {
-		t.Fatal(err)
-	}
-	circuits := []string{`"generate":"c17"`, fmt.Sprintf(`"bench":%q`, inline)}
+	circuits := []string{`"generate":"c17"`, fmt.Sprintf(`"bench":%q`, canonicalNetlist(dag))}
 	options := map[string][]string{
 		"/v1/plan": {``, `,"options":{"planner":"hybrid","k":4,"ncp":3,"nop":4,"dth":0.000244140625,"max_candidates":0}`,
 			`,"options":{"planner":"observe","nop":2,"timeout_ms":60000}`, `,"options":{"planner":"control","ncp":1}`},
@@ -260,6 +252,29 @@ func TestMemoHitResultMissRunsEngine(t *testing.T) {
 	}
 	if ms, cs := s.memo.stats(), s.cache.Stats(); ms.Hits != 2 || cs.Misses != 3 || cs.Hits != 0 {
 		t.Fatalf("key memo %+v, cache %+v: want 2 memo hits and 3 cache misses", ms, cs)
+	}
+}
+
+// TestMemoHitResultMissKeepsKey: a memo hit whose result has left the
+// cache rebuilds the circuit and runner but not the key. With the memo
+// entry's key replaced, the engine's result lands under that key, so
+// the body was neither canonicalized nor hashed again.
+func TestMemoHitResultMissKeepsKey(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	body := `{"generate":"c17","options":{"planner":"observe"}}`
+	st, _, cold := post(t, ts.URL+"/v1/plan", body)
+	if st != http.StatusOK {
+		t.Fatalf("cold: status %d", st)
+	}
+	e, _ := memoized(s, "/v1/plan", body)
+	e.key = "planted"
+	s.memo.put(bodyDigest("/v1/plan", []byte(body)), e)
+	st, xc, again := post(t, ts.URL+"/v1/plan", body)
+	if st != http.StatusOK || xc != "miss" || !bytes.Equal(cold, again) {
+		t.Fatalf("memo hit, result miss: status %d X-Cache %q, same bytes %v", st, xc, bytes.Equal(cold, again))
+	}
+	if val, ok := s.cache.Get("planted"); !ok || !bytes.Equal(val, cold) {
+		t.Fatal("the engine's result is not cached under the memoized key")
 	}
 }
 

@@ -343,17 +343,22 @@ func (s *Server) resolve(endpoint string, parse parseFunc, body []byte) (*invoca
 // execute answers inv from the result cache, running the engine on a
 // miss, and memoizes inv's key once the answer is in hand. A memoized
 // invocation whose result is no longer cached (evicted, or still being
-// computed) is re-derived along the full path first: Get peeks only at
-// completed entries, so GetOrCompute counts the miss or joins the
-// in-flight computation exactly as for a body the memo never saw.
+// computed) re-materializes its circuit and runner first but keeps the
+// memoized key: derivation is deterministic in the body, so
+// canonicalizing and hashing again would give the same key. Get peeks
+// only at completed entries, so GetOrCompute counts the miss or joins
+// the in-flight computation exactly as for a body the memo never saw.
 func (s *Server) execute(ctx context.Context, inv *invocation) (val []byte, hit bool, err error) {
 	if inv.c == nil {
 		if val, ok := s.cache.Get(inv.key); ok {
 			return val, true, nil
 		}
-		if inv, err = derive(inv.endpoint, inv.parse, inv.body, inv.digest); err != nil {
+		full, _, err := materialize(inv.endpoint, inv.parse, inv.body, inv.digest)
+		if err != nil {
 			return nil, false, err
 		}
+		full.memoEntry = inv.memoEntry
+		inv = full
 	}
 	// Copy out what the engine run and the memo insert need, so the
 	// request body is garbage while the engine runs.
