@@ -32,8 +32,9 @@ var ErrCombinationalLoop = errors.New("netlist: combinational loop")
 // for a Builder's gates. It takes ownership of gates, outputs and
 // byName, which must map every gate's name to its ID and hold nothing
 // else; a parser that already keeps such an index hands it over instead
-// of having a second one built. Only the index's size is checked here;
-// Validate checks every entry. Duplicate outputs are tolerated.
+// of having a second one built. The index's size and every gate's entry
+// are checked, so the circuit passes Validate. Duplicate outputs are
+// tolerated.
 func Assemble(name string, gates []Gate, outputs []int, byName map[string]int) (*Circuit, error) {
 	if len(byName) != len(gates) {
 		return nil, fmt.Errorf("netlist: name index has %d entries for %d gates", len(byName), len(gates))
@@ -42,7 +43,8 @@ func Assemble(name string, gates []Gate, outputs []int, byName map[string]int) (
 }
 
 // newCircuit validates the raw gate list and computes derived structure.
-// A nil byName is built from the gate names; a given one is trusted.
+// A nil byName is built from the gate names; a given one must already
+// map each gate's name to its ID.
 func newCircuit(name string, gates []Gate, outputs []int, byName map[string]int) (*Circuit, error) {
 	c := &Circuit{name: name, gates: gates, byName: byName}
 	if byName == nil {
@@ -61,6 +63,8 @@ func newCircuit(name string, gates []Gate, outputs []int, byName map[string]int)
 				return nil, fmt.Errorf("netlist: duplicate gate name %q (ids %d and %d)", g.Name, prev, id)
 			}
 			c.byName[g.Name] = id
+		} else if got, ok := byName[g.Name]; !ok || got != id {
+			return nil, fmt.Errorf("netlist: name index maps %q to %d, want %d", g.Name, got, id)
 		}
 		if n, min, max := len(g.Fanin), g.Type.MinFanin(), g.Type.MaxFanin(); n < min || (max >= 0 && n > max) {
 			return nil, fmt.Errorf("netlist: gate %q (%s): fanin count %d out of range", g.Name, g.Type, n)

@@ -2,6 +2,7 @@ package netlist
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"strings"
 	"testing"
@@ -185,5 +186,38 @@ func TestValidateFanoutMatchesTranspose(t *testing.T) {
 		if got != want {
 			t.Fatalf("trial %d: Validate says %q, transpose reference %q", trial, got, want)
 		}
+	}
+}
+
+// TestAssembleChecksNameIndex: Assemble rejects an index that maps a
+// gate's name to another ID, or lacks it, with the text Validate gives
+// for the same index, so a parsed circuit needs no Validate.
+func TestAssembleChecksNameIndex(t *testing.T) {
+	cases := []struct {
+		name   string
+		byName map[string]int
+		want   string
+	}{
+		{"wrong entry", map[string]int{"a": 0, "b": 2, "z": 1}, `netlist: name index maps "b" to 2, want 1`},
+		{"missing entry", map[string]int{"a": 0, "x": 1, "z": 2}, `netlist: name index maps "b" to 0, want 1`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			gates := func() []Gate {
+				return []Gate{{Type: Input, Name: "a"}, {Type: Input, Name: "b"}, {Type: And, Name: "z", Fanin: []int{0, 1}}}
+			}
+			_, err := Assemble("idx", gates(), []int{2}, maps.Clone(tc.byName))
+			if err == nil || err.Error() != tc.want {
+				t.Errorf("Assemble error %v, want %q", err, tc.want)
+			}
+			c, err := Assemble("idx", gates(), []int{2}, map[string]int{"a": 0, "b": 1, "z": 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.byName = tc.byName
+			if err := c.Validate(); err == nil || err.Error() != tc.want {
+				t.Errorf("Validate error %v, want %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -82,20 +82,16 @@ const requestName = "request"
 const maxGenerateGates = 10000
 
 // parseCircuit materializes the request's circuit. Generator specs are
-// deterministic, so both forms canonicalize through bench.Write.
+// deterministic, so both forms canonicalize through bench.Write. A
+// parsed circuit needs no Validate: netlist.Assemble checks the name
+// index the parser hands it, and builds everything else Validate
+// checks.
 func parseCircuit(req *netlistRequest) (*netlist.Circuit, error) {
 	switch {
 	case req.Bench != "" && req.Generate != "":
 		return nil, errNoCircuit
 	case req.Bench != "":
-		c, err := bench.ParseString(req.Bench, requestName)
-		if err != nil {
-			return nil, err
-		}
-		if err := c.Validate(); err != nil {
-			return nil, err
-		}
-		return c, nil
+		return bench.ParseString(req.Bench, requestName)
 	case req.Generate != "":
 		return cli.GenerateWithin(req.Generate, maxGenerateGates)
 	default:

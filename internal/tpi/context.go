@@ -8,11 +8,11 @@ import (
 )
 
 // Cancellation support for the planners. The DP cores are recursive
-// (opDP.dp) or deeply nested (cutDP.computeNode inside a binary
-// search), so rather than threading an error return through every
-// recurrence, cancellation aborts via a private panic value that the
-// exported *Context wrappers recover into a plain ctx.Err() return. The
-// panic value never escapes the package.
+// (opDP.dp) or deeply nested (cutDP.solve inside a binary search), so
+// rather than threading an error return through every recurrence,
+// cancellation aborts via a private panic value that the exported
+// *Context wrappers recover into a plain ctx.Err() return. The panic
+// value never escapes the package.
 type ctxAbort struct{ err error }
 
 // pollDone panics with ctxAbort when the done channel is readable. A nil

@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -40,7 +41,10 @@ type CutPlan struct {
 	// BaseCost is the test count of the unmodified circuit.
 	BaseCost int
 	// StatesVisited counts DP states (or configurations, for the
-	// exhaustive planner) examined, the work measure used by E6.
+	// exhaustive planner) examined, the work measure used by E6. For the
+	// DP it sums the states of every probe's feasibility DP, whether a
+	// probe recomputed a node or reused it from an earlier probe: the
+	// paper's measure, no longer the work done.
 	StatesVisited int64
 }
 
@@ -102,26 +106,11 @@ func planCutsDPWithCost(ctx context.Context, c *netlist.Circuit, budget int, cos
 		plan.MaxCost = plan.BaseCost
 		return plan, nil
 	}
-	lo, hi := 2, plan.BaseCost // minimax cost can never drop below 2
-	var bestCuts []int
-	bestT := hi
 	dp := newCutDP(ctx, c, costs)
-	for lo <= hi {
-		mid := (lo + hi) / 2
-		cuts, ok := dp.solve(mid, k)
-		if ok {
-			bestT = mid
-			bestCuts = cuts
-			hi = mid - 1
-		} else {
-			lo = mid + 1
-		}
-	}
+	plan.MaxCost, plan.Cuts = dp.search(plan.BaseCost, k)
 	plan.StatesVisited = dp.states
-	plan.MaxCost = bestT
-	plan.Cuts = bestCuts
 	sort.Ints(plan.Cuts)
-	// bestT == BaseCost is achieved with zero cuts.
+	// MaxCost == BaseCost is achieved with zero cuts.
 	if plan.MaxCost == plan.BaseCost {
 		plan.Cuts = nil
 	}
@@ -147,24 +136,47 @@ type export struct {
 	k, t0, t1 int
 }
 
+// unsettled is the need of a node whose result depends on T.
+const unsettled = math.MaxInt
+
+// cutNode locates one node's states: its chain (the partial states
+// created while merging its children, starting at chain; prev indices
+// are relative to it) followed by its final Pareto set
+// [fin, fin+finLen). best indexes the first final state with the fewest
+// cuts, -1 when the set is empty. states counts the states its merges
+// kept.
+//
+// T enters a node's result only through the filter on candidates whose
+// t0+t1 exceeds it. A node computed over settled children without
+// filtering any candidate is settled, and need is the largest candidate
+// t0+t1 formed anywhere in its subtree: for every T >= need a recompute
+// would give the same chain, final set and best. A settled node's
+// offsets index cutDP.store; any other node's index cutDP.arena, and its
+// need is unsettled.
+type cutNode struct {
+	chain, fin, finLen, best int
+	states                   int
+	need                     int
+}
+
 // cutDP carries the feasibility DP of one plan. solve reruns it for each
-// threshold T of the binary search, reusing every buffer: the state
-// arena, the per-node offsets into it, and the merge scratch.
+// threshold T of the binary search: settled nodes with need <= T are
+// reused from the store, kept for the plan, and every other node (in
+// practice the spine near the roots) is recomputed into the per-probe
+// arena. Every buffer is reused across probes.
 type cutDP struct {
 	c      *netlist.Circuit
 	T      int
 	cost   []int // insertion cost per signal
 	states int64
-	ctx    context.Context
-	done   <-chan struct{}
-	// arena holds, per node in topological order, the partial states
-	// created while merging the node's children (its chain, starting at
-	// chainOff[n]; prev indices are relative to it) followed by its final
-	// Pareto set: arena[finOff[n] : finOff[n]+finLen[n]]. best[n] indexes
-	// the first final state with the fewest cuts, -1 when the set is
-	// empty.
-	arena                          []cutState
-	chainOff, finOff, finLen, best []int
+	// computed counts the nodes computeNode ran on, over all probes.
+	computed int64
+	ctx      context.Context
+	done     <-chan struct{}
+	nodes    []cutNode
+	// store holds settled nodes' blocks, each appended once when the node
+	// settles; arena holds the rest and is emptied by every probe.
+	store, arena []cutState
 	// Scratch reused by every merge: the child's exports, the candidate
 	// states, and the Pareto filter's survivors.
 	exports []export
@@ -174,20 +186,41 @@ type cutDP struct {
 
 func newCutDP(ctx context.Context, c *netlist.Circuit, cost []int) *cutDP {
 	n := c.NumGates()
-	return &cutDP{
-		c:    c,
-		cost: cost,
-		ctx:  ctx,
-		done: ctx.Done(),
-		// A node keeps about four states at small k (its identity partial,
-		// one per merge, and the final copies): sized so the arena rarely
-		// grows.
-		arena:    make([]cutState, 0, 4*n),
-		chainOff: make([]int, n),
-		finOff:   make([]int, n),
-		finLen:   make([]int, n),
-		best:     make([]int, n),
+	nodes := make([]cutNode, n)
+	for i := range nodes {
+		nodes[i].need = unsettled
 	}
+	return &cutDP{
+		c:     c,
+		cost:  cost,
+		ctx:   ctx,
+		done:  ctx.Done(),
+		nodes: nodes,
+		// A node keeps about four states at small k (its identity partial,
+		// one per merge, and the final copies), and most settle once: sized
+		// so the store rarely grows.
+		store: make([]cutState, 0, 4*n),
+	}
+}
+
+// search binary-searches the smallest threshold T in [2, base] that a
+// cut set of at most k cost units meets, and returns T with the cut set
+// found for it, or base and nil when no probe is feasible.
+func (dp *cutDP) search(base, k int) (bestT int, bestCuts []int) {
+	lo, hi := 2, base // minimax cost can never drop below 2
+	bestT = hi
+	for lo <= hi {
+		mid := (lo + hi) / 2
+		cuts, ok := dp.solve(mid, k)
+		if ok {
+			bestT = mid
+			bestCuts = cuts
+			hi = mid - 1
+		} else {
+			lo = mid + 1
+		}
+	}
+	return bestT, bestCuts
 }
 
 // solve returns a cut set achieving every segment cost <= T using at most
@@ -197,37 +230,59 @@ func (dp *cutDP) solve(T, k int) (cuts []int, ok bool) {
 	dp.T = T
 	dp.arena = dp.arena[:0]
 	for _, id := range c.TopoOrder() {
+		pollDone(dp.ctx, dp.done)
+		if nd := &dp.nodes[id]; nd.need <= T {
+			dp.states += int64(nd.states)
+			continue
+		}
 		dp.computeNode(id)
 	}
 	// The forest is feasible iff the summed per-root minima fit in k.
-	need := 0
+	total := 0
 	for _, o := range c.Outputs() {
-		if dp.best[o] < 0 {
+		nd := &dp.nodes[o]
+		if nd.best < 0 {
 			return nil, false // root segment cannot meet T at all
 		}
-		need += dp.arena[dp.finOff[o]+dp.best[o]].k
+		total += dp.block(o)[nd.fin+nd.best].k
 	}
-	if need > k {
+	if total > k {
 		return nil, false
 	}
 	for _, o := range c.Outputs() {
-		dp.reconstruct(o, dp.best[o], &cuts)
+		dp.reconstruct(o, dp.nodes[o].best, &cuts)
 	}
 	return cuts, true
 }
 
-// computeNode appends node id's chain and final state set to the arena.
+// block returns the buffer node id's offsets index.
+func (dp *cutDP) block(id int) []cutState {
+	if dp.nodes[id].need != unsettled {
+		return dp.store
+	}
+	return dp.arena
+}
+
+// computeNode appends node id's chain and final state set to the arena,
+// and moves them to the store if the node settles.
 func (dp *cutDP) computeNode(id int) {
-	pollDone(dp.ctx, dp.done)
-	c := dp.c
-	g := c.Gate(id)
+	dp.computed++
+	g := dp.c.Gate(id)
+	nd := &dp.nodes[id]
 	base := len(dp.arena)
-	dp.chainOff[id] = base
+	nd.chain, nd.states = base, 0
 	if g.Type == netlist.Input {
 		dp.arena = append(dp.arena, cutState{k: 0, t0: 1, t1: 1, prev: -1, choice: -1})
-		dp.finOff[id], dp.finLen[id], dp.best[id] = base, 1, 0
+		nd.fin, nd.finLen, nd.best, nd.states, nd.need = base, 1, 0, 1, 0
 		dp.states++
+		dp.settle(nd, base)
 		return
+	}
+	// The node can settle only over settled children, and needs what
+	// they need.
+	need := 0
+	for _, child := range g.Fanin {
+		need = max(need, dp.nodes[child].need)
 	}
 	// Aggregation semantics per gate type: which child count sums and
 	// which maxes, and whether the output swaps t0/t1.
@@ -251,8 +306,10 @@ func (dp *cutDP) computeNode(id int) {
 					t1 = p.t1 + e.t1
 				}
 				if t0+t1 > dp.T {
+					need = unsettled
 					continue // monotone upward: never feasible later
 				}
+				need = max(need, t0+t1)
 				cand = append(cand, cutState{
 					k: p.k + e.k, t0: t0, t1: t1,
 					prev:   int32(pOff - base + pi),
@@ -262,7 +319,7 @@ func (dp *cutDP) computeNode(id int) {
 		}
 		dp.cand = cand
 		dp.kept = paretoPrune(cand, dp.kept[:0])
-		dp.states += int64(len(dp.kept))
+		nd.states += len(dp.kept)
 		pOff, pLen = len(dp.arena), len(dp.kept)
 		dp.arena = append(dp.arena, dp.kept...)
 		if pLen == 0 {
@@ -277,16 +334,29 @@ func (dp *cutDP) computeNode(id int) {
 	// one = the child value, max of one = the child value.
 	fin := len(dp.arena)
 	dp.arena = append(dp.arena, dp.arena[pOff:pOff+pLen]...)
-	dp.finOff[id], dp.finLen[id], dp.best[id] = fin, pLen, -1
+	nd.fin, nd.finLen, nd.best = fin, pLen, -1
 	for i := fin; i < len(dp.arena); i++ {
 		st := &dp.arena[i]
 		if swap {
 			st.t0, st.t1 = st.t1, st.t0
 		}
-		if dp.best[id] < 0 || st.k < dp.arena[fin+dp.best[id]].k {
-			dp.best[id] = i - fin
+		if nd.best < 0 || st.k < dp.arena[fin+nd.best].k {
+			nd.best = i - fin
 		}
 	}
+	dp.states += int64(nd.states)
+	if nd.need = need; need != unsettled {
+		dp.settle(nd, base)
+	}
+}
+
+// settle moves node nd's block, arena[base:], to the store.
+func (dp *cutDP) settle(nd *cutNode, base int) {
+	shift := len(dp.store) - base
+	dp.store = append(dp.store, dp.arena[base:]...)
+	dp.arena = dp.arena[:base]
+	nd.chain += shift
+	nd.fin += shift
 }
 
 // exportsOf fills dp.exports with the ways child `child` can contribute:
@@ -294,38 +364,39 @@ func (dp *cutDP) computeNode(id int) {
 // best cut option.
 func (dp *cutDP) exportsOf(child int) {
 	ex := dp.exports[:0]
-	off := dp.finOff[child]
-	for _, st := range dp.arena[off : off+dp.finLen[child]] {
+	nd := &dp.nodes[child]
+	for _, st := range dp.block(child)[nd.fin : nd.fin+nd.finLen] {
 		ex = append(ex, export{k: st.k, t0: st.t0, t1: st.t1})
 	}
-	if b := dp.best[child]; b >= 0 {
-		ex = append(ex, export{k: dp.arena[off+b].k + dp.cost[child], t0: 1, t1: 1})
+	if nd.best >= 0 {
+		ex = append(ex, export{k: ex[nd.best].k + dp.cost[child], t0: 1, t1: 1})
 	}
 	dp.exports = ex
 }
 
 // reconstruct walks the chain of node `id` from final state `idx`,
-// emitting cut decisions into *cuts and recursing into children.
+// emitting cut decisions into *cuts and recursing into children. Costs
+// are positive, so no cut lies below a state with k == 0: the walk stops
+// there, which skips the inputs and every cut-free subtree.
 func (dp *cutDP) reconstruct(id, idx int, cuts *[]int) {
-	g := dp.c.Gate(id)
-	if g.Type == netlist.Input {
-		return
-	}
+	nd := &dp.nodes[id]
+	blk := dp.block(id)
+	fanin := dp.c.Fanin(id)
 	// The final state at position idx carries the same (k, prev, choice)
 	// fields as the chain entry it copies; walk prev pointers, one child
 	// per hop, last child first. A choice past the child's final states
 	// is its cut export, which continues from the child's best state.
-	st := dp.arena[dp.finOff[id]+idx]
-	childIdx := len(g.Fanin) - 1
-	for st.prev >= 0 {
-		child := g.Fanin[childIdx]
+	st := blk[nd.fin+idx]
+	childIdx := len(fanin) - 1
+	for st.k > 0 {
+		child := fanin[childIdx]
 		next := int(st.choice)
-		if next == dp.finLen[child] {
+		if cn := &dp.nodes[child]; next == cn.finLen {
 			*cuts = append(*cuts, child)
-			next = dp.best[child]
+			next = cn.best
 		}
 		dp.reconstruct(child, next, cuts)
-		st = dp.arena[dp.chainOff[id]+int(st.prev)]
+		st = blk[nd.chain+int(st.prev)]
 		childIdx--
 	}
 }
