@@ -72,8 +72,8 @@ func run(ctx context.Context, benchPath, genSpec string, patterns int, seed uint
 	case "lfsr":
 		src = pattern.NewLFSR(seed)
 	case "counter":
-		if c.NumInputs() > 30 {
-			return fmt.Errorf("counter source supports at most 30 inputs, circuit has %d", c.NumInputs())
+		if err := pattern.CheckCounterInputs(c.NumInputs()); err != nil {
+			return err
 		}
 		src = pattern.NewCounter(c.NumInputs())
 		if exhaustive := 1 << uint(c.NumInputs()); patterns > exhaustive {

@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"strings"
 
 	"os"
 	"path/filepath"
@@ -50,5 +51,18 @@ func TestRunDeadlineExitsWithContextError(t *testing.T) {
 	}
 	if code := cli.ExitCode(err); code != cli.ExitDeadline {
 		t.Fatalf("exit code = %d, want %d", code, cli.ExitDeadline)
+	}
+}
+
+// TestCounterSourceOverInputLimit: -source counter on a circuit wider
+// than the counter enumerates is an input error (exit 1) naming the
+// limit, before any simulation starts.
+func TestCounterSourceOverInputLimit(t *testing.T) {
+	err := run(context.Background(), "", "mul:width=16", 64, 1, "counter", "", 0, false, 0, false)
+	if err == nil || !strings.Contains(err.Error(), "supports 1 to 30 inputs, circuit has 32") {
+		t.Fatalf("err = %v, want the 30-input limit named", err)
+	}
+	if code := cli.ExitCode(err); code != cli.ExitFailure {
+		t.Errorf("exit code = %d, want %d", code, cli.ExitFailure)
 	}
 }

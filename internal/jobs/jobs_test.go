@@ -558,3 +558,34 @@ func TestNewIDDistinctPerNonce(t *testing.T) {
 		t.Error("NewID not deterministic for fixed inputs")
 	}
 }
+
+// TestPanickingJobFailsAndStaysFailed: a job whose run panics ends
+// failed with the panic in its error, and a manager restarted on the
+// same directory finds it failed, neither re-running it nor dying.
+func TestPanickingJobFailsAndStaysFailed(t *testing.T) {
+	dir := t.TempDir()
+	m1, err := New(Config{Dir: dir, Workers: 1}, func(context.Context, Spec) ([]byte, error) {
+		panic("engine fault")
+	})
+	if err != nil {
+		t.Fatalf("New m1: %v", err)
+	}
+	a, err := m1.Submit("/v1/faultsim", "k", []byte(`{"n":1}`), 0)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
+	}
+	snap := waitState(t, m1, a.ID, Failed)
+	if !strings.Contains(snap.Error, "engine fault") {
+		t.Errorf("error %q does not name the panic", snap.Error)
+	}
+	m1.Close()
+
+	r2 := newTestRunner(false)
+	m2 := newTestManager(t, Config{Dir: dir, Workers: 1}, r2.run)
+	if snap, ok := m2.Get(a.ID); !ok || snap.State != Failed {
+		t.Fatalf("restarted state = %v/%s, want failed", ok, snap.State)
+	}
+	if len(r2.ranIDs()) != 0 {
+		t.Error("restart re-ran the failed job")
+	}
+}

@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -383,7 +385,7 @@ func (m *Manager) runJob(id string) {
 	m.mu.Unlock()
 	defer cancel()
 
-	val, err := m.run(progressContext(jctx, m, id), spec)
+	val, err := m.runRecovered(progressContext(jctx, m, id), spec)
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -411,6 +413,19 @@ func (m *Manager) runJob(id string) {
 	default:
 		m.transitionLocked(j, Failed, err.Error())
 	}
+}
+
+// runRecovered calls the runner, turning a panic into an error after
+// writing its value and stack to stderr. The job then ends failed, and
+// the journal records it, so a restart neither re-runs it nor dies.
+func (m *Manager) runRecovered(ctx context.Context, spec Spec) (val []byte, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			fmt.Fprintf(os.Stderr, "jobs: job %s panicked: %v\n%s", spec.ID, r, debug.Stack())
+			val, err = nil, fmt.Errorf("job panicked: %v", r)
+		}
+	}()
+	return m.run(ctx, spec)
 }
 
 // progressContext attaches the manager's progress sink for one job.

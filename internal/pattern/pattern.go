@@ -6,7 +6,10 @@
 // word i being the value of input i in pattern b.
 package pattern
 
-import "math/rand"
+import (
+	"fmt"
+	"math/rand"
+)
 
 // Source produces pattern blocks.
 type Source interface {
@@ -104,17 +107,32 @@ func (w *Weighted) FillBlock(dst []uint64) int {
 func (w *Weighted) Reset() { w.rng = rand.New(rand.NewSource(w.seed)) }
 
 // Counter enumerates all 2^n input combinations for n-input circuits
-// (n <= 30), then exhausts. Useful for exhaustive ground-truth runs on
-// small circuits.
+// (n <= maxCounterInputs), then exhausts. Useful for exhaustive
+// ground-truth runs on small circuits.
 type Counter struct {
 	n    int
 	next uint64
 }
 
-// NewCounter returns an exhaustive counting source for n inputs.
+// maxCounterInputs is the widest circuit a Counter enumerates: 2^30
+// patterns, about a billion.
+const maxCounterInputs = 30
+
+// CheckCounterInputs returns an error naming the limit when a Counter
+// cannot enumerate n inputs. Callers with circuits from outside the
+// program check it before NewCounter.
+func CheckCounterInputs(n int) error {
+	if n < 1 || n > maxCounterInputs {
+		return fmt.Errorf("counter source supports 1 to %d inputs, circuit has %d", maxCounterInputs, n)
+	}
+	return nil
+}
+
+// NewCounter returns an exhaustive counting source for n inputs. It
+// panics when CheckCounterInputs(n) fails.
 func NewCounter(n int) *Counter {
-	if n < 1 || n > 30 {
-		panic("pattern: Counter supports 1..30 inputs")
+	if err := CheckCounterInputs(n); err != nil {
+		panic("pattern: " + err.Error())
 	}
 	return &Counter{n: n}
 }

@@ -165,8 +165,8 @@ func derive(endpoint string, parse parseFunc, body []byte, digest [sha256.Size]b
 // materialize the circuit, and decode the options into the runner. It
 // also returns the canonical options the key is hashed over.
 func materialize(endpoint string, parse parseFunc, body []byte, digest [sha256.Size]byte) (*invocation, any, error) {
-	var req netlistRequest
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := decodeEnvelope(body)
+	if err != nil {
 		return nil, nil, badRequest("decode request: " + err.Error())
 	}
 	var async bool
@@ -184,6 +184,9 @@ func materialize(endpoint string, parse parseFunc, body []byte, digest [sha256.S
 	keyOpts, timeoutMS, run, err := parse(req.Options)
 	if err != nil {
 		return nil, nil, badRequest("decode options: " + err.Error())
+	}
+	if err := fitCircuit(keyOpts, c); err != nil {
+		return nil, nil, badRequest(err.Error())
 	}
 	return &invocation{
 		memoEntry: memoEntry{timeoutMS: timeoutMS, async: async},

@@ -7,9 +7,10 @@ import (
 	"errors"
 	"expvar"
 	"fmt"
-	"io"
 	"net/http"
+	"os"
 	"runtime"
+	"runtime/debug"
 	"sort"
 	"sync"
 	"time"
@@ -255,8 +256,7 @@ func (s *Server) engineHandler(name string, parse parseFunc) http.HandlerFunc {
 		// The body is read whole (not stream-decoded) because the key
 		// memo digests it and an async submission journals the
 		// verbatim envelope for replay after a restart.
-		r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBody)
-		body, err := io.ReadAll(r.Body)
+		body, err := readBody(w, r, s.cfg.MaxBody)
 		if err != nil {
 			var mbe *http.MaxBytesError
 			if errors.As(err, &mbe) {
@@ -306,16 +306,23 @@ func (s *Server) engineHandler(name string, parse parseFunc) http.HandlerFunc {
 	}
 }
 
+// errEnginePanic is the error of an engine run that panicked. The
+// fault is the server's, not the request's, so it is answered 500.
+var errEnginePanic = errors.New("internal error: the engine failed on this request")
+
 // writeFailure answers a failed engine request and returns its status:
-// the refused body's own status, 504 at the deadline, 499 (nothing
-// written) when the client went away, and 400 for an engine that
-// rejected its input.
+// the refused body's own status, 500 for an engine that panicked, 504
+// at the deadline, 499 (nothing written) when the client went away, and
+// 400 for an engine that rejected its input.
 func writeFailure(w http.ResponseWriter, err error) int {
 	var rerr *requestError
 	switch {
 	case errors.As(err, &rerr):
 		writeError(w, rerr.status, rerr.msg)
 		return rerr.status
+	case errors.Is(err, errEnginePanic):
+		writeError(w, http.StatusInternalServerError, err.Error())
+		return http.StatusInternalServerError
 	case errors.Is(err, context.DeadlineExceeded):
 		writeError(w, http.StatusGatewayTimeout, "deadline exceeded before the engine finished")
 		return http.StatusGatewayTimeout
@@ -364,11 +371,19 @@ func (s *Server) execute(ctx context.Context, inv *invocation) (val []byte, hit 
 	// request body is garbage while the engine runs.
 	endpoint, c, run := inv.endpoint, inv.c, inv.run
 	digest, entry := inv.digest, inv.memoEntry
-	val, hit, err = s.cache.GetOrCompute(ctx, entry.key, func() ([]byte, error) {
+	val, hit, err = s.cache.GetOrCompute(ctx, entry.key, func() (resp []byte, err error) {
 		if err := s.pool.Acquire(ctx); err != nil {
 			return nil, err
 		}
 		defer s.pool.Release()
+		// A panic ends this flight with an error, so its waiters wake
+		// and nothing is cached or memoized.
+		defer func() {
+			if r := recover(); r != nil {
+				fmt.Fprintf(os.Stderr, "serve: %s: engine panic: %v\n%s", endpoint, r, debug.Stack())
+				resp, err = nil, errEnginePanic
+			}
+		}()
 		if h := testHookCompute; h != nil {
 			h(endpoint)
 		}
@@ -633,6 +648,17 @@ func parseFaultsim(raw json.RawMessage) (any, int, runFunc, error) {
 		return &resp, nil
 	}
 	return opts, timeoutMS, run, nil
+}
+
+// fitCircuit refuses options that decoded but ask for more than the
+// request's circuit allows: today a counter source over more inputs
+// than pattern.NewCounter enumerates. materialize calls it, so the
+// refusal comes before any engine runs or any job is accepted.
+func fitCircuit(keyOpts any, c *netlist.Circuit) error {
+	if o, ok := keyOpts.(simOptions); ok && o.Source == "counter" {
+		return pattern.CheckCounterInputs(c.NumInputs())
+	}
+	return nil
 }
 
 // ---- /v1/atpg ----

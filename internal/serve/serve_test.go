@@ -11,6 +11,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -641,5 +642,57 @@ func TestDeterministicAcrossServers(t *testing.T) {
 			t.Fatalf("responses differ across servers:\n%s\n%s", prev, b)
 		}
 		prev = b
+	}
+}
+
+// TestCounterSourceOverInputLimitRefused: a counter source over a
+// circuit wider than pattern.NewCounter enumerates is refused with 400
+// naming the limit, on the sync path and, before any job is accepted,
+// on the async path. The engine used to panic on it.
+func TestCounterSourceOverInputLimitRefused(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	for _, mode := range []string{"sync", "async"} {
+		body := fmt.Sprintf(`{"generate":"mul:width=16","mode":%q,"options":{"source":"counter"}}`, mode)
+		st, _, b := post(t, ts.URL+"/v1/faultsim", body)
+		if st != http.StatusBadRequest || !bytes.Contains(b, []byte("supports 1 to 30 inputs, circuit has 32")) {
+			t.Errorf("%s: status %d body %s, want 400 naming the 30-input limit", mode, st, b)
+		}
+	}
+	if n := len(s.jobs.List()); n != 0 {
+		t.Errorf("%d jobs accepted, want none", n)
+	}
+	if st, _, b := post(t, ts.URL+"/v1/faultsim", `{"generate":"c17","options":{"source":"counter"}}`); st != http.StatusOK {
+		t.Errorf("counter source on c17: status %d body %s, want 200", st, b)
+	}
+}
+
+// TestEnginePanicAnswers500: an engine run that panics answers 500 with
+// a JSON error body, frees its worker slot and caches nothing, so the
+// next identical request is computed.
+func TestEnginePanicAnswers500(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	var runs atomic.Int32
+	testHookCompute = func(string) {
+		if runs.Add(1) == 1 {
+			panic("engine fault")
+		}
+	}
+	defer func() { testHookCompute = nil }()
+
+	body := `{"generate":"c17","options":{"planner":"observe"}}`
+	st, _, b := post(t, ts.URL+"/v1/plan", body)
+	var e map[string]string
+	if err := json.Unmarshal(b, &e); st != http.StatusInternalServerError || err != nil || e["error"] == "" {
+		t.Errorf("panicking run: status %d body %s, want 500 with a JSON error", st, b)
+	}
+	st, xc, b := post(t, ts.URL+"/v1/plan", body)
+	if st != http.StatusOK || xc != "miss" {
+		t.Errorf("repeat: status %d X-Cache %q body %s, want a computed 200", st, xc, b)
+	}
+	if n := runs.Load(); n != 2 {
+		t.Errorf("engine ran %d times, want 2", n)
+	}
+	if p := s.Stats().Pool; p.Running != 0 {
+		t.Errorf("pool after the panic: %+v, want no slot held", p)
 	}
 }

@@ -16,9 +16,12 @@ import (
 type ctxAbort struct{ err error }
 
 // pollDone panics with ctxAbort when the done channel is readable. A nil
-// done channel (context.Background and friends) makes the select arm
-// never ready, so the non-cancellable path pays one cheap select.
+// done channel (context.Background and friends) can never be, so the
+// non-cancellable path returns before the select.
 func pollDone(ctx context.Context, done <-chan struct{}) {
+	if done == nil {
+		return
+	}
 	select {
 	case <-done:
 		panic(ctxAbort{ctx.Err()})
