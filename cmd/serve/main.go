@@ -134,6 +134,27 @@ func debugHandler() http.Handler {
 	return mux
 }
 
+// Read deadlines of the public listener. A client has headerTimeout to
+// send its request line and headers, and readTimeout to send the whole
+// request: 8 MiB, the default -max-body, takes 67 s at 1 Mbit/s. A
+// client that stalls is dropped at its deadline, so a stalled upload
+// holds its connection, its goroutine and its body buffer (at most
+// 256 KiB beyond the bytes it sent) for readTimeout at most. net/http
+// lifts the read deadline once a body has been read, so a handler may
+// run past it. readTimeout also bounds a keep-alive connection's idle
+// wait. There is no write deadline: a job's event stream stays open as
+// long as the job runs.
+const (
+	headerTimeout = 10 * time.Second
+	readTimeout   = 2 * time.Minute
+)
+
+// publicServer returns the server of the public listener: h behind the
+// given header and whole-request read deadlines.
+func publicServer(addr string, h http.Handler, header, read time.Duration) *http.Server {
+	return &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: header, ReadTimeout: read}
+}
+
 func run(cfg config) error {
 	if err := cfg.validate(); err != nil {
 		return err
@@ -158,7 +179,7 @@ func run(cfg config) error {
 	mux.Handle("/", s.Handler())
 	mux.Handle("/debug/vars", expvar.Handler())
 
-	srv := &http.Server{Addr: cfg.addr, Handler: mux}
+	srv := publicServer(cfg.addr, mux, headerTimeout, readTimeout)
 	errc := make(chan error, 2)
 	go func() {
 		if err := srv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {

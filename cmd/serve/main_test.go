@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"io"
 	"net"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/cli"
+	"repro/internal/serve"
 )
 
 // goodConfig returns a config that passes validation.
@@ -273,4 +275,100 @@ func TestShutdownOrderingDrainsBlockedSubscriber(t *testing.T) {
 			t.Errorf("listener %s still accepts connections after shutdown", addr)
 		}
 	}
+}
+
+// TestReadDeadlinesDropStalledClients runs the public listener's
+// deadlines, shortened, over serve's handler. A client that stalls in
+// its headers, or after 512 B of a body that declares a megabyte, has
+// its connection dropped once its deadline passes, and not before; a
+// whole upload is answered, and so is a request whose handler runs past
+// the read deadline after reading its body.
+func TestReadDeadlinesDropStalledClients(t *testing.T) {
+	const header, read = 200 * time.Millisecond, 1500 * time.Millisecond
+	s, err := serve.New(serve.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	mux := http.NewServeMux()
+	mux.Handle("/", s.Handler())
+	mux.HandleFunc("/slow", func(w http.ResponseWriter, r *http.Request) {
+		if _, err := io.ReadAll(r.Body); err != nil {
+			t.Errorf("slow handler: read body: %v", err)
+		}
+		time.Sleep(read + 200*time.Millisecond)
+		if err := r.Context().Err(); err != nil {
+			t.Errorf("slow handler's context ended after the body was read: %v", err)
+		}
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := publicServer("", mux, header, read)
+	go srv.Serve(ln)
+	defer srv.Close()
+	base := "http://" + ln.Addr().String()
+
+	// dropAfter sends prefix on a new connection, stalls, and returns
+	// how long the server took to close the connection.
+	dropAfter := func(t *testing.T, prefix string) time.Duration {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		start := time.Now()
+		if _, err := io.WriteString(conn, prefix); err != nil {
+			t.Fatal(err)
+		}
+		if err := conn.SetReadDeadline(start.Add(10 * time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.Copy(io.Discard, conn); err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				t.Fatal("the server kept a stalled connection open for 10 s")
+			}
+		}
+		return time.Since(start)
+	}
+	body := `{"generate":"c17","options":{"planner":"observe"},"pad":"`
+	body += strings.Repeat("x", 512-len(body))
+	// Each deadline must be the one that drops its client: the header
+	// deadline is well inside the whole-request one.
+	for _, tc := range []struct {
+		name, prefix string
+		deadline     time.Duration
+	}{
+		{"headers", "POST /v1/plan HTTP/1.1\r\nHost: serve\r\n", header},
+		{"body", "POST /v1/plan HTTP/1.1\r\nHost: serve\r\nContent-Type: application/json\r\nContent-Length: 1000000\r\n\r\n" + body, read},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if d := dropAfter(t, tc.prefix); d < tc.deadline || d > tc.deadline+time.Second {
+				t.Errorf("stalled connection dropped after %v, want between %v and %v", d, tc.deadline, tc.deadline+time.Second)
+			}
+		})
+	}
+	t.Run("upload", func(t *testing.T) {
+		resp, err := http.Post(base+"/v1/plan", "application/json",
+			strings.NewReader(`{"generate":"dag:gates=300,seed=2","options":{"planner":"observe"}}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if b, _ := io.ReadAll(resp.Body); resp.StatusCode != http.StatusOK {
+			t.Errorf("upload: status %d body %s", resp.StatusCode, b)
+		}
+	})
+	t.Run("handler-past-deadline", func(t *testing.T) {
+		resp, err := http.Post(base+"/slow", "text/plain", strings.NewReader("body"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("slow handler: status %d", resp.StatusCode)
+		}
+	})
 }

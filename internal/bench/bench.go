@@ -22,6 +22,7 @@ package bench
 
 import (
 	"fmt"
+	"hash/maphash"
 	"io"
 	"slices"
 	"strconv"
@@ -66,24 +67,30 @@ const (
 	assignment
 )
 
-// record is one scanned line. sym is the input or the assigned signal,
-// and an assignment's fanin symbols are pins[pin0:pin1]. text is an
-// assignment's mnemonic or an OUTPUT's signal name; outputs are looked
-// up once every gate has a symbol, so that text whose gates follow their
-// fanins numbers its symbols in gate-ID order.
+// unknownGate is the gate type of an assignment whose mnemonic no gate
+// type matches; assembly reports it once the gate's fanins are placed.
+const unknownGate netlist.GateType = 0xff
+
+// record is one scanned line. sym is the declared or assigned signal;
+// an assignment's fanin symbols are pins[pin0:pin1] and typ is its gate
+// type, the single-input shorthand applied.
 type record struct {
 	kind       uint8
+	typ        netlist.GateType
 	line       int32
 	sym        int32
 	pin0, pin1 int32
-	text       string
 }
 
-// parser holds the scanned netlist. Each distinct name is a symbol: its
-// first spelling in names, and its number in index. Assembly turns index
-// into the circuit's name-to-ID map.
+// parser holds the scanned netlist. Each distinct name is a symbol,
+// numbered on first sight: names holds its first spelling, and table
+// is an open-addressing hash table of symbol+1 (0 marks a free slot),
+// probed linearly from the name's hash under seed, which is drawn per
+// parse so that no text can be written to collide on every parse.
 type parser struct {
-	index   map[string]int
+	src     string
+	seed    maphash.Seed
+	table   []int32
 	names   []string
 	records []record
 	pins    []int32
@@ -99,22 +106,56 @@ type parser struct {
 func newParser(src string) *parser {
 	lines := min(strings.Count(src, "\n")+1, len(src)/12+1)
 	return &parser{
-		index:   make(map[string]int, lines),
+		src:     src,
+		seed:    maphash.MakeSeed(),
+		table:   make([]int32, tableSize(lines)),
 		names:   make([]string, 0, lines),
 		records: make([]record, 0, lines),
 		pins:    make([]int32, 0, lines+strings.Count(src, ",")),
 	}
 }
 
+// tableSize returns the power of two, at least 16, that holds n symbols
+// at most half full.
+func tableSize(n int) int {
+	size := 16
+	for size < 2*n {
+		size *= 2
+	}
+	return size
+}
+
 // sym returns name's symbol, numbering it on first sight.
 func (p *parser) sym(name string) int32 {
-	if s, ok := p.index[name]; ok {
-		return int32(s)
+	mask := uint64(len(p.table) - 1)
+	for i := maphash.String(p.seed, name) & mask; ; i = (i + 1) & mask {
+		s := p.table[i]
+		if s == 0 {
+			s = int32(len(p.names))
+			p.table[i] = s + 1
+			p.names = append(p.names, name)
+			if 2*len(p.names) > len(p.table) {
+				p.grow()
+			}
+			return s
+		}
+		if p.names[s-1] == name {
+			return s - 1
+		}
 	}
-	s := len(p.names)
-	p.index[name] = s
-	p.names = append(p.names, name)
-	return int32(s)
+}
+
+// grow doubles the hash table and reinserts every symbol.
+func (p *parser) grow() {
+	p.table = make([]int32, 2*len(p.table))
+	mask := uint64(len(p.table) - 1)
+	for s, name := range p.names {
+		i := maphash.String(p.seed, name) & mask
+		for p.table[i] != 0 {
+			i = (i + 1) & mask
+		}
+		p.table[i] = int32(s) + 1
+	}
 }
 
 // scan splits src into lines in place and records each one, stopping at
@@ -173,30 +214,18 @@ func (p *parser) decl(line, kw string, kind uint8, lineNo int) error {
 	}
 	if kind == outputDecl {
 		p.outputs++
-		p.records = append(p.records, record{kind: kind, line: int32(lineNo), text: sig})
-	} else {
-		p.records = append(p.records, record{kind: kind, line: int32(lineNo), sym: p.sym(sig)})
 	}
+	p.records = append(p.records, record{kind: kind, line: int32(lineNo), sym: p.sym(sig)})
 	return nil
 }
 
 // assign records "name = FN(a, b, ...)".
 func (p *parser) assign(line string, lineNo int) error {
-	eq := strings.IndexByte(line, '=')
-	if eq < 0 {
-		return &ParseError{lineNo, fmt.Sprintf("expected assignment, got %q", line)}
-	}
-	name := strings.TrimSpace(line[:eq])
-	if name == "" {
-		return &ParseError{lineNo, "empty signal name on left-hand side"}
-	}
-	rhs := strings.TrimSpace(line[eq+1:])
-	open := strings.IndexByte(rhs, '(')
-	if open < 0 || !strings.HasSuffix(rhs, ")") {
-		return &ParseError{lineNo, fmt.Sprintf("malformed gate expression %q", rhs)}
+	name, fn, args, err := splitAssignment(line, lineNo)
+	if err != nil {
+		return err
 	}
 	pin0 := int32(len(p.pins))
-	args := rhs[open+1 : len(rhs)-1]
 	for more := true; more; {
 		var part string
 		part, args, more = strings.Cut(args, ",")
@@ -206,52 +235,84 @@ func (p *parser) assign(line string, lineNo int) error {
 		p.pins = append(p.pins, p.sym(part))
 	}
 	p.records = append(p.records, record{
-		kind: assignment, line: int32(lineNo), sym: p.sym(name),
-		pin0: pin0, pin1: int32(len(p.pins)), text: strings.TrimSpace(rhs[:open]),
+		kind: assignment, typ: gateType(strings.ToUpper(fn), len(p.pins)-int(pin0)), line: int32(lineNo),
+		sym: p.sym(name), pin0: pin0, pin1: int32(len(p.pins)),
 	})
 	return nil
 }
 
+// splitAssignment splits a trimmed assignment line into the assigned
+// name, the mnemonic and the text between the parentheses.
+func splitAssignment(line string, lineNo int) (name, fn, args string, err error) {
+	eq := strings.IndexByte(line, '=')
+	if eq < 0 {
+		return "", "", "", &ParseError{lineNo, fmt.Sprintf("expected assignment, got %q", line)}
+	}
+	name = strings.TrimSpace(line[:eq])
+	if name == "" {
+		return "", "", "", &ParseError{lineNo, "empty signal name on left-hand side"}
+	}
+	rhs := strings.TrimSpace(line[eq+1:])
+	open := strings.IndexByte(rhs, '(')
+	if open < 0 || !strings.HasSuffix(rhs, ")") {
+		return "", "", "", &ParseError{lineNo, fmt.Sprintf("malformed gate expression %q", rhs)}
+	}
+	return name, strings.TrimSpace(rhs[:open]), rhs[open+1 : len(rhs)-1], nil
+}
+
+// unknownGateError reports the unknown mnemonic of the assignment on
+// line lineNo, which scan accepted, so the line is found again.
+func (p *parser) unknownGateError(lineNo int) error {
+	src := p.src
+	for i := 1; i < lineNo; i++ {
+		src = src[strings.IndexByte(src, '\n')+1:]
+	}
+	line, _, _ := strings.Cut(src, "\n")
+	line, _, _ = strings.Cut(line, "#")
+	_, fn, _, _ := splitAssignment(strings.TrimSpace(line), lineNo)
+	return &ParseError{lineNo, fmt.Sprintf("unknown gate function %q", strings.ToUpper(fn))}
+}
+
 // gateType maps a mnemonic and arity onto a netlist gate type, applying
-// the single-input shorthand rules.
-func gateType(fn string, arity, lineNo int) (netlist.GateType, error) {
+// the single-input shorthand rules, or returns unknownGate.
+func gateType(fn string, arity int) netlist.GateType {
 	switch fn {
 	case "BUF", "BUFF":
-		return netlist.Buf, nil
+		return netlist.Buf
 	case "NOT", "INV":
-		return netlist.Not, nil
+		return netlist.Not
 	case "AND":
 		if arity == 1 {
-			return netlist.Buf, nil
+			return netlist.Buf
 		}
-		return netlist.And, nil
+		return netlist.And
 	case "NAND":
 		if arity == 1 {
-			return netlist.Not, nil
+			return netlist.Not
 		}
-		return netlist.Nand, nil
+		return netlist.Nand
 	case "OR":
 		if arity == 1 {
-			return netlist.Buf, nil
+			return netlist.Buf
 		}
-		return netlist.Or, nil
+		return netlist.Or
 	case "NOR":
 		if arity == 1 {
-			return netlist.Not, nil
+			return netlist.Not
 		}
-		return netlist.Nor, nil
+		return netlist.Nor
 	case "XOR":
 		if arity == 1 {
-			return netlist.Buf, nil
+			return netlist.Buf
 		}
-		return netlist.Xor, nil
+		return netlist.Xor
 	case "XNOR":
 		if arity == 1 {
-			return netlist.Not, nil
+			return netlist.Not
 		}
-		return netlist.Xnor, nil
+		return netlist.Xnor
 	}
-	return 0, &ParseError{lineNo, fmt.Sprintf("unknown gate function %q", fn)}
+	return unknownGate
 }
 
 // assemble numbers the signals and builds the circuit. Inputs take the
@@ -285,9 +346,9 @@ func (p *parser) assemble(name string) (*netlist.Circuit, error) {
 				return false, nil
 			}
 		}
-		t, err := gateType(strings.ToUpper(r.text), len(pins), int(r.line))
-		if err != nil {
-			return false, err
+		t := r.typ
+		if t == unknownGate {
+			return false, p.unknownGateError(int(r.line))
 		}
 		if t == netlist.Buf || t == netlist.Not {
 			pins = pins[:1] // the single-input shorthand keeps the first fanin
@@ -336,24 +397,14 @@ func (p *parser) assemble(name string) (*netlist.Circuit, error) {
 		if r.kind != outputDecl {
 			continue
 		}
-		s, ok := p.index[r.text]
-		if !ok {
-			return nil, fmt.Errorf("bench: OUTPUT %q has no driver", r.text)
+		if gateOf[r.sym] < 0 {
+			return nil, fmt.Errorf("bench: OUTPUT %q has no driver", p.names[r.sym])
 		}
-		outputs = append(outputs, int(gateOf[s]))
+		outputs = append(outputs, int(gateOf[r.sym]))
 	}
-	// Every symbol now names a gate, so the index becomes the circuit's.
-	// It needs renumbering only when symbols and gate IDs differ, as
-	// when a gate is named before its definition.
-	for s, id := range gateOf {
-		if int(id) != s {
-			for s, nm := range p.names {
-				p.index[nm] = int(gateOf[s])
-			}
-			break
-		}
-	}
-	return netlist.Assemble(name, gates, outputs, p.index)
+	// Every gate holds its own symbol, so the names are distinct, as
+	// Assemble requires.
+	return netlist.Assemble(name, gates, outputs)
 }
 
 // Write emits the circuit in .bench format. Gates appear in topological

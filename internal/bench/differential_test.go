@@ -314,6 +314,31 @@ func TestParseMatchesReference(t *testing.T) {
 	t.Logf("reference accepted %d of %d inputs", accepted, len(names))
 }
 
+// TestParseMatchesReferenceAsSymbolTableGrows: text whose short lines
+// name more symbols than the parser's line estimate sized its hash
+// table for, so that the table doubles mid-parse, parses as the
+// reference parses it, and so does a single gate line with thousands
+// of undefined fanins, one of them repeated after the growth.
+func TestParseMatchesReferenceAsSymbolTableGrows(t *testing.T) {
+	var b strings.Builder
+	names := make([]string, 0, 1100)
+	const digits = "0123456789abcdefghijklmnopqrstuvwxyz"
+	for i := 0; len(names) < cap(names); i++ {
+		names = append(names, digits[i/36:i/36+1]+digits[i%36:i%36+1])
+	}
+	for _, n := range names {
+		fmt.Fprintf(&b, "INPUT(%s)\n", n)
+	}
+	b.WriteString("OUTPUT(z)\nz=AND(" + strings.Join(names[len(names)-3:], ",") + ")\n")
+	matchReference(t, b.String())
+
+	fanins := make([]string, 3000)
+	for i := range fanins {
+		fanins[i] = fmt.Sprint("u", i)
+	}
+	matchReference(t, "INPUT(a)\nOUTPUT(z)\nz = AND(a, "+strings.Join(fanins, ", ")+", u7, a)\n")
+}
+
 // FuzzParseMatchesReference holds the parser to the reference on
 // arbitrary text.
 func FuzzParseMatchesReference(f *testing.F) {
@@ -333,5 +358,15 @@ func FuzzParseMatchesReference(f *testing.F) {
 	f.Add("INPUT(a)\nOUTPUT(z)\nz = AND(a, y)\ny = NOT(z)\n")
 	f.Add("INPUT a\nOUTPUT(z)\nz = NOT(a)\n")
 	f.Add("INPUT(a)\nOUTPUT(inputx)\ninputx = NOT(a)\n")
+	// Names the symbol table must tell apart: undefined ones (a fanin,
+	// an output), ones defined twice (as inputs, as gates, as both),
+	// forward references, and names that differ in case or by a byte.
+	f.Add("INPUT(a)\nOUTPUT(z)\nz = AND(a, ghost)\n")
+	f.Add("INPUT(a)\nOUTPUT(y)\nz = NOT(a)\n")
+	f.Add("INPUT(a)\nINPUT(a)\nOUTPUT(z)\nz = NOT(a)\n")
+	f.Add("INPUT(a)\nOUTPUT(z)\nz = NOT(a)\nz = BUF(a)\n")
+	f.Add("INPUT(a)\nOUTPUT(a)\na = NOT(a)\n")
+	f.Add("OUTPUT(z)\nz = OR(m, n)\nn = NOT(m)\nm = AND(a, A)\nINPUT(a)\nINPUT(A)\n")
+	f.Add("INPUT(ab)\nINPUT(ba)\nOUTPUT(abc)\nabc = XOR(ab, ba, a b)\n")
 	f.Fuzz(matchReference)
 }

@@ -207,7 +207,7 @@ func Collapse(c *netlist.Circuit, faults []Fault) []Fault {
 // index order is Universe order, so this is the earliest level with ties
 // broken by gate, pin and stuck value.
 func collapse(c *netlist.Circuit, x faultIndex, uf unionFind, faults []Fault) []Fault {
-	key := func(f Fault, i int32) int64 { return (int64(c.Level(f.Gate))<<32 | int64(i)) + 1 }
+	key := func(f Fault, i int32) int64 { return siteKey(c.Level(f.Gate), i) }
 	best := make([]int64, x.size) // per class root; 0 = no member listed yet
 	classes := 0
 	for _, f := range faults {
@@ -232,9 +232,52 @@ func collapse(c *netlist.Circuit, x faultIndex, uf unionFind, faults []Fault) []
 	return out
 }
 
-// CollapsedUniverse is shorthand for Collapse(c, Universe(c)).
+// siteKey orders the fault with index i on a gate of the given level
+// as collapse ranks class members: by level, then index. It is never 0.
+func siteKey(level int, i int32) int64 { return (int64(level)<<32 | int64(i)) + 1 }
+
+// CollapsedUniverse returns Collapse(c, Universe(c)). It walks the fault
+// index's sites in Universe order instead of listing the universe, so
+// its result comes out sorted.
 func CollapsedUniverse(c *netlist.Circuit) []Fault {
-	return Collapse(c, Universe(c))
+	x := newFaultIndex(c)
+	uf := buildUnions(c, x)
+	best := make([]int64, x.size) // per class root; 0 = no site seen yet
+	classes := 0
+	universeSites(c, x, func(_ Fault, i int32, key int64) {
+		if r := uf.find(i); best[r] == 0 || key < best[r] {
+			if best[r] == 0 {
+				classes++
+			}
+			best[r] = key
+		}
+	})
+	out := make([]Fault, 0, classes)
+	universeSites(c, x, func(f Fault, i int32, key int64) {
+		if best[uf.find(i)] == key {
+			out = append(out, f)
+		}
+	})
+	return out
+}
+
+// universeSites calls visit for every fault of Universe(c), in its
+// order, with the fault's index and key. The key carries the gate's
+// level, read once per gate.
+func universeSites(c *netlist.Circuit, x faultIndex, visit func(f Fault, i int32, key int64)) {
+	for id := 0; id < c.NumGates(); id++ {
+		level := c.Level(id)
+		i := x.first[id]
+		visit(Fault{Gate: id, Pin: -1, Stuck: false}, i, siteKey(level, i))
+		visit(Fault{Gate: id, Pin: -1, Stuck: true}, i+1, siteKey(level, i+1))
+		for pin, d := range c.Fanin(id) {
+			if c.FanoutCount(d) > 1 {
+				i := x.first[id] + int32(2*(pin+1))
+				visit(Fault{Gate: id, Pin: pin, Stuck: false}, i, siteKey(level, i))
+				visit(Fault{Gate: id, Pin: pin, Stuck: true}, i+1, siteKey(level, i+1))
+			}
+		}
+	}
 }
 
 // EquivalenceClasses returns the partition of the given fault list into

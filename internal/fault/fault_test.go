@@ -436,7 +436,8 @@ func referenceCircuits() []*netlist.Circuit {
 // TestCollapseMatchesReference: the dense-index collapsing returns
 // exactly what the map-based union-find returned, for the universe, a
 // shuffled sample of it with repeats, and redundant sets of several
-// densities.
+// densities, and CollapsedUniverse, which walks the index without
+// listing the universe, returns the reference's collapsed universe.
 func TestCollapseMatchesReference(t *testing.T) {
 	for _, c := range referenceCircuits() {
 		t.Run(c.Name(), func(t *testing.T) {
@@ -462,6 +463,9 @@ func TestCollapseMatchesReference(t *testing.T) {
 				if !slices.EqualFunc(got, want, slices.Equal) {
 					t.Errorf("%s: EquivalenceClasses = %v, reference %v", name, got, want)
 				}
+			}
+			if got, want := CollapsedUniverse(c), refCollapse(c, u); !slices.Equal(got, want) {
+				t.Errorf("CollapsedUniverse = %v, reference %v", got, want)
 			}
 			if got, want := CollapseWithDominance(c), func() []Fault { k, _ := refCollapseExcluding(c, nil); return k }(); !slices.Equal(got, want) {
 				t.Errorf("CollapseWithDominance = %v, reference %v", got, want)

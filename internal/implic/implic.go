@@ -301,8 +301,10 @@ func (e *Engine) commit() {
 // assigned appends to dst every literal assigned after the last run,
 // the base included, in ascending order and leaving out signal skip (-1
 // keeps all). The base is kept sorted and the run's own assignments are
-// sorted here, so one merge builds the list.
+// sorted here, so one merge builds the list. dst is grown once, to hold
+// every literal, before the merge.
 func (e *Engine) assigned(dst []Lit, skip int) []Lit {
+	dst = slices.Grow(dst, len(e.base)+len(e.touched))
 	slices.Sort(e.touched)
 	b, t := e.base, e.touched
 	for len(b) > 0 || len(t) > 0 {

@@ -4,7 +4,7 @@ package netlist
 // signal with fanout count other than exactly one. Stems head fanout-free
 // regions; every fault effect inside an FFR must pass through its stem.
 func (c *Circuit) IsStem(id int) bool {
-	return c.isOutput[id] || len(c.fanout[id]) != 1
+	return c.isOutput[id] || c.FanoutCount(id) != 1
 }
 
 // IsFanoutFree reports whether the circuit is a forest: every signal feeds
@@ -12,7 +12,7 @@ func (c *Circuit) IsStem(id int) bool {
 // fanin, and no gate consumes the same signal on two pins.
 func (c *Circuit) IsFanoutFree() bool {
 	for id := range c.gates {
-		n := len(c.fanout[id])
+		n := c.FanoutCount(id)
 		if n > 1 {
 			return false
 		}
@@ -47,7 +47,7 @@ func (c *Circuit) FFRs() []FFR {
 	for i := len(c.order) - 1; i >= 0; i-- {
 		id := c.order[i]
 		if !c.IsStem(id) {
-			regionOf[id] = regionOf[c.fanout[id][0]]
+			regionOf[id] = regionOf[c.fanout[c.fanoutStart[id]]]
 		}
 	}
 	byStem := make(map[int]*FFR)
@@ -78,7 +78,7 @@ func (c *Circuit) RegionOf() []int {
 		if c.IsStem(id) {
 			regionOf[id] = id
 		} else {
-			regionOf[id] = regionOf[c.fanout[id][0]]
+			regionOf[id] = regionOf[c.fanout[c.fanoutStart[id]]]
 		}
 	}
 	return regionOf
@@ -119,7 +119,7 @@ func (c *Circuit) FanoutCone(id int) []int {
 	for len(stack) > 0 {
 		g := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, s := range c.fanout[g] {
+		for _, s := range c.Fanout(g) {
 			if !seen[s] {
 				seen[s] = true
 				stack = append(stack, s)
@@ -144,7 +144,7 @@ func (c *Circuit) HasReconvergentFanout() bool {
 	// reachable from two different immediate successors of s.
 	mark := make([]int, len(c.gates)) // bitmask of branch indices (capped)
 	for id := range c.gates {
-		outs := c.fanout[id]
+		outs := c.Fanout(id)
 		if len(outs) < 2 {
 			continue
 		}

@@ -136,15 +136,22 @@ func (b *Builder) ReplaceFanin(id, pin, newIn int) {
 	b.gates[id].Fanin[pin] = newIn
 }
 
-// Build validates the accumulated gates and returns the Circuit.
+// Build validates the accumulated gates and returns the Circuit. The
+// circuit owns a copy of every fanin list, all in one array, so the
+// Builder stays free to change.
 func (b *Builder) Build() (*Circuit, error) {
-	gates := make([]Gate, len(b.gates))
-	for id, g := range b.gates {
-		fanin := make([]int, len(g.Fanin))
-		copy(fanin, g.Fanin)
-		gates[id] = Gate{Type: g.Type, Name: g.Name, Fanin: fanin}
+	pins := 0
+	for _, g := range b.gates {
+		pins += len(g.Fanin)
 	}
-	return newCircuit(b.name, gates, append([]int(nil), b.outputs...), nil)
+	gates := make([]Gate, len(b.gates))
+	fanin := make([]int, 0, pins)
+	for id, g := range b.gates {
+		start := len(fanin)
+		fanin = append(fanin, g.Fanin...)
+		gates[id] = Gate{Type: g.Type, Name: g.Name, Fanin: fanin[start:len(fanin):len(fanin)]}
+	}
+	return newCircuit(b.name, gates, append([]int(nil), b.outputs...), b.names)
 }
 
 // MustBuild is Build for circuits that are known-correct by construction

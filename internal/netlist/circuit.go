@@ -5,12 +5,14 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 )
 
 // Circuit is an immutable, validated gate-level combinational circuit.
 // Construct one with a Builder or by parsing a .bench file. All derived
 // structure (fanout lists, levels, topological order) is computed once at
-// build time.
+// build time, except the name index, which the first GateByName or
+// Validate builds.
 type Circuit struct {
 	name    string
 	gates   []Gate
@@ -18,9 +20,18 @@ type Circuit struct {
 	outputs []int
 
 	isOutput []bool
-	fanout   [][]int // consumer gate IDs per signal (duplicates if multi-pin)
-	level    []int   // logic level; inputs are level 0
-	order    []int   // topological order, inputs first
+	// fanout holds every signal's consumer gate IDs in one flat array,
+	// one entry per consuming pin, in consumer-ID order: signal id's run
+	// is fanout[fanoutStart[id]:fanoutStart[id+1]].
+	fanout      []int
+	fanoutStart []int32
+	level       []int32 // logic level; inputs are level 0
+	order       []int   // topological order, inputs first
+
+	// byName maps every gate's name to its ID. It is built once, under
+	// nameOnce, by the first call that needs it: planning and simulating
+	// a circuit never look a name up.
+	nameOnce sync.Once
 	byName   map[string]int
 }
 
@@ -29,27 +40,20 @@ type Circuit struct {
 var ErrCombinationalLoop = errors.New("netlist: combinational loop")
 
 // Assemble validates a gate list and returns its circuit, as Build does
-// for a Builder's gates. It takes ownership of gates, outputs and
-// byName, which must map every gate's name to its ID and hold nothing
-// else; a parser that already keeps such an index hands it over instead
-// of having a second one built. The index's size and every gate's entry
-// are checked, so the circuit passes Validate. Duplicate outputs are
-// tolerated.
-func Assemble(name string, gates []Gate, outputs []int, byName map[string]int) (*Circuit, error) {
-	if len(byName) != len(gates) {
-		return nil, fmt.Errorf("netlist: name index has %d entries for %d gates", len(byName), len(gates))
-	}
-	return newCircuit(name, gates, outputs, byName)
+// for a Builder's gates. It takes ownership of gates and outputs. The
+// gates' names must be distinct, as a parser that numbers each name once
+// guarantees: Assemble does not check them, and Validate reports a
+// circuit whose names repeat. Duplicate outputs are tolerated.
+func Assemble(name string, gates []Gate, outputs []int) (*Circuit, error) {
+	return newCircuit(name, gates, outputs, nil)
 }
 
 // newCircuit validates the raw gate list and computes derived structure.
-// A nil byName is built from the gate names; a given one must already
-// map each gate's name to its ID.
-func newCircuit(name string, gates []Gate, outputs []int, byName map[string]int) (*Circuit, error) {
-	c := &Circuit{name: name, gates: gates, byName: byName}
-	if byName == nil {
-		c.byName = make(map[string]int, len(gates))
-	}
+// A non-nil first maps each name to the first gate that holds it, as a
+// Builder keeps it, and a gate it does not name is reported as a
+// duplicate.
+func newCircuit(name string, gates []Gate, outputs []int, first map[string]int) (*Circuit, error) {
+	c := &Circuit{name: name, gates: gates}
 	inputs := 0
 	for id, g := range gates {
 		if !g.Type.Valid() {
@@ -58,13 +62,10 @@ func newCircuit(name string, gates []Gate, outputs []int, byName map[string]int)
 		if g.Name == "" {
 			return nil, fmt.Errorf("netlist: gate %d: empty name", id)
 		}
-		if byName == nil {
-			if prev, dup := c.byName[g.Name]; dup {
+		if first != nil {
+			if prev := first[g.Name]; prev != id {
 				return nil, fmt.Errorf("netlist: duplicate gate name %q (ids %d and %d)", g.Name, prev, id)
 			}
-			c.byName[g.Name] = id
-		} else if got, ok := byName[g.Name]; !ok || got != id {
-			return nil, fmt.Errorf("netlist: name index maps %q to %d, want %d", g.Name, got, id)
 		}
 		if n, min, max := len(g.Fanin), g.Type.MinFanin(), g.Type.MaxFanin(); n < min || (max >= 0 && n > max) {
 			return nil, fmt.Errorf("netlist: gate %q (%s): fanin count %d out of range", g.Name, g.Type, n)
@@ -112,31 +113,25 @@ func newCircuit(name string, gates []Gate, outputs []int, byName map[string]int)
 // consumer-ID order with one entry per consuming pin.
 func (c *Circuit) buildFanout() {
 	n := len(c.gates)
-	// end[f] counts f's pins, then becomes the end of f's run, and the
+	// start[f] counts f's pins, then becomes the end of f's run, and the
 	// backwards fill below walks it down to the run's start.
-	end := make([]int, n+1)
+	start := make([]int32, n+1)
 	for _, g := range c.gates {
 		for _, f := range g.Fanin {
-			end[f]++
+			start[f]++
 		}
 	}
-	for f := 1; f < n; f++ {
-		end[f] += end[f-1]
+	for f := 1; f <= n; f++ {
+		start[f] += start[f-1]
 	}
-	if n > 0 {
-		end[n] = end[n-1]
-	}
-	flat := make([]int, end[n])
+	flat := make([]int, start[n])
 	for id := n - 1; id >= 0; id-- {
 		for _, f := range c.gates[id].Fanin {
-			end[f]--
-			flat[end[f]] = id
+			start[f]--
+			flat[start[f]] = id
 		}
 	}
-	c.fanout = make([][]int, n)
-	for f := range c.fanout {
-		c.fanout[f] = flat[end[f]:end[f+1]:end[f+1]]
-	}
+	c.fanout, c.fanoutStart = flat, start
 }
 
 // levelize computes the topological order and logic levels via Kahn's
@@ -144,18 +139,18 @@ func (c *Circuit) buildFanout() {
 // queue: gates are appended when their last fanin is placed.
 func (c *Circuit) levelize() error {
 	n := len(c.gates)
-	c.level = make([]int, n)
+	c.level = make([]int32, n)
 	c.order = make([]int, 0, n)
-	indeg := make([]int, n)
+	indeg := make([]int32, n)
 	for id := range c.gates {
-		indeg[id] = len(c.gates[id].Fanin)
+		indeg[id] = int32(len(c.gates[id].Fanin))
 		if indeg[id] == 0 {
 			c.order = append(c.order, id)
 		}
 	}
 	for head := 0; head < len(c.order); head++ {
 		id := c.order[head]
-		for _, s := range c.fanout[id] {
+		for _, s := range c.Fanout(id) {
 			if l := c.level[id] + 1; l > c.level[s] {
 				c.level[s] = l
 			}
@@ -199,10 +194,13 @@ func (c *Circuit) Fanin(id int) []int { return c.gates[id].Fanin }
 // Fanout returns the consumer gate IDs of the given signal (one entry per
 // consuming pin, so a gate consuming the signal twice appears twice). The
 // returned slice must not be modified.
-func (c *Circuit) Fanout(id int) []int { return c.fanout[id] }
+func (c *Circuit) Fanout(id int) []int {
+	lo, hi := c.fanoutStart[id], c.fanoutStart[id+1]
+	return c.fanout[lo:hi:hi]
+}
 
 // FanoutCount returns the number of consuming pins of signal id.
-func (c *Circuit) FanoutCount(id int) int { return len(c.fanout[id]) }
+func (c *Circuit) FanoutCount(id int) int { return int(c.fanoutStart[id+1] - c.fanoutStart[id]) }
 
 // Inputs returns the primary input IDs in declaration order. The returned
 // slice must not be modified.
@@ -216,27 +214,37 @@ func (c *Circuit) Outputs() []int { return c.outputs }
 func (c *Circuit) IsOutput(id int) bool { return c.isOutput[id] }
 
 // Level returns the logic level of the gate (primary inputs are level 0).
-func (c *Circuit) Level(id int) int { return c.level[id] }
+func (c *Circuit) Level(id int) int { return int(c.level[id]) }
 
 // Depth returns the maximum logic level over all gates.
 func (c *Circuit) Depth() int {
-	d := 0
+	d := int32(0)
 	for _, l := range c.level {
-		if l > d {
-			d = l
-		}
+		d = max(d, l)
 	}
-	return d
+	return int(d)
 }
 
 // TopoOrder returns the gate IDs in a topological order (fanin before
 // fanout). The returned slice must not be modified.
 func (c *Circuit) TopoOrder() []int { return c.order }
 
-// GateByName returns the ID of the gate with the given name.
+// GateByName returns the ID of the gate with the given name. The first
+// call builds the circuit's name index.
 func (c *Circuit) GateByName(name string) (int, bool) {
-	id, ok := c.byName[name]
+	id, ok := c.nameIndex()[name]
 	return id, ok
+}
+
+// nameIndex returns the name index, building it on first use.
+func (c *Circuit) nameIndex() map[string]int {
+	c.nameOnce.Do(func() {
+		c.byName = make(map[string]int, len(c.gates))
+		for id, g := range c.gates {
+			c.byName[g.Name] = id
+		}
+	})
+	return c.byName
 }
 
 // Clone returns a Builder pre-loaded with a deep copy of the circuit,
@@ -282,8 +290,8 @@ func (c *Circuit) Stats() Stats {
 			s.Stems++
 		}
 		s.Lines++ // the stem itself
-		if len(c.fanout[id]) > 1 {
-			s.Lines += len(c.fanout[id])
+		if n := c.FanoutCount(id); n > 1 {
+			s.Lines += n
 		}
 	}
 	return s

@@ -1,6 +1,9 @@
 package netlist
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // TestPointKind enumerates the kinds of test points that can be inserted
 // into a circuit.
@@ -61,7 +64,13 @@ func (c *Circuit) InsertTestPoints(points []TestPoint) (*Circuit, error) {
 			return nil, fmt.Errorf("netlist: test point signal %d out of range", p.Signal)
 		}
 	}
-	b := c.Clone()
+	r := rewrite{c: c, gates: make([]Gate, len(c.gates), len(c.gates)+2*len(points))}
+	// The new circuit shares the receiver's fanin lists: both are
+	// immutable, and a consumer that gets rewired is given its own copy
+	// first.
+	copy(r.gates, c.gates)
+	outputs := make([]int, len(c.outputs), len(c.outputs)+len(points))
+	copy(outputs, c.outputs)
 	// cur maps an original signal to the signal its consumers should read
 	// after the rewrites applied so far, so multiple test points on the
 	// same signal compose in insertion order.
@@ -77,41 +86,71 @@ func (c *Circuit) InsertTestPoints(points []TestPoint) (*Circuit, error) {
 		name := c.gates[s].Name
 		switch p.Kind {
 		case Observe:
-			op := b.BufGate(b.UniqueName(fmt.Sprintf("%s_op%d", name, i)), current(s))
-			b.MarkOutput(op)
+			op := r.add(Buf, fmt.Sprintf("%s_op%d", name, i), current(s))
+			outputs = append(outputs, op)
 		case Control0, Control1:
-			tpIn := b.Input(b.UniqueName(fmt.Sprintf("%s_tp%d", name, i)))
-			var gated int
-			if p.Kind == Control0 {
-				gated = b.AndGate(b.UniqueName(fmt.Sprintf("%s_cp%d", name, i)), current(s), tpIn)
-			} else {
-				gated = b.OrGate(b.UniqueName(fmt.Sprintf("%s_cp%d", name, i)), current(s), tpIn)
+			tpIn := r.add(Input, fmt.Sprintf("%s_tp%d", name, i))
+			t := And
+			if p.Kind == Control1 {
+				t = Or
 			}
-			c.rewireConsumers(b, s, current(s), gated)
+			gated := r.add(t, fmt.Sprintf("%s_cp%d", name, i), current(s), tpIn)
+			r.rewireConsumers(s, current(s), gated)
 			cur[s] = gated
 		case FullCut:
-			op := b.BufGate(b.UniqueName(fmt.Sprintf("%s_op%d", name, i)), current(s))
-			b.MarkOutput(op)
-			tpIn := b.Input(b.UniqueName(fmt.Sprintf("%s_tp%d", name, i)))
-			c.rewireConsumers(b, s, current(s), tpIn)
+			op := r.add(Buf, fmt.Sprintf("%s_op%d", name, i), current(s))
+			outputs = append(outputs, op)
+			tpIn := r.add(Input, fmt.Sprintf("%s_tp%d", name, i))
+			r.rewireConsumers(s, current(s), tpIn)
 			cur[s] = tpIn
 		default:
 			return nil, fmt.Errorf("netlist: unknown test point kind %v", p.Kind)
 		}
 	}
-	return b.Build()
+	return newCircuit(c.name, r.gates, outputs, nil)
+}
+
+// rewrite is a test point insertion in progress: the receiver's gates
+// followed by the ones added so far.
+type rewrite struct {
+	c     *Circuit
+	gates []Gate
+	anon  int // the last suffix a fresh name took, as Builder counts it
+}
+
+// add appends a gate named preferred, or a fresh variant of it when the
+// receiver holds that name, as Builder.UniqueName chooses them, and
+// returns its ID. Only the receiver's names need a lookup: a preferred
+// name ends in its kind and point index, and a fresh variant in "_" and
+// a count that never repeats, so no two names insertion makes are equal.
+func (r *rewrite) add(t GateType, preferred string, fanin ...int) int {
+	name := preferred
+	for {
+		if _, taken := r.c.GateByName(name); !taken {
+			break
+		}
+		r.anon++
+		name = fmt.Sprintf("%s_%d", preferred, r.anon)
+	}
+	r.gates = append(r.gates, Gate{Type: t, Name: name, Fanin: fanin})
+	return len(r.gates) - 1
 }
 
 // rewireConsumers redirects every pin of the original consumers of signal
 // s that currently reads `from` to read `to` instead. Only gates that
 // existed in the original circuit are touched; gates inserted for earlier
 // test points keep their connections.
-func (c *Circuit) rewireConsumers(b *Builder, s, from, to int) {
-	for _, consumer := range c.fanout[s] {
-		g := b.Gate(consumer)
-		for pin, f := range g.Fanin {
+func (r *rewrite) rewireConsumers(s, from, to int) {
+	for _, consumer := range r.c.Fanout(s) {
+		fanin := r.gates[consumer].Fanin
+		if &fanin[0] == &r.c.gates[consumer].Fanin[0] {
+			// Still the receiver's list: copy it before the first write.
+			fanin = slices.Clone(fanin)
+			r.gates[consumer].Fanin = fanin
+		}
+		for pin, f := range fanin {
 			if f == from {
-				b.ReplaceFanin(consumer, pin, to)
+				fanin[pin] = to
 			}
 		}
 	}

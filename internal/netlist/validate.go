@@ -14,8 +14,9 @@ func (c *Circuit) Validate() error {
 	n := len(c.gates)
 
 	// Gates: types, names, arity, fanin ranges, name index.
-	if len(c.byName) != n {
-		return fmt.Errorf("netlist: name index has %d entries for %d gates", len(c.byName), n)
+	byName := c.nameIndex()
+	if len(byName) != n {
+		return fmt.Errorf("netlist: name index has %d entries for %d gates", len(byName), n)
 	}
 	inputs := 0
 	for id, g := range c.gates {
@@ -25,7 +26,7 @@ func (c *Circuit) Validate() error {
 		if g.Name == "" {
 			return fmt.Errorf("netlist: gate %d: empty name", id)
 		}
-		if got, ok := c.byName[g.Name]; !ok || got != id {
+		if got, ok := byName[g.Name]; !ok || got != id {
 			return fmt.Errorf("netlist: name index maps %q to %d, want %d", g.Name, got, id)
 		}
 		if cnt, min, max := len(g.Fanin), g.Type.MinFanin(), g.Type.MaxFanin(); cnt < min || (max >= 0 && cnt > max) {
@@ -87,14 +88,22 @@ func (c *Circuit) Validate() error {
 		return fmt.Errorf("netlist: %d gates flagged as outputs, %d listed", marked, len(c.outputs))
 	}
 
+	// Fanout runs: n+1 offsets, ascending from 0 to the end of the flat
+	// array, so every signal's run lies inside it.
+	if len(c.fanoutStart) != n+1 || c.fanoutStart[0] != 0 || int(c.fanoutStart[n]) != len(c.fanout) {
+		return fmt.Errorf("netlist: fanout offsets do not span the %d fanout entries of %d gates", len(c.fanout), n)
+	}
+	for id := 0; id < n; id++ {
+		if c.fanoutStart[id+1] < c.fanoutStart[id] {
+			return fmt.Errorf("netlist: signal %d: fanout run ends before it starts", id)
+		}
+	}
+
 	// Fanin/fanout symmetry: the fanout lists must be exactly the
 	// transpose of the fanin lists, with one entry per consuming pin, in
 	// gate-ID order (the order newCircuit builds them in). The lowest
 	// signal that breaks this is reported, a wrong count before a wrong
 	// entry.
-	if len(c.fanout) != n {
-		return fmt.Errorf("netlist: fanout table has %d entries for %d gates", len(c.fanout), n)
-	}
 	clear(scratch)
 	for _, g := range c.gates {
 		for _, f := range g.Fanin {
@@ -103,7 +112,7 @@ func (c *Circuit) Validate() error {
 	}
 	bad, badCount := n, 0
 	for id, cnt := range scratch {
-		if cnt != len(c.fanout[id]) {
+		if cnt != c.FanoutCount(id) {
 			bad, badCount = id, cnt
 			break
 		}
@@ -117,7 +126,7 @@ func (c *Circuit) Validate() error {
 			if f >= bad {
 				continue
 			}
-			if c.fanout[f][scratch[f]] != id {
+			if c.Fanout(f)[scratch[f]] != id {
 				bad, badEntry, badWant = f, scratch[f], id
 				continue
 			}
@@ -126,11 +135,11 @@ func (c *Circuit) Validate() error {
 	}
 	if badEntry >= 0 {
 		return fmt.Errorf("netlist: signal %d: fanout entry %d is %d, transpose of fanin gives %d",
-			bad, badEntry, c.fanout[bad][badEntry], badWant)
+			bad, badEntry, c.Fanout(bad)[badEntry], badWant)
 	}
 	if bad < n {
 		return fmt.Errorf("netlist: signal %d: fanout count %d, transpose of fanin gives %d",
-			bad, len(c.fanout[bad]), badCount)
+			bad, c.FanoutCount(bad), badCount)
 	}
 
 	// Topological order: a permutation in which every gate follows all of
@@ -165,11 +174,9 @@ func (c *Circuit) Validate() error {
 		return fmt.Errorf("netlist: level slice has %d entries for %d gates", len(c.level), n)
 	}
 	for id, g := range c.gates {
-		want := 0
+		want := int32(0)
 		for _, f := range g.Fanin {
-			if l := c.level[f] + 1; l > want {
-				want = l
-			}
+			want = max(want, c.level[f]+1)
 		}
 		if c.level[id] != want {
 			return fmt.Errorf("netlist: gate %d has level %d, want %d", id, c.level[id], want)

@@ -2,9 +2,10 @@ package netlist
 
 import (
 	"fmt"
-	"maps"
 	"math/rand"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -78,16 +79,19 @@ func TestValidateCatchesCorruption(t *testing.T) {
 		}, "topo order"},
 		{"topo-dup", func(c *Circuit) { c.order[1] = c.order[0] }, "twice"},
 		{"fanout-missing", func(c *Circuit) {
-			for id := range c.fanout {
-				if len(c.fanout[id]) > 0 {
-					c.fanout[id] = c.fanout[id][:len(c.fanout[id])-1]
+			for id := range c.gates {
+				if out := c.Fanout(id); len(out) > 0 {
+					setRun(c, id, out[:len(out)-1])
 					break
 				}
 			}
 		}, "fanout"},
+		{"fanout-run", func(c *Circuit) { c.fanoutStart[1] = c.fanoutStart[2] + 1 }, "fanout run"},
+		{"fanout-span", func(c *Circuit) { c.fanoutStart[len(c.gates)]-- }, "fanout offsets"},
 		{"name-index", func(c *Circuit) {
-			c.byName[c.gates[0].Name] = 1
-			c.byName[c.gates[1].Name] = 0
+			byName := c.nameIndex()
+			byName[c.gates[0].Name] = 1
+			byName[c.gates[1].Name] = 0
 		}, "name index"},
 		{"output-flag", func(c *Circuit) {
 			for id := range c.isOutput {
@@ -116,6 +120,16 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// setRun replaces signal f's fanout run with run, moving the start of
+// every later run by the change in length.
+func setRun(c *Circuit, f int, run []int) {
+	lo, hi := int(c.fanoutStart[f]), int(c.fanoutStart[f+1])
+	c.fanout = slices.Replace(c.fanout, lo, hi, run...)
+	for g := f + 1; g < len(c.fanoutStart); g++ {
+		c.fanoutStart[g] += int32(len(run) - (hi - lo))
+	}
+}
+
 // transposeError is the fanin/fanout symmetry check as it was first
 // written, over a transpose rebuilt in per-signal slices: the reference
 // for Validate's counting walk.
@@ -127,24 +141,26 @@ func transposeError(c *Circuit) string {
 		}
 	}
 	for id := range want {
-		if len(want[id]) != len(c.fanout[id]) {
+		got := c.Fanout(id)
+		if len(want[id]) != len(got) {
 			return fmt.Sprintf("netlist: signal %d: fanout count %d, transpose of fanin gives %d",
-				id, len(c.fanout[id]), len(want[id]))
+				id, len(got), len(want[id]))
 		}
 		for i, s := range want[id] {
-			if c.fanout[id][i] != s {
+			if got[i] != s {
 				return fmt.Sprintf("netlist: signal %d: fanout entry %d is %d, transpose of fanin gives %d",
-					id, i, c.fanout[id][i], s)
+					id, i, got[i], s)
 			}
 		}
 	}
 	return ""
 }
 
-// TestValidateFanoutMatchesTranspose corrupts the fanout lists of a
-// random reconvergent circuit in one to three places at a time and
-// checks that Validate reports exactly what the transpose reference
-// reports: the same signal, entry and message.
+// TestValidateFanoutMatchesTranspose corrupts the flat fanout array of a
+// random reconvergent circuit in one to three places at a time, changing
+// entries and moving run boundaries, and checks that Validate reports
+// exactly what the transpose reference reports: the same signal, entry
+// and message.
 func TestValidateFanoutMatchesTranspose(t *testing.T) {
 	build := func() *Circuit {
 		rng := rand.New(rand.NewSource(5))
@@ -164,19 +180,20 @@ func TestValidateFanoutMatchesTranspose(t *testing.T) {
 	for trial := 0; trial < 500; trial++ {
 		c := build()
 		for k := rng.Intn(3); k >= 0; k-- {
-			f := rng.Intn(len(c.fanout))
-			out := c.fanout[f]
+			f := rng.Intn(len(c.gates))
+			out := slices.Clone(c.Fanout(f))
 			switch op := rng.Intn(4); {
 			case op == 0 && len(out) > 0:
 				out[rng.Intn(len(out))] = rng.Intn(len(c.gates))
 			case op == 1 && len(out) > 0:
-				c.fanout[f] = out[:rng.Intn(len(out))]
+				out = out[:rng.Intn(len(out))]
 			case op == 2 && len(out) > 1:
 				i, j := rng.Intn(len(out)), rng.Intn(len(out))
 				out[i], out[j] = out[j], out[i]
 			default:
-				c.fanout[f] = append(out, rng.Intn(len(c.gates)))
+				out = append(out, rng.Intn(len(c.gates)))
 			}
+			setRun(c, f, out)
 		}
 		want := transposeError(c)
 		got := ""
@@ -189,10 +206,9 @@ func TestValidateFanoutMatchesTranspose(t *testing.T) {
 	}
 }
 
-// TestAssembleChecksNameIndex: Assemble rejects an index that maps a
-// gate's name to another ID, or lacks it, with the text Validate gives
-// for the same index, so a parsed circuit needs no Validate.
-func TestAssembleChecksNameIndex(t *testing.T) {
+// TestValidateChecksNameIndex: Validate reports a name index that maps
+// a gate's name to another ID, or lacks it.
+func TestValidateChecksNameIndex(t *testing.T) {
 	cases := []struct {
 		name   string
 		byName map[string]int
@@ -203,21 +219,54 @@ func TestAssembleChecksNameIndex(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			gates := func() []Gate {
-				return []Gate{{Type: Input, Name: "a"}, {Type: Input, Name: "b"}, {Type: And, Name: "z", Fanin: []int{0, 1}}}
-			}
-			_, err := Assemble("idx", gates(), []int{2}, maps.Clone(tc.byName))
-			if err == nil || err.Error() != tc.want {
-				t.Errorf("Assemble error %v, want %q", err, tc.want)
-			}
-			c, err := Assemble("idx", gates(), []int{2}, map[string]int{"a": 0, "b": 1, "z": 2})
+			gates := []Gate{{Type: Input, Name: "a"}, {Type: Input, Name: "b"}, {Type: And, Name: "z", Fanin: []int{0, 1}}}
+			c, err := Assemble("idx", gates, []int{2})
 			if err != nil {
 				t.Fatal(err)
 			}
+			c.nameIndex()
 			c.byName = tc.byName
 			if err := c.Validate(); err == nil || err.Error() != tc.want {
 				t.Errorf("Validate error %v, want %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestNameIndexBuiltOnFirstLookup: Assemble builds no name index, and
+// the first lookups, made from several goroutines at once, build one
+// index that maps every name, and Validate reports an assembled circuit
+// whose names repeat.
+func TestNameIndexBuiltOnFirstLookup(t *testing.T) {
+	gates := []Gate{{Type: Input, Name: "a"}, {Type: Input, Name: "b"}, {Type: And, Name: "z", Fanin: []int{0, 1}}}
+	c, err := Assemble("idx", gates, []int{2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c.byName != nil {
+		t.Fatal("Assemble built the name index")
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for id, g := range gates {
+				if got, ok := c.GateByName(g.Name); !ok || got != id {
+					t.Errorf("GateByName(%q) = %d, %v, want %d", g.Name, got, ok, id)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if err := c.Validate(); err != nil {
+		t.Error(err)
+	}
+	dup, err := Assemble("dup", []Gate{{Type: Input, Name: "a"}, {Type: Not, Name: "a", Fanin: []int{0}}}, []int{1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dup.Validate(); err == nil || err.Error() != "netlist: name index has 1 entries for 2 gates" {
+		t.Errorf("Validate of repeated names: %v", err)
 	}
 }

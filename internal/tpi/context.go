@@ -41,10 +41,10 @@ func recoverCtx(err *error) {
 	}
 }
 
-// PlanCutsDPContext is PlanCutsDP with cancellation: the context is
-// polled once per node of each feasibility DP, so an expired or
-// cancelled context aborts the plan within one node's Pareto merge. It
-// returns nil and ctx.Err() when cancelled.
+// PlanCutsDPContext is PlanCutsDP with cancellation: each feasibility
+// DP polls the context at its first node and every 64th after it, so an
+// expired or cancelled context aborts the plan within 64 nodes' Pareto
+// merges. It returns nil and ctx.Err() when cancelled.
 func PlanCutsDPContext(ctx context.Context, c *netlist.Circuit, k int) (plan *CutPlan, err error) {
 	return PlanCutsDPWithCostContext(ctx, c, k, UnitCost)
 }

@@ -55,9 +55,17 @@ func PlanControlPointsGreedy(c *netlist.Circuit, faults []fault.Fault, k int, dt
 }
 
 func planControlPointsGreedy(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, k int, dth float64, opts CPOptions) (*CPPlan, error) {
+	plan, _, err := insertControlPointsGreedy(ctx, c, faults, k, dth, opts)
+	return plan, err
+}
+
+// insertControlPointsGreedy is planControlPointsGreedy that also returns
+// the circuit with the plan's points inserted, which it builds as it
+// selects them: what CPPlan.Apply would rebuild.
+func insertControlPointsGreedy(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, k int, dth float64, opts CPOptions) (*CPPlan, *netlist.Circuit, error) {
 	done := ctx.Done()
 	if k < 0 {
-		return nil, ErrBudgetNegative
+		return nil, nil, ErrBudgetNegative
 	}
 	maxCand := opts.MaxCandidates
 	if maxCand <= 0 {
@@ -96,7 +104,7 @@ func planControlPointsGreedy(ctx context.Context, c *netlist.Circuit, faults []f
 		}
 		mod, err := cur.InsertTestPoints([]netlist.TestPoint{bestPoint})
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		points = append(points, bestPoint)
 		cur = mod
@@ -105,7 +113,7 @@ func planControlPointsGreedy(ctx context.Context, c *netlist.Circuit, faults []f
 	}
 	plan.Points = points
 	plan.CoveredAfter = covered
-	return plan, nil
+	return plan, cur, nil
 }
 
 // countCovered counts faults whose estimated detection probability meets

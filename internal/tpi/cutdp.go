@@ -91,11 +91,19 @@ func planCutsDPWithCost(ctx context.Context, c *netlist.Circuit, budget int, cos
 	if k < 0 {
 		return nil, ErrBudgetNegative
 	}
-	costs := make([]int, c.NumGates())
+	// The DP keeps cut costs in 32 bits: a state's cost sums distinct
+	// signals' costs, so it never exceeds their total.
+	costs := make([]int32, c.NumGates())
+	total := 0
 	for id := range costs {
-		if costs[id] = cost(id); costs[id] <= 0 {
-			return nil, fmt.Errorf("tpi: cost of signal %d is %d; costs must be positive", id, costs[id])
+		w := cost(id)
+		if w <= 0 {
+			return nil, fmt.Errorf("tpi: cost of signal %d is %d; costs must be positive", id, w)
 		}
+		if total += w; total > math.MaxInt32 {
+			return nil, fmt.Errorf("tpi: signal costs sum past %d", math.MaxInt32)
+		}
+		costs[id] = int32(w)
 	}
 	base, err := testcount.Compute(c)
 	if err != nil {
@@ -122,9 +130,11 @@ func planCutsDPWithCost(ctx context.Context, c *netlist.Circuit, budget int, cos
 // one-tests. prev/choice thread the reconstruction chain: prev indexes
 // the partial state before this node's latest child was merged (relative
 // to the node's chain start), choice indexes the chosen export of that
-// child.
+// child. Every field fits 32 bits: k is at most the summed costs, which
+// planCutsDPWithCost bounds, and t0 and t1 at most T, which is at most
+// the base test count of a fanout-free circuit, two per gate.
 type cutState struct {
-	k, t0, t1    int
+	k, t0, t1    int32
 	prev, choice int32
 }
 
@@ -133,11 +143,11 @@ type cutState struct {
 // fresh leaf and one more cut). Export i < len(finals) is final state i
 // uncut; the one after them is the cut option.
 type export struct {
-	k, t0, t1 int
+	k, t0, t1 int32
 }
 
 // unsettled is the need of a node whose result depends on T.
-const unsettled = math.MaxInt
+const unsettled = math.MaxInt32
 
 // cutNode locates one node's states: its chain (the partial states
 // created while merging its children, starting at chain; prev indices
@@ -154,9 +164,9 @@ const unsettled = math.MaxInt
 // offsets index cutDP.store; any other node's index cutDP.arena, and its
 // need is unsettled.
 type cutNode struct {
-	chain, fin, finLen, best int
-	states                   int
-	need                     int
+	chain, fin, finLen, best int32
+	states                   int32
+	need                     int32
 }
 
 // cutDP carries the feasibility DP of one plan. solve reruns it for each
@@ -166,8 +176,8 @@ type cutNode struct {
 // arena. Every buffer is reused across probes.
 type cutDP struct {
 	c      *netlist.Circuit
-	T      int
-	cost   []int // insertion cost per signal
+	T      int32
+	cost   []int32 // insertion cost per signal
 	states int64
 	// computed counts the nodes computeNode ran on, over all probes.
 	computed int64
@@ -184,7 +194,7 @@ type cutDP struct {
 	kept    []cutState
 }
 
-func newCutDP(ctx context.Context, c *netlist.Circuit, cost []int) *cutDP {
+func newCutDP(ctx context.Context, c *netlist.Circuit, cost []int32) *cutDP {
 	n := c.NumGates()
 	nodes := make([]cutNode, n)
 	for i := range nodes {
@@ -223,15 +233,21 @@ func (dp *cutDP) search(base, k int) (bestT int, bestCuts []int) {
 	return bestT, bestCuts
 }
 
+// pollStride is how many nodes a probe visits between polls of its
+// context: a poll costs a select, and most nodes are reused for a load.
+const pollStride = 64
+
 // solve returns a cut set achieving every segment cost <= T using at most
 // k cuts, or ok=false if none exists.
 func (dp *cutDP) solve(T, k int) (cuts []int, ok bool) {
 	c := dp.c
-	dp.T = T
+	dp.T = int32(T)
 	dp.arena = dp.arena[:0]
-	for _, id := range c.TopoOrder() {
-		pollDone(dp.ctx, dp.done)
-		if nd := &dp.nodes[id]; nd.need <= T {
+	for i, id := range c.TopoOrder() {
+		if i%pollStride == 0 {
+			pollDone(dp.ctx, dp.done)
+		}
+		if nd := &dp.nodes[id]; nd.need <= dp.T {
 			dp.states += int64(nd.states)
 			continue
 		}
@@ -244,13 +260,13 @@ func (dp *cutDP) solve(T, k int) (cuts []int, ok bool) {
 		if nd.best < 0 {
 			return nil, false // root segment cannot meet T at all
 		}
-		total += dp.block(o)[nd.fin+nd.best].k
+		total += int(dp.block(o)[nd.fin+nd.best].k)
 	}
 	if total > k {
 		return nil, false
 	}
 	for _, o := range c.Outputs() {
-		dp.reconstruct(o, dp.nodes[o].best, &cuts)
+		dp.reconstruct(o, int(dp.nodes[o].best), &cuts)
 	}
 	return cuts, true
 }
@@ -269,7 +285,7 @@ func (dp *cutDP) computeNode(id int) {
 	dp.computed++
 	g := dp.c.Gate(id)
 	nd := &dp.nodes[id]
-	base := len(dp.arena)
+	base := int32(len(dp.arena))
 	nd.chain, nd.states = base, 0
 	if g.Type == netlist.Input {
 		dp.arena = append(dp.arena, cutState{k: 0, t0: 1, t1: 1, prev: -1, choice: -1})
@@ -280,7 +296,7 @@ func (dp *cutDP) computeNode(id int) {
 	}
 	// The node can settle only over settled children, and needs what
 	// they need.
-	need := 0
+	need := int32(0)
 	for _, child := range g.Fanin {
 		need = max(need, dp.nodes[child].need)
 	}
@@ -290,37 +306,39 @@ func (dp *cutDP) computeNode(id int) {
 	// Identity partial: nothing merged yet. The current partials are
 	// always the chain's last segment, arena[pOff : pOff+pLen].
 	dp.arena = append(dp.arena, cutState{k: 0, t0: 0, t1: 0, prev: -1, choice: -1})
-	pOff, pLen := base, 1
+	pOff, pLen := base, int32(1)
 	for _, child := range g.Fanin {
 		dp.exportsOf(child)
 		cand := dp.cand[:0]
-		for pi := 0; pi < pLen; pi++ {
+		for pi := int32(0); pi < pLen; pi++ {
 			p := dp.arena[pOff+pi]
 			for ei, e := range dp.exports {
+				// Sums are formed in int: the filter below keeps t0+t1
+				// within T, but a rejected sum may pass 32 bits.
 				var t0, t1 int
 				if sumZero {
-					t0 = p.t0 + e.t0
-					t1 = maxInt(p.t1, e.t1)
+					t0 = int(p.t0) + int(e.t0)
+					t1 = int(max(p.t1, e.t1))
 				} else {
-					t0 = maxInt(p.t0, e.t0)
-					t1 = p.t1 + e.t1
+					t0 = int(max(p.t0, e.t0))
+					t1 = int(p.t1) + int(e.t1)
 				}
-				if t0+t1 > dp.T {
+				if t0+t1 > int(dp.T) {
 					need = unsettled
 					continue // monotone upward: never feasible later
 				}
-				need = max(need, t0+t1)
+				need = max(need, int32(t0+t1))
 				cand = append(cand, cutState{
-					k: p.k + e.k, t0: t0, t1: t1,
-					prev:   int32(pOff - base + pi),
+					k: p.k + e.k, t0: int32(t0), t1: int32(t1),
+					prev:   pOff - base + pi,
 					choice: int32(ei),
 				})
 			}
 		}
 		dp.cand = cand
 		dp.kept = paretoPrune(cand, dp.kept[:0])
-		nd.states += len(dp.kept)
-		pOff, pLen = len(dp.arena), len(dp.kept)
+		nd.states += int32(len(dp.kept))
+		pOff, pLen = int32(len(dp.arena)), int32(len(dp.kept))
 		dp.arena = append(dp.arena, dp.kept...)
 		if pLen == 0 {
 			break
@@ -332,10 +350,10 @@ func (dp *cutDP) computeNode(id int) {
 	// single-child pass-through is handled by aggRules giving sum-zero
 	// semantics over one child with no swap (BUF) or swap (NOT): sum of
 	// one = the child value, max of one = the child value.
-	fin := len(dp.arena)
+	fin := int32(len(dp.arena))
 	dp.arena = append(dp.arena, dp.arena[pOff:pOff+pLen]...)
 	nd.fin, nd.finLen, nd.best = fin, pLen, -1
-	for i := fin; i < len(dp.arena); i++ {
+	for i := fin; i < int32(len(dp.arena)); i++ {
 		st := &dp.arena[i]
 		if swap {
 			st.t0, st.t1 = st.t1, st.t0
@@ -351,8 +369,8 @@ func (dp *cutDP) computeNode(id int) {
 }
 
 // settle moves node nd's block, arena[base:], to the store.
-func (dp *cutDP) settle(nd *cutNode, base int) {
-	shift := len(dp.store) - base
+func (dp *cutDP) settle(nd *cutNode, base int32) {
+	shift := int32(len(dp.store)) - base
 	dp.store = append(dp.store, dp.arena[base:]...)
 	dp.arena = dp.arena[:base]
 	nd.chain += shift
@@ -386,17 +404,17 @@ func (dp *cutDP) reconstruct(id, idx int, cuts *[]int) {
 	// fields as the chain entry it copies; walk prev pointers, one child
 	// per hop, last child first. A choice past the child's final states
 	// is its cut export, which continues from the child's best state.
-	st := blk[nd.fin+idx]
+	st := blk[int(nd.fin)+idx]
 	childIdx := len(fanin) - 1
 	for st.k > 0 {
 		child := fanin[childIdx]
-		next := int(st.choice)
+		next := st.choice
 		if cn := &dp.nodes[child]; next == cn.finLen {
 			*cuts = append(*cuts, child)
 			next = cn.best
 		}
-		dp.reconstruct(child, next, cuts)
-		st = blk[nd.chain+int(st.prev)]
+		dp.reconstruct(child, int(next), cuts)
+		st = blk[nd.chain+st.prev]
 		childIdx--
 	}
 }

@@ -175,7 +175,7 @@ func TestCutsDPReusesSettledNodes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		costs := make([]int, c.NumGates())
+		costs := make([]int32, c.NumGates())
 		for i := range costs {
 			costs[i] = 1
 		}

@@ -1,8 +1,10 @@
 package tpi
 
 import (
+	"cmp"
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/netlist"
@@ -10,9 +12,47 @@ import (
 )
 
 // The P1 cut DP as it stood before settled nodes were reused across the
-// threshold search, kept verbatim (with its type renamed) as the
+// threshold search, kept verbatim (with its types renamed) as the
 // reference the differential tests hold planCutsDPWithCost to: every
-// probe recomputes every node into one arena.
+// probe recomputes every node into one arena, and its states keep
+// full-width ints where the DP's are 32-bit.
+
+// referenceCutState and referenceExport are cutState and export as they
+// were, with int fields.
+type referenceCutState struct {
+	k, t0, t1    int
+	prev, choice int32
+}
+
+type referenceExport struct {
+	k, t0, t1 int
+}
+
+// referenceParetoPrune is paretoPrune over referenceCutState.
+func referenceParetoPrune(states, kept []referenceCutState) []referenceCutState {
+	slices.SortFunc(states, func(a, b referenceCutState) int {
+		if a.k != b.k {
+			return cmp.Compare(a.k, b.k)
+		}
+		if a.t0 != b.t0 {
+			return cmp.Compare(a.t0, b.t0)
+		}
+		return cmp.Compare(a.t1, b.t1)
+	})
+	for _, s := range states {
+		dominated := false
+		for _, q := range kept {
+			if q.k <= s.k && q.t0 <= s.t0 && q.t1 <= s.t1 {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			kept = append(kept, s)
+		}
+	}
+	return kept
+}
 
 // referencePlanCutsDPWithCost is planCutsDPWithCost over referenceCutDP.
 func referencePlanCutsDPWithCost(ctx context.Context, c *netlist.Circuit, budget int, cost CostFunc) (*CutPlan, error) {
@@ -77,13 +117,13 @@ type referenceCutDP struct {
 	// Pareto set: arena[finOff[n] : finOff[n]+finLen[n]]. best[n] indexes
 	// the first final state with the fewest cuts, -1 when the set is
 	// empty.
-	arena                          []cutState
+	arena                          []referenceCutState
 	chainOff, finOff, finLen, best []int
 	// Scratch reused by every merge: the child's exports, the candidate
 	// states, and the Pareto filter's survivors.
-	exports []export
-	cand    []cutState
-	kept    []cutState
+	exports []referenceExport
+	cand    []referenceCutState
+	kept    []referenceCutState
 }
 
 func newReferenceCutDP(ctx context.Context, c *netlist.Circuit, cost []int) *referenceCutDP {
@@ -96,7 +136,7 @@ func newReferenceCutDP(ctx context.Context, c *netlist.Circuit, cost []int) *ref
 		// A node keeps about four states at small k (its identity partial,
 		// one per merge, and the final copies): sized so the arena rarely
 		// grows.
-		arena:    make([]cutState, 0, 4*n),
+		arena:    make([]referenceCutState, 0, 4*n),
 		chainOff: make([]int, n),
 		finOff:   make([]int, n),
 		finLen:   make([]int, n),
@@ -138,7 +178,7 @@ func (dp *referenceCutDP) computeNode(id int) {
 	base := len(dp.arena)
 	dp.chainOff[id] = base
 	if g.Type == netlist.Input {
-		dp.arena = append(dp.arena, cutState{k: 0, t0: 1, t1: 1, prev: -1, choice: -1})
+		dp.arena = append(dp.arena, referenceCutState{k: 0, t0: 1, t1: 1, prev: -1, choice: -1})
 		dp.finOff[id], dp.finLen[id], dp.best[id] = base, 1, 0
 		dp.states++
 		return
@@ -148,7 +188,7 @@ func (dp *referenceCutDP) computeNode(id int) {
 	sumZero, swap := aggRules(g.Type)
 	// Identity partial: nothing merged yet. The current partials are
 	// always the chain's last segment, arena[pOff : pOff+pLen].
-	dp.arena = append(dp.arena, cutState{k: 0, t0: 0, t1: 0, prev: -1, choice: -1})
+	dp.arena = append(dp.arena, referenceCutState{k: 0, t0: 0, t1: 0, prev: -1, choice: -1})
 	pOff, pLen := base, 1
 	for _, child := range g.Fanin {
 		dp.exportsOf(child)
@@ -167,7 +207,7 @@ func (dp *referenceCutDP) computeNode(id int) {
 				if t0+t1 > dp.T {
 					continue // monotone upward: never feasible later
 				}
-				cand = append(cand, cutState{
+				cand = append(cand, referenceCutState{
 					k: p.k + e.k, t0: t0, t1: t1,
 					prev:   int32(pOff - base + pi),
 					choice: int32(ei),
@@ -175,7 +215,7 @@ func (dp *referenceCutDP) computeNode(id int) {
 			}
 		}
 		dp.cand = cand
-		dp.kept = paretoPrune(cand, dp.kept[:0])
+		dp.kept = referenceParetoPrune(cand, dp.kept[:0])
 		dp.states += int64(len(dp.kept))
 		pOff, pLen = len(dp.arena), len(dp.kept)
 		dp.arena = append(dp.arena, dp.kept...)
@@ -210,10 +250,10 @@ func (dp *referenceCutDP) exportsOf(child int) {
 	ex := dp.exports[:0]
 	off := dp.finOff[child]
 	for _, st := range dp.arena[off : off+dp.finLen[child]] {
-		ex = append(ex, export{k: st.k, t0: st.t0, t1: st.t1})
+		ex = append(ex, referenceExport{k: st.k, t0: st.t0, t1: st.t1})
 	}
 	if b := dp.best[child]; b >= 0 {
-		ex = append(ex, export{k: dp.arena[off+b].k + dp.cost[child], t0: 1, t1: 1})
+		ex = append(ex, referenceExport{k: dp.arena[off+b].k + dp.cost[child], t0: 1, t1: 1})
 	}
 	dp.exports = ex
 }

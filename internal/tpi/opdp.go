@@ -44,26 +44,28 @@ type OPOptions struct {
 // opModel is the shared coverage model: the circuit decomposed into
 // fanout-free regions, each fault mapped to a region node with a local
 // probability, path observabilities along region trees, and the external
-// observability of each stem.
+// observability of each stem. Per-node lists are runs of flat arrays.
 type opModel struct {
 	c      *netlist.Circuit
 	co     *testability.COP
-	region []int // gate -> region stem
+	region []int32 // gate -> region stem
 	// parent[n] = unique in-region consumer of n (-1 for stems);
 	// parentObs[n] = pin observability through that consumer.
-	parent    []int
+	parent    []int32
 	parentObs []float64
-	// nodeFaults[n] = local probabilities of the faults sited at node n
-	// (stem faults: excitation; branch faults: excitation x pin
-	// observability into the consuming gate).
-	nodeFaults [][]float64
-	// stemExt[s] = probability the stem's value change reaches a primary
-	// output through the rest of the circuit (1 if s is a PO).
-	stemExt map[int]float64
-	// regionNodes[s] = the gates of region s.
-	regionNodes map[int][]int
-	// regionChildren[n] = in-region fanins of n.
-	regionChildren [][]int
+	// faultP[faultStart[n]:faultStart[n+1]] = local probabilities of the
+	// faults sited at node n (stem faults: excitation; branch faults:
+	// excitation x pin observability into the consuming gate).
+	faultP     []float64
+	faultStart []int32
+	// stemExt[s] = probability that stem s's value change reaches a
+	// primary output through the rest of the circuit (1 if s is a PO);
+	// unused for other gates.
+	stemExt []float64
+	// children[childStart[n]:childStart[n+1]] = in-region fanins of n,
+	// in ascending ID order.
+	children   []int32
+	childStart []int32
 	// ctx and done are the plan's context, polled by coveredCount; done
 	// is nil for the planners that take no context.
 	ctx  context.Context
@@ -72,56 +74,76 @@ type opModel struct {
 
 func newOPModel(c *netlist.Circuit, faults []fault.Fault, opts OPOptions) *opModel {
 	co := testability.NewCOP(c, opts.COP)
+	n := c.NumGates()
 	m := &opModel{
-		c:              c,
-		co:             co,
-		region:         c.RegionOf(),
-		parent:         make([]int, c.NumGates()),
-		parentObs:      make([]float64, c.NumGates()),
-		nodeFaults:     make([][]float64, c.NumGates()),
-		stemExt:        make(map[int]float64),
-		regionNodes:    make(map[int][]int),
-		regionChildren: make([][]int, c.NumGates()),
+		c:          c,
+		co:         co,
+		region:     make([]int32, n),
+		parent:     make([]int32, n),
+		parentObs:  make([]float64, n),
+		faultStart: make([]int32, n+1),
+		stemExt:    make([]float64, n),
+		childStart: make([]int32, n+1),
 	}
-	for id := 0; id < c.NumGates(); id++ {
-		m.parent[id] = -1
+	// A non-stem's unique consumer is in its region by construction of
+	// fanout-free regions; reverse topological order visits it first.
+	order := c.TopoOrder()
+	for i := len(order) - 1; i >= 0; i-- {
+		id := order[i]
 		m.parentObs[id] = 1
-	}
-	for id := 0; id < c.NumGates(); id++ {
-		stem := m.region[id]
-		m.regionNodes[stem] = append(m.regionNodes[stem], id)
-		if id != stem {
-			// Non-stem: unique consumer, in the same region by
-			// construction of fanout-free regions.
-			consumer := c.Fanout(id)[0]
-			m.parent[id] = consumer
-			for pin, f := range c.Fanin(consumer) {
-				if f == id {
-					m.parentObs[id] = co.PinObservability(consumer, pin)
-					break
-				}
+		if c.IsStem(id) {
+			m.region[id], m.parent[id] = int32(id), -1
+			m.stemExt[id] = co.Observability(id)
+			continue
+		}
+		consumer := c.Fanout(id)[0]
+		m.region[id], m.parent[id] = m.region[consumer], int32(consumer)
+		m.childStart[consumer]++
+		for pin, f := range c.Fanin(consumer) {
+			if f == id {
+				m.parentObs[id] = co.PinObservability(consumer, pin)
+				break
 			}
-			m.regionChildren[consumer] = append(m.regionChildren[consumer], id)
 		}
 	}
-	for stem := range m.regionNodes {
-		m.stemExt[stem] = co.Observability(stem)
-	}
 	for _, f := range faults {
-		var node int
+		m.faultStart[f.Gate]++
+	}
+	// Each count becomes the end of its node's run, and the backwards
+	// fills below walk it down to the run's start, so children come out
+	// ascending and each node's faults in list order.
+	for id := 1; id <= n; id++ {
+		m.childStart[id] += m.childStart[id-1]
+		m.faultStart[id] += m.faultStart[id-1]
+	}
+	m.children = make([]int32, m.childStart[n])
+	for id := n - 1; id >= 0; id-- {
+		if p := m.parent[id]; p >= 0 {
+			m.childStart[p]--
+			m.children[m.childStart[p]] = int32(id)
+		}
+	}
+	m.faultP = make([]float64, m.faultStart[n])
+	for i := len(faults) - 1; i >= 0; i-- {
+		f := faults[i]
 		var p float64
 		if f.IsStem() {
-			node = f.Gate
 			p = excitation(co, f.Gate, f.Stuck)
 		} else {
-			node = f.Gate
 			driver := c.Fanin(f.Gate)[f.Pin]
 			p = excitation(co, driver, f.Stuck) * co.PinObservability(f.Gate, f.Pin)
 		}
-		m.nodeFaults[node] = append(m.nodeFaults[node], p)
+		m.faultStart[f.Gate]--
+		m.faultP[m.faultStart[f.Gate]] = p
 	}
 	return m
 }
+
+// faultsAt returns the local probabilities of the faults sited at node n.
+func (m *opModel) faultsAt(n int) []float64 { return m.faultP[m.faultStart[n]:m.faultStart[n+1]] }
+
+// childrenOf returns the in-region fanins of node n.
+func (m *opModel) childrenOf(n int) []int32 { return m.children[m.childStart[n]:m.childStart[n+1]] }
 
 func excitation(co *testability.COP, signal int, stuck bool) float64 {
 	if stuck {
@@ -137,7 +159,7 @@ func (m *opModel) pathObs(n, a int) float64 {
 	p := 1.0
 	for n != a {
 		p *= m.parentObs[n]
-		n = m.parent[n]
+		n = int(m.parent[n])
 	}
 	return p
 }
@@ -146,7 +168,7 @@ func (m *opModel) pathObs(n, a int) float64 {
 // when the effective observability from n's output is phi.
 func (m *opModel) coveredAt(n int, phi, dth float64) int {
 	cnt := 0
-	for _, p := range m.nodeFaults[n] {
+	for _, p := range m.faultsAt(n) {
 		if p*phi >= dth {
 			cnt++
 		}
@@ -166,7 +188,7 @@ func (m *opModel) coveredCount(ops []int, dth float64) int {
 	}
 	total, steps := 0, 0
 	for n := 0; n < m.c.NumGates(); n++ {
-		if len(m.nodeFaults[n]) == 0 {
+		if len(m.faultsAt(n)) == 0 {
 			continue
 		}
 		// Best observability from n: walk up to the stem, tracking OPs.
@@ -184,7 +206,7 @@ func (m *opModel) coveredCount(ops []int, dth float64) int {
 				break
 			}
 			phi *= m.parentObs[cur]
-			cur = m.parent[cur]
+			cur = int(m.parent[cur])
 		}
 		// cur is the stem; external observation continues downstream.
 		if ext := phi * m.stemExt[cur]; ext > best {
@@ -282,7 +304,7 @@ func (d *opDP) phiFor(n, anc int) float64 {
 	if anc >= 0 {
 		return d.m.pathObs(n, anc)
 	}
-	stem := d.m.region[n]
+	stem := int(d.m.region[n])
 	return d.m.pathObs(n, stem) * d.m.stemExt[stem]
 }
 
@@ -298,7 +320,7 @@ func (d *opDP) dp(n, anc int) []int {
 		return v
 	}
 	pollDone(d.ctx, d.done)
-	children := d.m.regionChildren[n]
+	children := d.m.childrenOf(n)
 	// Option A: no OP at n — faults here see the inherited observer.
 	hereA := d.m.coveredAt(n, d.phiFor(n, anc), d.dth)
 	result := d.knapsack(d.vec(), children, anc, d.kMax)
@@ -332,18 +354,18 @@ func (d *opDP) dp(n, anc int) []int {
 // filled from limit), and returns dst, which has kMax+1 entries. The
 // children's vectors are computed first, so the combining loop makes no
 // dp call and dst may be shared scratch.
-func (d *opDP) knapsack(dst []int, children []int, anc, limit int) []int {
+func (d *opDP) knapsack(dst []int, children []int32, anc, limit int) []int {
 	if limit < 0 {
 		clear(dst)
 		return dst
 	}
 	for _, ch := range children {
-		d.dp(ch, anc)
+		d.dp(int(ch), anc)
 	}
 	clear(dst)
 	acc, next := dst, d.acc
 	for _, ch := range children {
-		chv := d.dp(ch, anc)
+		chv := d.dp(int(ch), anc)
 		for k := 0; k <= limit; k++ {
 			best := 0
 			for j := 0; j <= k; j++ {
@@ -369,7 +391,7 @@ func (d *opDP) knapsack(dst []int, children []int, anc, limit int) []int {
 
 // reconstruct re-derives an OP placement achieving dp(n, anc)[k].
 func (d *opDP) reconstruct(n, anc, k int, out *[]int) {
-	children := d.m.regionChildren[n]
+	children := d.m.childrenOf(n)
 	target := d.dp(n, anc)[k]
 	// Try option B first when it meets the target (placing OPs earlier
 	// tends to put them closer to the faults; either choice is optimal).
@@ -387,7 +409,7 @@ func (d *opDP) reconstruct(n, anc, k int, out *[]int) {
 
 // splitKnapsack apportions budget k among children consistently with the
 // knapsack optimum under observer anc.
-func (d *opDP) splitKnapsack(children []int, anc, k int, out *[]int) {
+func (d *opDP) splitKnapsack(children []int32, anc, k int, out *[]int) {
 	if len(children) == 0 || k < 0 {
 		return
 	}
@@ -402,7 +424,7 @@ func (d *opDP) splitKnapsack(children []int, anc, k int, out *[]int) {
 	prefix := d.stack[base:]
 	clear(prefix[:w])
 	for i, ch := range children {
-		chv := d.dp(ch, anc)
+		chv := d.dp(int(ch), anc)
 		prev, next := prefix[i*w:(i+1)*w], prefix[(i+1)*w:(i+2)*w]
 		for kk := 0; kk <= d.kMax; kk++ {
 			best := 0
@@ -416,7 +438,7 @@ func (d *opDP) splitKnapsack(children []int, anc, k int, out *[]int) {
 	}
 	remaining := k
 	for i := len(children) - 1; i >= 0; i-- {
-		ch := children[i]
+		ch := int(children[i])
 		chv := d.dp(ch, anc)
 		for j := 0; j <= remaining; j++ {
 			if prefix[i*w+remaining-j]+chv[j] == prefix[(i+1)*w+remaining] {
@@ -461,17 +483,21 @@ func planObservationPointsDP(ctx context.Context, c *netlist.Circuit, faults []f
 	// Per-region DP gain tables. Regions holding no fault can never gain
 	// coverage from an observation point, so their trees are not scored
 	// at all (an exact skip: the cross-region knapsack would assign them
-	// zero budget anyway).
-	stems := make([]int, 0, len(m.regionNodes))
-	for s, nodes := range m.regionNodes {
-		for _, n := range nodes {
-			if len(m.nodeFaults[n]) > 0 {
-				stems = append(stems, s)
-				break
-			}
+	// zero budget anyway). Stems are listed in ascending ID order.
+	faulty := make([]bool, c.NumGates())
+	regions := 0
+	for n := range faulty {
+		if s := m.region[n]; len(m.faultsAt(n)) > 0 && !faulty[s] {
+			faulty[s] = true
+			regions++
 		}
 	}
-	sort.Ints(stems)
+	stems := make([]int, 0, regions)
+	for s, ok := range faulty {
+		if ok {
+			stems = append(stems, s)
+		}
+	}
 	report := progress.FromContext(ctx)
 	done := ctx.Done()
 	d := newOPDP(ctx, m, k, dth)

@@ -1,6 +1,7 @@
 package tpi
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -103,5 +104,10 @@ func TestWeightedRejectsBadCosts(t *testing.T) {
 	}
 	if _, err := PlanCutsDPWithCost(c, -1, UnitCost); err != ErrBudgetNegative {
 		t.Errorf("expected ErrBudgetNegative, got %v", err)
+	}
+	// The DP keeps a state's summed cost in 32 bits, so costs whose
+	// total passes that are refused rather than wrapped.
+	if _, err := PlanCutsDPWithCost(c, 3, func(int) int { return math.MaxInt32 / 4 }); err == nil {
+		t.Error("expected error for costs summing past 32 bits")
 	}
 }
