@@ -142,12 +142,7 @@ func e8Ablations(ctx context.Context, cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	th, err := tpi.PlanCutsThreshold(tree, 8)
-	if err != nil {
-		return nil, err
-	}
 	t.AddRow("a: cut planner", "DP (exact)", "minimax tests", dp.MaxCost)
-	t.AddRow("a: cut planner", "threshold-greedy", "minimax tests", th.MaxCost)
 	t.AddRow("a: cut planner", "greedy", "minimax tests", gr.MaxCost)
 
 	// (b) control-only vs observe-only vs hybrid on an RP-resistant
@@ -165,11 +160,7 @@ func e8Ablations(ctx context.Context, cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	cpMod, err := cpOnly.Apply(c)
-	if err != nil {
-		return nil, err
-	}
-	cpFC, err := coverageUnder(ctx, cpMod, faults, patterns, 0xfeed)
+	cpFC, err := coverageUnder(ctx, cpOnly.Modified, faults, patterns, 0xfeed)
 	if err != nil {
 		return nil, err
 	}

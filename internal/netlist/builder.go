@@ -18,8 +18,8 @@ func NewBuilder(name string) *Builder {
 	return &Builder{name: name, names: make(map[string]int), reserved: make(map[string]bool)}
 }
 
-// ReserveNames marks names as taken for FreshName/UniqueName generation
-// without adding gates. Rewrite passes reserve every original name up
+// ReserveNames marks names as taken for FreshName generation without
+// adding gates. Rewrite passes reserve every original name up
 // front so generated names cannot collide with originals added later.
 func (b *Builder) ReserveNames(names ...string) {
 	for _, n := range names {
@@ -40,15 +40,6 @@ func (b *Builder) FreshName(prefix string) string {
 			return name
 		}
 	}
-}
-
-// UniqueName returns preferred when no gate holds it yet, otherwise a
-// fresh generated variant.
-func (b *Builder) UniqueName(preferred string) string {
-	if _, taken := b.names[preferred]; !taken && !b.reserved[preferred] {
-		return preferred
-	}
-	return b.FreshName(preferred)
 }
 
 // Add appends a gate with the given type, name and fanin IDs, returning the
@@ -129,12 +120,6 @@ func (b *Builder) GateByName(name string) (int, bool) {
 // Gate returns the gate with the given ID as currently recorded. The
 // Fanin slice aliases builder state; treat it as read-only.
 func (b *Builder) Gate(id int) Gate { return b.gates[id] }
-
-// ReplaceFanin rewires pin of gate id to the signal newIn. Used by the
-// test point insertion rewrites.
-func (b *Builder) ReplaceFanin(id, pin, newIn int) {
-	b.gates[id].Fanin[pin] = newIn
-}
 
 // Build validates the accumulated gates and returns the Circuit. The
 // circuit owns a copy of every fanin list, all in one array, so the

@@ -247,21 +247,6 @@ func (c *Circuit) nameIndex() map[string]int {
 	return c.byName
 }
 
-// Clone returns a Builder pre-loaded with a deep copy of the circuit,
-// ready for modification.
-func (c *Circuit) Clone() *Builder {
-	b := NewBuilder(c.name)
-	b.gates = make([]Gate, len(c.gates))
-	for id, g := range c.gates {
-		fanin := make([]int, len(g.Fanin))
-		copy(fanin, g.Fanin)
-		b.gates[id] = Gate{Type: g.Type, Name: g.Name, Fanin: fanin}
-		b.names[g.Name] = id
-	}
-	b.outputs = append([]int(nil), c.outputs...)
-	return b
-}
-
 // Stats summarises the structural properties of a circuit.
 type Stats struct {
 	Gates      int // total gates including inputs

@@ -261,22 +261,6 @@ func TestFaninFanoutCones(t *testing.T) {
 	}
 }
 
-func TestCloneRoundTrip(t *testing.T) {
-	c := buildC17(t)
-	c2, err := c.Clone().Build()
-	if err != nil {
-		t.Fatalf("clone build: %v", err)
-	}
-	if c2.NumGates() != c.NumGates() || c2.NumOutputs() != c.NumOutputs() {
-		t.Errorf("clone mismatch: %v vs %v", c2, c)
-	}
-	for id := 0; id < c.NumGates(); id++ {
-		if c.GateName(id) != c2.GateName(id) || c.Type(id) != c2.Type(id) {
-			t.Errorf("gate %d differs after clone", id)
-		}
-	}
-}
-
 func TestStatsAndString(t *testing.T) {
 	c := buildC17(t)
 	s := c.Stats()

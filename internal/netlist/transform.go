@@ -119,8 +119,8 @@ type rewrite struct {
 }
 
 // add appends a gate named preferred, or a fresh variant of it when the
-// receiver holds that name, as Builder.UniqueName chooses them, and
-// returns its ID. Only the receiver's names need a lookup: a preferred
+// receiver holds that name, as Builder.FreshName forms them, and returns
+// its ID. Only the receiver's names need a lookup: a preferred
 // name ends in its kind and point index, and a fresh variant in "_" and
 // a count that never repeats, so no two names insertion makes are equal.
 func (r *rewrite) add(t GateType, preferred string, fanin ...int) int {

@@ -7,9 +7,30 @@ import (
 	"testing"
 )
 
+// cloneBuilder returns a Builder pre-loaded with a deep copy of c.
+func cloneBuilder(c *Circuit) *Builder {
+	b := NewBuilder(c.name)
+	b.gates = make([]Gate, len(c.gates))
+	for id, g := range c.gates {
+		b.gates[id] = Gate{Type: g.Type, Name: g.Name, Fanin: slices.Clone(g.Fanin)}
+		b.names[g.Name] = id
+	}
+	b.outputs = slices.Clone(c.outputs)
+	return b
+}
+
+// uniqueName returns preferred when no gate of b holds it yet, otherwise
+// a fresh generated variant.
+func uniqueName(b *Builder, preferred string) string {
+	if _, taken := b.names[preferred]; !taken && !b.reserved[preferred] {
+		return preferred
+	}
+	return b.FreshName(preferred)
+}
+
 // referenceInsertTestPoints is InsertTestPoints as it stood before it
-// built the new circuit's gates directly: a Clone of the receiver,
-// Builder rewrites, and a Build. The differential test below holds
+// built the new circuit's gates directly: a clone of the receiver in a
+// Builder, rewrites, and a Build. The differential test below holds
 // InsertTestPoints to it.
 func referenceInsertTestPoints(c *Circuit, points []TestPoint) (*Circuit, error) {
 	for _, p := range points {
@@ -17,7 +38,7 @@ func referenceInsertTestPoints(c *Circuit, points []TestPoint) (*Circuit, error)
 			return nil, fmt.Errorf("netlist: test point signal %d out of range", p.Signal)
 		}
 	}
-	b := c.Clone()
+	b := cloneBuilder(c)
 	cur := make(map[int]int)
 	current := func(s int) int {
 		if r, ok := cur[s]; ok {
@@ -30,7 +51,7 @@ func referenceInsertTestPoints(c *Circuit, points []TestPoint) (*Circuit, error)
 			g := b.Gate(consumer)
 			for pin, f := range g.Fanin {
 				if f == from {
-					b.ReplaceFanin(consumer, pin, to)
+					b.gates[consumer].Fanin[pin] = to
 				}
 			}
 		}
@@ -40,22 +61,22 @@ func referenceInsertTestPoints(c *Circuit, points []TestPoint) (*Circuit, error)
 		name := c.gates[s].Name
 		switch p.Kind {
 		case Observe:
-			op := b.BufGate(b.UniqueName(fmt.Sprintf("%s_op%d", name, i)), current(s))
+			op := b.BufGate(uniqueName(b, fmt.Sprintf("%s_op%d", name, i)), current(s))
 			b.MarkOutput(op)
 		case Control0, Control1:
-			tpIn := b.Input(b.UniqueName(fmt.Sprintf("%s_tp%d", name, i)))
+			tpIn := b.Input(uniqueName(b, fmt.Sprintf("%s_tp%d", name, i)))
 			var gated int
 			if p.Kind == Control0 {
-				gated = b.AndGate(b.UniqueName(fmt.Sprintf("%s_cp%d", name, i)), current(s), tpIn)
+				gated = b.AndGate(uniqueName(b, fmt.Sprintf("%s_cp%d", name, i)), current(s), tpIn)
 			} else {
-				gated = b.OrGate(b.UniqueName(fmt.Sprintf("%s_cp%d", name, i)), current(s), tpIn)
+				gated = b.OrGate(uniqueName(b, fmt.Sprintf("%s_cp%d", name, i)), current(s), tpIn)
 			}
 			rewire(s, current(s), gated)
 			cur[s] = gated
 		case FullCut:
-			op := b.BufGate(b.UniqueName(fmt.Sprintf("%s_op%d", name, i)), current(s))
+			op := b.BufGate(uniqueName(b, fmt.Sprintf("%s_op%d", name, i)), current(s))
 			b.MarkOutput(op)
-			tpIn := b.Input(b.UniqueName(fmt.Sprintf("%s_tp%d", name, i)))
+			tpIn := b.Input(uniqueName(b, fmt.Sprintf("%s_tp%d", name, i)))
 			rewire(s, current(s), tpIn)
 			cur[s] = tpIn
 		default:
@@ -88,7 +109,7 @@ func TestInsertTestPointsMatchesReference(t *testing.T) {
 					name += "_1"
 				}
 			}
-			name = b.UniqueName(name)
+			name = uniqueName(b, name)
 			a, x := rng.Intn(n), rng.Intn(n)
 			switch rng.Intn(4) {
 			case 0:

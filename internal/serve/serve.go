@@ -517,15 +517,9 @@ func parsePlan(raw json.RawMessage) (any, int, runFunc, error) {
 			if err != nil {
 				return nil, err
 			}
-			// Control points are selected against successively modified
-			// circuits, so later points may reference gates inserted by
-			// earlier ones; resolve names against the replayed circuit,
-			// whose gate IDs are a superset of every intermediate.
-			mod, err := p.Apply(c)
-			if err != nil {
-				return nil, err
-			}
-			resp.Points = namedPoints(mod, p.Points)
+			// Later points may reference gates inserted by earlier ones;
+			// the modified circuit holds all of them.
+			resp.Points = namedPoints(p.Modified, p.Points)
 			resp.CoveredBefore, resp.CoveredAfter = p.CoveredBefore, p.CoveredAfter
 			resp.TotalFaults, resp.StatesVisited = p.TotalFaults, p.Evaluations
 		case "hybrid":

@@ -24,6 +24,11 @@ type CPPlan struct {
 	// Evaluations counts candidate evaluations: one COP re-analysis per
 	// (signal, Control0/Control1) pair scored.
 	Evaluations int64
+	// Modified is the circuit with the points inserted in selection
+	// order, the input circuit itself when there are none. Later points
+	// may name gates that earlier ones inserted; Modified holds every
+	// one of them under the same ID.
+	Modified *netlist.Circuit
 }
 
 // CPOptions configures control point selection.
@@ -55,17 +60,9 @@ func PlanControlPointsGreedy(c *netlist.Circuit, faults []fault.Fault, k int, dt
 }
 
 func planControlPointsGreedy(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, k int, dth float64, opts CPOptions) (*CPPlan, error) {
-	plan, _, err := insertControlPointsGreedy(ctx, c, faults, k, dth, opts)
-	return plan, err
-}
-
-// insertControlPointsGreedy is planControlPointsGreedy that also returns
-// the circuit with the plan's points inserted, which it builds as it
-// selects them: what CPPlan.Apply would rebuild.
-func insertControlPointsGreedy(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, k int, dth float64, opts CPOptions) (*CPPlan, *netlist.Circuit, error) {
 	done := ctx.Done()
 	if k < 0 {
-		return nil, nil, ErrBudgetNegative
+		return nil, ErrBudgetNegative
 	}
 	maxCand := opts.MaxCandidates
 	if maxCand <= 0 {
@@ -104,7 +101,7 @@ func insertControlPointsGreedy(ctx context.Context, c *netlist.Circuit, faults [
 		}
 		mod, err := cur.InsertTestPoints([]netlist.TestPoint{bestPoint})
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		points = append(points, bestPoint)
 		cur = mod
@@ -113,7 +110,8 @@ func insertControlPointsGreedy(ctx context.Context, c *netlist.Circuit, faults [
 	}
 	plan.Points = points
 	plan.CoveredAfter = covered
-	return plan, cur, nil
+	plan.Modified = cur
+	return plan, nil
 }
 
 // countCovered counts faults whose estimated detection probability meets

@@ -54,10 +54,7 @@ func TestControlPointsRealCoverageUplift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod, err := cp.Apply(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mod := cp.Modified
 	before, err := fsim.Run(c, faults, pattern.NewLFSR(9), fsim.Options{MaxPatterns: 4096, DropFaults: true})
 	if err != nil {
 		t.Fatal(err)
@@ -108,10 +105,7 @@ func TestCPPlanApplyPreservesFunction(t *testing.T) {
 	if len(cp.Points) == 0 {
 		t.Skip("no control points selected")
 	}
-	mod, err := cp.Apply(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mod := cp.Modified
 	// Passive values: Control0 test input = 1, Control1 test input = 0.
 	passive := make(map[string]bool)
 	for i := c.NumInputs(); i < mod.NumInputs(); i++ {
@@ -132,6 +126,63 @@ func TestCPPlanApplyPreservesFunction(t *testing.T) {
 		for oi, o := range c.Outputs() {
 			if origVals[o] != modVals[mod.Outputs()[oi]] {
 				t.Fatalf("vector %d: output %d differs with passive control inputs", v, oi)
+			}
+		}
+	}
+}
+
+// replayControlPoints is the reference for CPPlan.Modified: it inserts
+// the points into c one at a time in selection order, since each was
+// selected against the circuit its predecessors built.
+func replayControlPoints(c *netlist.Circuit, pts []netlist.TestPoint) (*netlist.Circuit, error) {
+	cur := c
+	for _, pt := range pts {
+		mod, err := cur.InsertTestPoints([]netlist.TestPoint{pt})
+		if err != nil {
+			return nil, err
+		}
+		cur = mod
+	}
+	return cur, nil
+}
+
+// TestControlModifiedMatchesReplay holds the circuit the control planner
+// builds as it selects to the replay of its points: the same gates
+// (names, types and fanins) in the same order, and the same inputs and
+// outputs.
+func TestControlModifiedMatchesReplay(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		c    *netlist.Circuit
+		dth  float64
+	}{
+		{"and16", gen.AndCone(16), 1.0 / 512},
+		{"rpr", gen.RPResistant(3, 3, 12, 60), 1.0 / 1024},
+		{"dag300", gen.RandomDAG(1, 16, 300, gen.DAGOptions{}), 1.0 / 4096},
+		{"dag800", gen.RandomDAG(3, 16, 800, gen.DAGOptions{}), 1.0 / 4096},
+	} {
+		faults := fault.CollapsedUniverse(tc.c)
+		for _, k := range []int{0, 1, 4} {
+			cp, err := PlanControlPointsGreedy(tc.c, faults, k, tc.dth, CPOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := replayControlPoints(tc.c, cp.Points)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := cp.Modified
+			if got.NumGates() != want.NumGates() {
+				t.Fatalf("%s k=%d: %d gates, replay has %d", tc.name, k, got.NumGates(), want.NumGates())
+			}
+			for id := 0; id < want.NumGates(); id++ {
+				if g, w := got.Gate(id), want.Gate(id); g.Name != w.Name || g.Type != w.Type || !slices.Equal(g.Fanin, w.Fanin) {
+					t.Fatalf("%s k=%d: gate %d is %+v, replay has %+v", tc.name, k, id, g, w)
+				}
+			}
+			if !slices.Equal(got.Inputs(), want.Inputs()) || !slices.Equal(got.Outputs(), want.Outputs()) {
+				t.Errorf("%s k=%d: inputs %v outputs %v, replay has %v and %v",
+					tc.name, k, got.Inputs(), got.Outputs(), want.Inputs(), want.Outputs())
 			}
 		}
 	}

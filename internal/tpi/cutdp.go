@@ -474,13 +474,6 @@ func compareCutStates(a, b cutState) int {
 	return cmp.Compare(a.t1, b.t1)
 }
 
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // PlanCutsGreedy places up to k cuts one at a time, each time choosing
 // the single signal whose cut most reduces the current minimax segment
 // cost (ties to the lower signal ID). It stops early when no single cut

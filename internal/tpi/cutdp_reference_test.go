@@ -199,9 +199,9 @@ func (dp *referenceCutDP) computeNode(id int) {
 				var t0, t1 int
 				if sumZero {
 					t0 = p.t0 + e.t0
-					t1 = maxInt(p.t1, e.t1)
+					t1 = max(p.t1, e.t1)
 				} else {
-					t0 = maxInt(p.t0, e.t0)
+					t0 = max(p.t0, e.t0)
 					t1 = p.t1 + e.t1
 				}
 				if t0+t1 > dp.T {

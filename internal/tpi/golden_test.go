@@ -17,14 +17,15 @@ import (
 )
 
 // The golden plan tables pin every field of full plans from the P1 cut
-// DP and from the control and hybrid planners, so a rewrite of either
-// planner's internals must reproduce them exactly. The test only
+// DP, the control and hybrid planners and the observe DP and greedy, so
+// a rewrite of any planner's internals must reproduce them exactly. The test only
 // compares: a differing row is reported with the row the current
 // planner produces, and an intended change of planner output is made by
 // editing those rows of internal/tpi/testdata/golden_*.txt by hand.
 func TestGoldenPlans(t *testing.T) {
 	t.Run("cuts", func(t *testing.T) { checkGolden(t, "golden_cuts.txt", goldenCutRows(t)) })
 	t.Run("control", func(t *testing.T) { checkGolden(t, "golden_control.txt", goldenControlRows(t)) })
+	t.Run("observe", func(t *testing.T) { checkGolden(t, "golden_observe.txt", goldenObserveRows(t)) })
 }
 
 // checkGolden compares rows with the named testdata file line by line.
@@ -164,6 +165,47 @@ func goldenControlRows(t *testing.T) []string {
 				name, h.PrunedFaults, joinPoints(h.Control.Points), h.Control.CoveredBefore, h.Control.CoveredAfter,
 				h.Control.Evaluations, joinInts(h.Observe.Points), h.Observe.CoveredBefore, h.Observe.CoveredAfter,
 				h.Observe.TotalFaults, h.Observe.StatesVisited, h.Modified.NumGates()))
+		}
+	}
+	return rows
+}
+
+// goldenObserveRows runs the observe DP and greedy over the serve
+// observe shape (dag:gates=1000), smaller DAGs, fanout-free trees, a
+// random-pattern-resistant circuit and c17, at budgets 0-9 and
+// thresholds from the serve default up to 0.1.
+func goldenObserveRows(t *testing.T) []string {
+	specs := []string{
+		"dag:gates=1000,seed=1", "dag:gates=1000,seed=2", "dag:gates=1000,seed=3",
+		"dag:gates=60,seed=1", "dag:gates=60,seed=2", "dag:gates=300,seed=1", "dag:gates=300,seed=2",
+		"tree:leaves=200,seed=1", "tree:leaves=200,seed=2",
+		"rpr:cones=3,width=12,glue=80,seed=2", "c17",
+	}
+	thresholds := []struct {
+		name string
+		dth  float64
+	}{{"1/4096", 1.0 / 4096}, {"1/64", 1.0 / 64}, {"0.1", 0.1}}
+	var rows []string
+	for _, spec := range specs {
+		c, err := cli.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		faults := fault.CollapsedUniverse(c)
+		for _, k := range []int{0, 1, 4, 9} {
+			for _, th := range thresholds {
+				dp, err := PlanObservationPointsDP(c, faults, k, th.dth, OPOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				gr, err := PlanObservationPointsGreedy(c, faults, k, th.dth, OPOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows = append(rows, fmt.Sprintf("%s k=%d dth=%s dp points=%s before=%d after=%d total=%d states=%d greedy points=%s before=%d after=%d total=%d states=%d",
+					spec, k, th.name, joinInts(dp.Points), dp.CoveredBefore, dp.CoveredAfter, dp.TotalFaults, dp.StatesVisited,
+					joinInts(gr.Points), gr.CoveredBefore, gr.CoveredAfter, gr.TotalFaults, gr.StatesVisited))
+			}
 		}
 	}
 	return rows

@@ -181,26 +181,41 @@ func (m *opModel) coveredAt(n int, phi, dth float64) int {
 // its best observer (nearest OP on the in-region path, or the stem's
 // external observability) meets the threshold. The walk costs
 // O(gates × depth), so it polls the plan's context every 1024 steps.
-func (m *opModel) coveredCount(ops []int, dth float64) int {
-	isOP := make(map[int]bool, len(ops))
+//
+// Given a non-nil gain slice, indexed by gate, it also adds to gain[s]
+// the faults an OP at s would newly cover, so that gain[s] ends up
+// coveredCount(ops ∪ {s}) − coveredCount(ops) for every s not holding
+// an OP. An OP at s observes node n with the product phi(n, s) formed
+// from n upward, as the walk forms it, and for p ≥ 0 rounding keeps
+// p·max(a, b) = max(p·a, p·b); so it newly covers a fault of n exactly
+// when p·best < dth ≤ p·phi(n, s), which only an s on n's path below
+// its nearest OP can meet.
+func (m *opModel) coveredCount(ops []int, dth float64, gain []int) int {
+	isOP := make([]bool, m.c.NumGates())
 	for _, s := range ops {
 		isOP[s] = true
 	}
 	total, steps := 0, 0
 	for n := 0; n < m.c.NumGates(); n++ {
-		if len(m.faultsAt(n)) == 0 {
+		faults := m.faultsAt(n)
+		if len(faults) == 0 {
 			continue
 		}
 		// Best observability from n: walk up to the stem, tracking OPs.
 		best := 0.0
 		phi := 1.0
-		cur := n
+		cur, nearest := n, -1
 		for {
 			if steps++; steps%1024 == 0 {
 				pollDone(m.ctx, m.done)
 			}
-			if isOP[cur] && phi > best {
-				best = phi
+			if isOP[cur] {
+				if nearest < 0 {
+					nearest = cur
+				}
+				if phi > best {
+					best = phi
+				}
 			}
 			if m.parent[cur] < 0 {
 				break
@@ -213,6 +228,24 @@ func (m *opModel) coveredCount(ops []int, dth float64) int {
 			best = ext
 		}
 		total += m.coveredAt(n, best, dth)
+		if gain == nil {
+			continue
+		}
+		phi = 1.0
+		for cur = n; cur != nearest; cur = int(m.parent[cur]) {
+			if steps++; steps%1024 == 0 {
+				pollDone(m.ctx, m.done)
+			}
+			for _, p := range faults {
+				if p*best < dth && p*phi >= dth {
+					gain[cur]++
+				}
+			}
+			if m.parent[cur] < 0 {
+				break
+			}
+			phi *= m.parentObs[cur]
+		}
 	}
 	return total
 }
@@ -365,23 +398,8 @@ func (d *opDP) knapsack(dst []int, children []int32, anc, limit int) []int {
 	clear(dst)
 	acc, next := dst, d.acc
 	for _, ch := range children {
-		chv := d.dp(int(ch), anc)
-		for k := 0; k <= limit; k++ {
-			best := 0
-			for j := 0; j <= k; j++ {
-				if v := acc[k-j] + chv[j]; v > best {
-					best = v
-				}
-			}
-			next[k] = best
-		}
-		for k := limit + 1; k <= d.kMax; k++ {
-			next[k] = next[limit]
-		}
+		maxPlus(next, acc, d.dp(int(ch), anc), limit)
 		acc, next = next, acc
-	}
-	for k := limit + 1; k <= d.kMax; k++ {
-		acc[k] = acc[limit]
 	}
 	if len(children)%2 == 1 {
 		copy(dst, acc)
@@ -389,52 +407,60 @@ func (d *opDP) knapsack(dst []int, children []int32, anc, limit int) []int {
 	return dst
 }
 
-// reconstruct re-derives an OP placement achieving dp(n, anc)[k].
+// maxPlus is the knapsack's row step: next[k] = max over j <= k of
+// prev[k-j] + chv[j] for k up to limit, with the entries above limit
+// filled from limit.
+func maxPlus(next, prev, chv []int, limit int) {
+	for k := 0; k <= limit; k++ {
+		best := 0
+		for j := 0; j <= k; j++ {
+			if v := prev[k-j] + chv[j]; v > best {
+				best = v
+			}
+		}
+		next[k] = best
+	}
+	for k := limit + 1; k < len(next); k++ {
+		next[k] = next[limit]
+	}
+}
+
+// reconstruct re-derives an OP placement achieving dp(n, anc)[k] for a
+// budget k >= 1; splitKnapsack never calls it with less.
 func (d *opDP) reconstruct(n, anc, k int, out *[]int) {
 	children := d.m.childrenOf(n)
 	target := d.dp(n, anc)[k]
 	// Try option B first when it meets the target (placing OPs earlier
 	// tends to put them closer to the faults; either choice is optimal).
-	if k >= 1 {
-		hereB := d.m.coveredAt(n, 1, d.dth)
-		optB := d.knapsack(d.optB, children, n, d.kMax-1)
-		if optB[k-1]+hereB == target {
-			*out = append(*out, n)
-			d.splitKnapsack(children, n, k-1, out)
-			return
-		}
+	hereB := d.m.coveredAt(n, 1, d.dth)
+	optB := d.knapsack(d.optB, children, n, d.kMax-1)
+	if optB[k-1]+hereB == target {
+		*out = append(*out, n)
+		d.splitKnapsack(children, n, k-1, out)
+		return
 	}
 	d.splitKnapsack(children, anc, k, out)
 }
 
 // splitKnapsack apportions budget k among children consistently with the
-// knapsack optimum under observer anc.
-func (d *opDP) splitKnapsack(children []int32, anc, k int, out *[]int) {
-	if len(children) == 0 || k < 0 {
-		return
-	}
+// knapsack optimum under observer anc, appends the children's placements
+// to out, and returns that optimum. Each child takes the smallest budget
+// that reaches it, walking the children from last to first.
+func (d *opDP) splitKnapsack(children []int32, anc, k int, out *[]int) int {
 	// Recompute prefix knapsacks to find a consistent split: row i of
 	// the table is prefix[i*w : (i+1)*w]. The table sits on the stack
 	// above the caller's, and the recursive calls below push theirs
 	// above it; if that regrows the stack, this table stays in the old
-	// array, which nothing writes any more.
+	// array, which nothing writes any more. At the root the table holds
+	// a row per region, no more than the regions' dp vectors already do.
 	w := d.kMax + 1
 	base, size := len(d.stack), (len(children)+1)*w
 	d.stack = slices.Grow(d.stack, size)[:base+size]
 	prefix := d.stack[base:]
 	clear(prefix[:w])
 	for i, ch := range children {
-		chv := d.dp(int(ch), anc)
-		prev, next := prefix[i*w:(i+1)*w], prefix[(i+1)*w:(i+2)*w]
-		for kk := 0; kk <= d.kMax; kk++ {
-			best := 0
-			for j := 0; j <= kk; j++ {
-				if v := prev[kk-j] + chv[j]; v > best {
-					best = v
-				}
-			}
-			next[kk] = best
-		}
+		pollDone(d.ctx, d.done)
+		maxPlus(prefix[(i+1)*w:(i+2)*w], prefix[i*w:(i+1)*w], d.dp(int(ch), anc), d.kMax)
 	}
 	remaining := k
 	for i := len(children) - 1; i >= 0; i-- {
@@ -442,13 +468,17 @@ func (d *opDP) splitKnapsack(children []int32, anc, k int, out *[]int) {
 		chv := d.dp(ch, anc)
 		for j := 0; j <= remaining; j++ {
 			if prefix[i*w+remaining-j]+chv[j] == prefix[(i+1)*w+remaining] {
-				d.reconstruct(ch, anc, j, out)
+				// A zero budget places nothing, however deep the subtree.
+				if j > 0 {
+					d.reconstruct(ch, anc, j, out)
+				}
 				remaining -= j
 				break
 			}
 		}
 	}
 	d.stack = d.stack[:base]
+	return prefix[len(children)*w+k]
 }
 
 // PlanObservationPointsDP selects at most k observation points maximising
@@ -474,16 +504,16 @@ func planObservationPointsDP(ctx context.Context, c *netlist.Circuit, faults []f
 	m.ctx, m.done = ctx, ctx.Done()
 	plan := &OPPlan{
 		TotalFaults:   len(faults),
-		CoveredBefore: m.coveredCount(nil, dth),
+		CoveredBefore: m.coveredCount(nil, dth, nil),
 	}
 	if k == 0 {
 		plan.CoveredAfter = plan.CoveredBefore
 		return plan, nil
 	}
-	// Per-region DP gain tables. Regions holding no fault can never gain
+	// Score each region's tree. Regions holding no fault can never gain
 	// coverage from an observation point, so their trees are not scored
-	// at all (an exact skip: the cross-region knapsack would assign them
-	// zero budget anyway). Stems are listed in ascending ID order.
+	// at all (an exact skip: the split below would give them zero budget
+	// anyway). Stems are listed in ascending ID order.
 	faulty := make([]bool, c.NumGates())
 	regions := 0
 	for n := range faulty {
@@ -492,59 +522,27 @@ func planObservationPointsDP(ctx context.Context, c *netlist.Circuit, faults []f
 			regions++
 		}
 	}
-	stems := make([]int, 0, regions)
+	stems := make([]int32, 0, regions)
 	for s, ok := range faulty {
 		if ok {
-			stems = append(stems, s)
+			stems = append(stems, int32(s))
 		}
 	}
 	report := progress.FromContext(ctx)
-	done := ctx.Done()
 	d := newOPDP(ctx, m, k, dth)
-	tables := make([][]int, len(stems))
 	for i, s := range stems {
 		if report != nil {
 			report("op-regions", int64(i), int64(len(stems)))
 		}
-		tables[i] = d.dp(s, -1)
+		d.dp(int(s), -1)
 	}
 	plan.StatesVisited = d.states
-	// Knapsack across regions. choice[i*(k+1)+kk] is the budget given to
-	// region i when regions 0..i share budget kk; it grows by a row per
-	// region, so a plan its deadline cuts short never holds the rest.
-	acc := make([]int, k+1)
-	var choice []int
-	prev := make([]int, k+1)
-	for i := range stems {
-		row := len(choice)
-		choice = slices.Grow(choice, k+1)[:row+k+1]
-		copy(prev, acc)
-		for kk := 0; kk <= k; kk++ {
-			pollDone(ctx, done)
-			best, bestJ := 0, 0
-			for j := 0; j <= kk; j++ {
-				if v := prev[kk-j] + tables[i][j]; v > best {
-					best, bestJ = v, j
-				}
-			}
-			acc[kk] = best
-			choice[row+kk] = bestJ
-		}
-	}
-	plan.CoveredAfter = acc[k]
-	// Reconstruct: walk regions backwards apportioning the budget.
-	remaining := k
-	for i := len(stems) - 1; i >= 0; i-- {
-		pollDone(ctx, done)
-		j := choice[i*(k+1)+remaining]
-		if j > 0 {
-			d.reconstruct(stems[i], -1, j, &plan.Points)
-		}
-		remaining -= j
-	}
+	// The regions share the budget as the children of a root above the
+	// stems, each observed only from outside.
+	plan.CoveredAfter = d.splitKnapsack(stems, -1, k, &plan.Points)
 	sort.Ints(plan.Points)
 	// Model self-check: the reconstruction must achieve the DP value.
-	if got := m.coveredCount(plan.Points, dth); got != plan.CoveredAfter {
+	if got := m.coveredCount(plan.Points, dth, nil); got != plan.CoveredAfter {
 		// Never expected; fall back to the evaluated value to stay honest.
 		plan.CoveredAfter = got
 	}
@@ -553,7 +551,9 @@ func planObservationPointsDP(ctx context.Context, c *netlist.Circuit, faults []f
 
 // PlanObservationPointsGreedy selects OPs one at a time, each time adding
 // the signal covering the most still-uncovered faults under the same
-// model. The E4/E8 comparisons quantify its gap against the DP.
+// model (ties to the lower signal ID). One coverage walk per step scores
+// every candidate. The E4/E8 comparisons quantify its gap against the
+// DP.
 func PlanObservationPointsGreedy(c *netlist.Circuit, faults []fault.Fault, k int, dth float64, opts OPOptions) (*OPPlan, error) {
 	if k < 0 {
 		return nil, ErrBudgetNegative
@@ -561,30 +561,30 @@ func PlanObservationPointsGreedy(c *netlist.Circuit, faults []fault.Fault, k int
 	m := newOPModel(c, faults, opts)
 	plan := &OPPlan{
 		TotalFaults:   len(faults),
-		CoveredBefore: m.coveredCount(nil, dth),
+		CoveredBefore: m.coveredCount(nil, dth, nil),
 	}
-	covered := plan.CoveredBefore
+	gain := make([]int, c.NumGates())
 	var ops []int
 	for len(ops) < k {
+		clear(gain)
+		m.coveredCount(ops, dth, gain)
+		// A signal holding an OP gains nothing, so it never wins; each
+		// step scores the others.
+		plan.StatesVisited += int64(len(gain) - len(ops))
 		bestGain, bestSig := 0, -1
-		for id := 0; id < c.NumGates(); id++ {
-			if containsInt(ops, id) {
-				continue
-			}
-			plan.StatesVisited++
-			if v := m.coveredCount(append(ops[:len(ops):len(ops)], id), dth); v-covered > bestGain {
-				bestGain, bestSig = v-covered, id
+		for id, g := range gain {
+			if g > bestGain {
+				bestGain, bestSig = g, id
 			}
 		}
 		if bestSig < 0 {
 			break
 		}
 		ops = append(ops, bestSig)
-		covered += bestGain
 	}
 	sort.Ints(ops)
 	plan.Points = ops
-	plan.CoveredAfter = m.coveredCount(ops, dth)
+	plan.CoveredAfter = m.coveredCount(ops, dth, nil)
 	return plan, nil
 }
 
@@ -597,7 +597,7 @@ func PlanObservationPointsExhaustive(c *netlist.Circuit, faults []fault.Fault, k
 	m := newOPModel(c, faults, opts)
 	plan := &OPPlan{
 		TotalFaults:   len(faults),
-		CoveredBefore: m.coveredCount(nil, dth),
+		CoveredBefore: m.coveredCount(nil, dth, nil),
 	}
 	plan.CoveredAfter = plan.CoveredBefore
 	n := c.NumGates()
@@ -606,7 +606,7 @@ func PlanObservationPointsExhaustive(c *netlist.Circuit, faults []fault.Fault, k
 	rec = func(start int) {
 		if len(cur) > 0 {
 			plan.StatesVisited++
-			if v := m.coveredCount(cur, dth); v > plan.CoveredAfter {
+			if v := m.coveredCount(cur, dth, nil); v > plan.CoveredAfter {
 				plan.CoveredAfter = v
 				plan.Points = append(plan.Points[:0], cur...)
 			}
@@ -633,7 +633,7 @@ func PlanObservationPointsRandom(c *netlist.Circuit, faults []fault.Fault, k int
 	m := newOPModel(c, faults, opts)
 	plan := &OPPlan{
 		TotalFaults:   len(faults),
-		CoveredBefore: m.coveredCount(nil, dth),
+		CoveredBefore: m.coveredCount(nil, dth, nil),
 	}
 	perm := rand.New(rand.NewSource(seed)).Perm(c.NumGates())
 	if k > len(perm) {
@@ -641,14 +641,6 @@ func PlanObservationPointsRandom(c *netlist.Circuit, faults []fault.Fault, k int
 	}
 	plan.Points = append(plan.Points, perm[:k]...)
 	sort.Ints(plan.Points)
-	plan.CoveredAfter = m.coveredCount(plan.Points, dth)
+	plan.CoveredAfter = m.coveredCount(plan.Points, dth, nil)
 	return plan, nil
-}
-
-// ModelCoveredCount exposes the analytic coverage model for external
-// evaluation: the number of faults meeting dth when observation points
-// sit at the given signals.
-func ModelCoveredCount(c *netlist.Circuit, faults []fault.Fault, ops []int, dth float64, opts OPOptions) int {
-	m := newOPModel(c, faults, opts)
-	return m.coveredCount(ops, dth)
 }

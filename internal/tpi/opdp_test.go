@@ -104,7 +104,7 @@ func TestOPDPReconstructionConsistent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := ModelCoveredCount(c, faults, dp.Points, 0.1, OPOptions{}); got != dp.CoveredAfter {
+		if got := newOPModel(c, faults, OPOptions{}).coveredCount(dp.Points, 0.1, nil); got != dp.CoveredAfter {
 			t.Errorf("seed %d: reconstruction covers %d, plan claims %d", seed, got, dp.CoveredAfter)
 		}
 	}

@@ -7,22 +7,6 @@ import (
 	"repro/internal/netlist"
 )
 
-// Apply replays the control point insertions onto a circuit. Points were
-// selected against successively modified circuits, so they are applied
-// one at a time in selection order (gate IDs of pre-existing gates are
-// stable across insertions, making the replay well defined).
-func (p *CPPlan) Apply(c *netlist.Circuit) (*netlist.Circuit, error) {
-	cur := c
-	for _, pt := range p.Points {
-		mod, err := cur.InsertTestPoints([]netlist.TestPoint{pt})
-		if err != nil {
-			return nil, err
-		}
-		cur = mod
-	}
-	return cur, nil
-}
-
 // HybridPlan is a combined control + observation point plan: the full
 // test point insertion flow used by the E4/E5 experiments.
 type HybridPlan struct {
@@ -57,15 +41,15 @@ func PlanHybrid(c *netlist.Circuit, faults []fault.Fault, nCP, nOP int, dth floa
 
 func planHybrid(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, nCP, nOP int, dth float64, cpOpts CPOptions, opOpts OPOptions) (*HybridPlan, error) {
 	faults, pruned := pruneFaults(ctx, c, faults)
-	cp, mid, err := insertControlPointsGreedy(ctx, c, faults, nCP, dth, cpOpts)
+	cp, err := planControlPointsGreedy(ctx, c, faults, nCP, dth, cpOpts)
 	if err != nil {
 		return nil, err
 	}
-	op, err := planObservationPointsDP(ctx, mid, faults, nOP, dth, opOpts)
+	op, err := planObservationPointsDP(ctx, cp.Modified, faults, nOP, dth, opOpts)
 	if err != nil {
 		return nil, err
 	}
-	final, err := mid.InsertTestPoints(op.TestPoints())
+	final, err := cp.Modified.InsertTestPoints(op.TestPoints())
 	if err != nil {
 		return nil, err
 	}

@@ -78,7 +78,7 @@ func TestDPSkipsFaultFreeRegions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ModelCoveredCount(c, some, plan.Points, 1.0/16, OPOptions{}); got != plan.CoveredAfter {
+	if got := newOPModel(c, some, OPOptions{}).coveredCount(plan.Points, 1.0/16, nil); got != plan.CoveredAfter {
 		t.Errorf("reconstructed placement covers %d, plan claims %d", got, plan.CoveredAfter)
 	}
 	region := c.RegionOf()

@@ -302,11 +302,6 @@ func PlanCuts(c *Circuit, k int) (*CutPlan, error) { return tpi.PlanCutsDP(c, k)
 // PlanCutsGreedy is the greedy baseline for P1.
 func PlanCutsGreedy(c *Circuit, k int) (*CutPlan, error) { return tpi.PlanCutsGreedy(c, k) }
 
-// PlanCutsFast is the near-optimal threshold-greedy P1 planner: one
-// greedy feasibility pass per binary-search step instead of the DP's
-// Pareto sets. Usually optimal, always valid; see the E8 ablation.
-func PlanCutsFast(c *Circuit, k int) (*CutPlan, error) { return tpi.PlanCutsThreshold(c, k) }
-
 // CostFunc assigns integer insertion costs to signals for the weighted
 // planner.
 type CostFunc = tpi.CostFunc
