@@ -82,19 +82,3 @@ func ExampleGenerateTests() {
 	// Output:
 	// vectors: 3, redundant faults: 3
 }
-
-// ExampleEquivalent proves two netlists compute the same function.
-func ExampleEquivalent() {
-	c := repro.RippleCarryAdder(3)
-	optimized, _, err := repro.Optimize(c)
-	if err != nil {
-		log.Fatal(err)
-	}
-	same, _, err := repro.Equivalent(c, optimized)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("equivalent after optimization:", same)
-	// Output:
-	// equivalent after optimization: true
-}

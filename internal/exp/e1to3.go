@@ -34,12 +34,10 @@ func treeSuite(cfg Config) []*netlist.Circuit {
 	return out
 }
 
-// E1TestCounts regenerates Table 1: the Hayes–Friedman minimal test
+// e1TestCounts regenerates Table 1: the Hayes–Friedman minimal test
 // counts on fanout-free circuits, cross-checked against a compacted
 // PODEM test set (an upper bound that is provably never below the DP
 // count) and, for the smallest instances, the exact set-cover minimum.
-func E1TestCounts(cfg Config) (*Table, error) { return e1TestCounts(context.Background(), cfg) }
-
 func e1TestCounts(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "E1",
@@ -67,11 +65,9 @@ func e1TestCounts(ctx context.Context, cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// E2Insertion regenerates Table 2: minimax test counts after inserting K
+// e2Insertion regenerates Table 2: minimax test counts after inserting K
 // full test points, planner by planner. The DP matches the exhaustive
 // optimum; greedy and random trail it.
-func E2Insertion(cfg Config) (*Table, error) { return e2Insertion(context.Background(), cfg) }
-
 func e2Insertion(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "E2",
@@ -117,10 +113,8 @@ func e2Insertion(ctx context.Context, cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// E3Sweep regenerates Figure 1: the diminishing-returns curve of optimal
+// e3Sweep regenerates Figure 1: the diminishing-returns curve of optimal
 // test count versus test point budget, with the greedy curve alongside.
-func E3Sweep(cfg Config) (*Series, error) { return e3Sweep(context.Background(), cfg) }
-
 func e3Sweep(ctx context.Context, cfg Config) (*Series, error) {
 	leaves := 200
 	maxK := 16

@@ -69,12 +69,10 @@ func coverageUnder(ctx context.Context, c *netlist.Circuit, faults []fault.Fault
 	return res.Coverage(), nil
 }
 
-// E4Coverage regenerates Table 3: stuck-at coverage at the standard
+// e4Coverage regenerates Table 3: stuck-at coverage at the standard
 // random test length before and after test point insertion, planner by
 // planner. Real coverage is measured by the fault simulator, not the
 // analytic model.
-func E4Coverage(cfg Config) (*Table, error) { return e4Coverage(context.Background(), cfg) }
-
 func e4Coverage(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "E4",
@@ -135,11 +133,9 @@ func e4Coverage(ctx context.Context, cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// E5Curve regenerates Figure 2: fault coverage versus applied patterns
+// e5Curve regenerates Figure 2: fault coverage versus applied patterns
 // for a random-pattern-resistant circuit, original versus test-point-
 // modified — the curve shape that motivates test point insertion.
-func E5Curve(cfg Config) (*Series, error) { return e5Curve(context.Background(), cfg) }
-
 func e5Curve(ctx context.Context, cfg Config) (*Series, error) {
 	patterns := patternsFor(cfg)
 	c := gen.RPResistant(7, 3, 14, 120)

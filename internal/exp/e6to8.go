@@ -13,11 +13,9 @@ import (
 	"repro/internal/tpi"
 )
 
-// E6Scaling regenerates Table 4: planner work versus circuit size at a
+// e6Scaling regenerates Table 4: planner work versus circuit size at a
 // fixed budget, demonstrating the polynomial DP against the exponential
 // exhaustive search.
-func E6Scaling(cfg Config) (*Table, error) { return e6Scaling(context.Background(), cfg) }
-
 func e6Scaling(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "E6",
@@ -75,11 +73,9 @@ func e6Scaling(ctx context.Context, cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// E7Reduction regenerates Table 5: the Set Cover reduction checked end to
+// e7Reduction regenerates Table 5: the Set Cover reduction checked end to
 // end — the brute-force TPI optimum equals the Set Cover optimum on every
 // instance, and gadget sizes stay polynomial.
-func E7Reduction(cfg Config) (*Table, error) { return e7Reduction(context.Background(), cfg) }
-
 func e7Reduction(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "E7",
@@ -117,10 +113,8 @@ func e7Reduction(ctx context.Context, cfg Config) (*Table, error) {
 	return t, nil
 }
 
-// E8Ablations regenerates Table 6: the design-choice ablations DESIGN.md
+// e8Ablations regenerates Table 6: the design-choice ablations DESIGN.md
 // calls out.
-func E8Ablations(cfg Config) (*Table, error) { return e8Ablations(context.Background(), cfg) }
-
 func e8Ablations(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "E8",

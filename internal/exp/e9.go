@@ -28,13 +28,11 @@ func patternsToTarget(res *fsim.Result, total int, target float64) int {
 	return -1
 }
 
-// E9ScanTestTime regenerates the extension table: what test point
+// e9ScanTestTime regenerates the extension table: what test point
 // insertion buys in tester time under the full-scan cost model — patterns
 // needed to reach a coverage target, multiplied into scan cycles by the
 // chain shift cost. This is the economic argument the 1987 paper's
 // budget-constrained formulation serves.
-func E9ScanTestTime(cfg Config) (*Table, error) { return e9ScanTestTime(context.Background(), cfg) }
-
 func e9ScanTestTime(ctx context.Context, cfg Config) (*Table, error) {
 	t := &Table{
 		ID:      "E9",

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"strconv"
 	"strings"
 	"testing"
@@ -9,7 +10,7 @@ import (
 var quick = Config{Quick: true}
 
 func TestE1Rows(t *testing.T) {
-	tab, err := E1TestCounts(quick)
+	tab, err := e1TestCounts(context.Background(), quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestE1Rows(t *testing.T) {
 }
 
 func TestE2DPDominates(t *testing.T) {
-	tab, err := E2Insertion(quick)
+	tab, err := e2Insertion(context.Background(), quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func TestE2DPDominates(t *testing.T) {
 }
 
 func TestE3MonotoneDecreasing(t *testing.T) {
-	s, err := E3Sweep(quick)
+	s, err := e3Sweep(context.Background(), quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +84,7 @@ func TestE3MonotoneDecreasing(t *testing.T) {
 }
 
 func TestE4HybridWins(t *testing.T) {
-	tab, err := E4Coverage(quick)
+	tab, err := e4Coverage(context.Background(), quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestE4HybridWins(t *testing.T) {
 }
 
 func TestE5CurveShapes(t *testing.T) {
-	s, err := E5Curve(quick)
+	s, err := e5Curve(context.Background(), quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestE5CurveShapes(t *testing.T) {
 }
 
 func TestE6DPAlwaysRunsExhaustiveCapped(t *testing.T) {
-	tab, err := E6Scaling(quick)
+	tab, err := e6Scaling(context.Background(), quick)
 	if err != nil {
 		t.Fatal(err) // E6 itself verifies DP == exhaustive where both run
 	}
@@ -150,7 +151,7 @@ func TestE6DPAlwaysRunsExhaustiveCapped(t *testing.T) {
 }
 
 func TestE7AllAgree(t *testing.T) {
-	tab, err := E7Reduction(quick)
+	tab, err := e7Reduction(context.Background(), quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestE7AllAgree(t *testing.T) {
 }
 
 func TestE8RunsAndDPNotWorse(t *testing.T) {
-	tab, err := E8Ablations(quick)
+	tab, err := e8Ablations(context.Background(), quick)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +187,7 @@ func TestE8RunsAndDPNotWorse(t *testing.T) {
 }
 
 func TestE9SpeedupOrTargetMiss(t *testing.T) {
-	tab, err := E9ScanTestTime(quick)
+	tab, err := e9ScanTestTime(context.Background(), quick)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,25 +63,6 @@ func (s *Simulator) Value(id int) uint64 { return s.vals[id] }
 // contents change on the next Run.
 func (s *Simulator) Values() []uint64 { return s.vals }
 
-// RunBool evaluates a single pattern given as one bool per primary input
-// and returns all signal values.
-func (s *Simulator) RunBool(inputs []bool) ([]bool, error) {
-	words := make([]uint64, len(inputs))
-	for i, b := range inputs {
-		if b {
-			words[i] = 1
-		}
-	}
-	if err := s.Run(words); err != nil {
-		return nil, err
-	}
-	out := make([]bool, s.c.NumGates())
-	for id := range out {
-		out[id] = s.vals[id]&1 == 1
-	}
-	return out, nil
-}
-
 // SignalStats accumulates empirical one-counts per signal over simulated
 // blocks, yielding measured signal probabilities (used to validate the
 // analytic COP measures).

@@ -58,26 +58,6 @@ func scalarEval(c *netlist.Circuit, vec []bool) []bool {
 	return vals
 }
 
-func TestRunBool(t *testing.T) {
-	c := gen.RippleCarryAdder(2)
-	s := New(c)
-	// 3 + 2 + 1 = 6 = 110b
-	vec := []bool{true, true, false, true, true} // a=3, b=2, cin=1
-	vals, err := s.RunBool(vec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := 0
-	for i, o := range c.Outputs() {
-		if vals[o] {
-			got |= 1 << uint(i)
-		}
-	}
-	if got != 6 {
-		t.Errorf("adder said %d, want 6", got)
-	}
-}
-
 func TestRunWrongInputCount(t *testing.T) {
 	s := New(gen.C17())
 	if err := s.Run(make([]uint64, 3)); err == nil {

@@ -7,9 +7,9 @@ import "fmt"
 // symmetry, topological-order and level consistency (which together imply
 // acyclicity), and the input/output bookkeeping. A freshly built Circuit
 // always passes; the method exists so the lint pass and tests can confirm
-// the invariants still hold after rewrite pipelines (transform.go,
-// internal/opt) that rebuild circuits, catching any future rewrite bug at
-// its source instead of deep inside a simulator.
+// the invariants still hold after rewrites (transform.go) that rebuild
+// circuits, catching any future rewrite bug at its source instead of deep
+// inside a simulator.
 func (c *Circuit) Validate() error {
 	n := len(c.gates)
 

@@ -1,7 +1,7 @@
 // Package testability implements analytic testability measures for
 // combinational circuits: the COP controllability/observability
-// probabilities, per-fault detection probability estimates, the integer
-// SCOAP measures, and random-pattern test length estimation. On
+// probabilities, per-fault detection probability estimates, and
+// random-pattern test length estimation. On
 // fanout-free circuits the COP probabilities are exact; reconvergent
 // fanout introduces the correlation error that motivates validating
 // against the fault simulator.
@@ -430,18 +430,6 @@ func (co *COP) DetectProb(f fault.Fault) float64 {
 	return exc * co.branchObs[co.branchOff[f.Gate]+f.Pin]
 }
 
-// HardFaults returns the faults whose estimated detection probability
-// falls below the threshold, i.e. the random-pattern-resistant set.
-func (co *COP) HardFaults(faults []fault.Fault, threshold float64) []fault.Fault {
-	var out []fault.Fault
-	for _, f := range faults {
-		if co.DetectProb(f) < threshold {
-			out = append(out, f)
-		}
-	}
-	return out
-}
-
 // TestLength estimates the number of random patterns needed to detect a
 // fault of detection probability p with the given confidence:
 // N = ln(1-confidence)/ln(1-p). Returns +Inf for p <= 0.
@@ -453,24 +441,4 @@ func TestLength(p, confidence float64) float64 {
 		return 1
 	}
 	return math.Log(1-confidence) / math.Log(1-p)
-}
-
-// EscapeProb returns the probability that a fault with detection
-// probability p survives n random patterns: (1-p)^n.
-func EscapeProb(p float64, n int) float64 {
-	return math.Pow(1-p, float64(n))
-}
-
-// ExpectedCoverage estimates the expected fault coverage after n random
-// patterns from per-fault detection probabilities: the mean of
-// 1-(1-p_i)^n.
-func ExpectedCoverage(co *COP, faults []fault.Fault, n int) float64 {
-	if len(faults) == 0 {
-		return 1
-	}
-	sum := 0.0
-	for _, f := range faults {
-		sum += 1 - EscapeProb(co.DetectProb(f), n)
-	}
-	return sum / float64(len(faults))
 }

@@ -183,25 +183,6 @@ func TestInputProbOption(t *testing.T) {
 	}
 }
 
-func TestHardFaults(t *testing.T) {
-	c := gen.AndCone(16)
-	co := NewCOP(c, COPOptions{})
-	hard := co.HardFaults(fault.CollapsedUniverse(c), 1.0/4096)
-	if len(hard) == 0 {
-		t.Error("16-wide AND cone must have random-pattern-resistant faults")
-	}
-	// The output s-a-0 (or its representative) must be among them.
-	found := false
-	for _, f := range hard {
-		if co.DetectProb(f) < 1.0/4096 {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("hard list contains no hard fault")
-	}
-}
-
 func TestTestLengthMath(t *testing.T) {
 	// p=0.5, 99% confidence: N = ln(0.01)/ln(0.5) ≈ 6.64.
 	if n := TestLength(0.5, 0.99); math.Abs(n-6.6438) > 0.01 {
@@ -212,82 +193,6 @@ func TestTestLengthMath(t *testing.T) {
 	}
 	if n := TestLength(1, 0.99); n != 1 {
 		t.Errorf("TestLength(1)=%f, want 1", n)
-	}
-	if p := EscapeProb(0.5, 3); math.Abs(p-0.125) > 1e-12 {
-		t.Errorf("EscapeProb=%f", p)
-	}
-}
-
-func TestExpectedCoverageMonotone(t *testing.T) {
-	c := gen.RandomDAG(2, 10, 60, gen.DAGOptions{})
-	co := NewCOP(c, COPOptions{})
-	faults := fault.CollapsedUniverse(c)
-	prev := 0.0
-	for _, n := range []int{10, 100, 1000, 10000} {
-		cov := ExpectedCoverage(co, faults, n)
-		if cov < prev {
-			t.Errorf("expected coverage decreased at n=%d: %f < %f", n, cov, prev)
-		}
-		if cov < 0 || cov > 1 {
-			t.Errorf("expected coverage out of range: %f", cov)
-		}
-		prev = cov
-	}
-}
-
-func TestSCOAPBasics(t *testing.T) {
-	b := netlist.NewBuilder("and2")
-	a := b.Input("a")
-	x := b.Input("b")
-	g := b.AndGate("g", a, x)
-	b.MarkOutput(g)
-	c := b.MustBuild()
-	s := NewSCOAP(c)
-	if s.CC0[a] != 1 || s.CC1[a] != 1 {
-		t.Errorf("input CC = %d/%d, want 1/1", s.CC0[a], s.CC1[a])
-	}
-	// AND: CC1 = CC1(a)+CC1(b)+1 = 3; CC0 = min(CC0)+1 = 2.
-	if s.CC1[g] != 3 || s.CC0[g] != 2 {
-		t.Errorf("AND CC = CC0 %d / CC1 %d, want 2/3", s.CC0[g], s.CC1[g])
-	}
-	if s.CO[g] != 0 {
-		t.Errorf("PO CO = %d, want 0", s.CO[g])
-	}
-	// CO(a) = CO(g) + CC1(b) + 1 = 2.
-	if s.CO[a] != 2 {
-		t.Errorf("CO(a) = %d, want 2", s.CO[a])
-	}
-}
-
-func TestSCOAPInverterAndXor(t *testing.T) {
-	b := netlist.NewBuilder("mix")
-	a := b.Input("a")
-	x := b.Input("b")
-	n := b.NotGate("n", a)
-	g := b.XorGate("g", n, x)
-	b.MarkOutput(g)
-	c := b.MustBuild()
-	s := NewSCOAP(c)
-	if s.CC0[n] != 2 || s.CC1[n] != 2 {
-		t.Errorf("NOT CC = %d/%d, want 2/2", s.CC0[n], s.CC1[n])
-	}
-	// XOR: CC0 = min(CC0n+CC0b, CC1n+CC1b)+1 = min(3,3)+1 = 4.
-	if s.CC0[g] != 4 || s.CC1[g] != 4 {
-		t.Errorf("XOR CC = %d/%d, want 4/4", s.CC0[g], s.CC1[g])
-	}
-	// CO(x) = CO(g) + min(CC0n, CC1n) + 1 = 0+2+1 = 3.
-	if s.CO[x] != 3 {
-		t.Errorf("CO(x) = %d, want 3", s.CO[x])
-	}
-}
-
-func TestSCOAPDeepCircuitFinite(t *testing.T) {
-	c := gen.Multiplier(6)
-	s := NewSCOAP(c)
-	for id := 0; id < c.NumGates(); id++ {
-		if s.CC0[id] >= scoapInf || s.CC1[id] >= scoapInf || s.CO[id] >= scoapInf {
-			t.Fatalf("gate %s has infinite SCOAP measure", c.GateName(id))
-		}
 	}
 }
 

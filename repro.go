@@ -12,8 +12,7 @@
 //   - the stuck-at fault model with structural collapsing
 //   - a bit-parallel fault simulator and LFSR/counter/vector pattern
 //     sources
-//   - COP/SCOAP testability analysis and the Hayes–Friedman test-count
-//     theory
+//   - COP testability analysis and the Hayes–Friedman test-count theory
 //   - the test point planners: exact DP, greedy, random, exhaustive, for
 //     both the minimax test-count objective (full cuts) and the
 //     detection-probability coverage objective (observation points), plus
@@ -31,9 +30,6 @@ import (
 
 	"repro/internal/atpg"
 	"repro/internal/bench"
-	"repro/internal/bist"
-	"repro/internal/diag"
-	"repro/internal/eqcheck"
 	"repro/internal/fault"
 	"repro/internal/fsim"
 	"repro/internal/gen"
@@ -42,7 +38,6 @@ import (
 	"repro/internal/logic"
 	"repro/internal/netlist"
 	"repro/internal/npc"
-	"repro/internal/opt"
 	"repro/internal/pattern"
 	"repro/internal/scan"
 	"repro/internal/testability"
@@ -102,23 +97,6 @@ func ParseVerilog(r io.Reader) (*Circuit, error) { return vlog.Parse(r) }
 
 // WriteVerilog writes a circuit as a structural Verilog module.
 func WriteVerilog(w io.Writer, c *Circuit) error { return vlog.Write(w, c) }
-
-// Optimize runs the netlist cleanup passes (buffer sweep, inverter-pair
-// removal, structural CSE, dead logic removal) and returns an equivalent
-// circuit plus what was done.
-func Optimize(c *Circuit) (*Circuit, *OptimizeStats, error) {
-	return opt.Optimize(c, opt.Options{})
-}
-
-// OptimizeStats counts the optimizer's rewrites.
-type OptimizeStats = opt.Stats
-
-// Equivalent checks functional equivalence of two circuits: an
-// exhaustive proof for small input counts, dense random simulation
-// otherwise. The counterexample is non-nil when they differ.
-func Equivalent(a, b *Circuit) (bool, *eqcheck.Counterexample, error) {
-	return eqcheck.Equal(a, b, eqcheck.Options{})
-}
 
 // LintReport is the result of a static-analysis run over a circuit.
 type LintReport = lint.Report
@@ -216,23 +194,6 @@ func ParseVectors(r io.Reader) ([][]bool, error) { return pattern.ParseVectorTex
 // WriteVectors writes test vectors in the format ParseVectors reads.
 func WriteVectors(w io.Writer, vecs [][]bool) error { return pattern.WriteVectorText(w, vecs) }
 
-// MISR is a 64-bit multiple-input signature register for BIST response
-// compaction.
-type MISR = bist.MISR
-
-// NewMISR returns a zero-initialised MISR.
-func NewMISR() *MISR { return bist.NewMISR() }
-
-// BISTResult reports a signature-based self-test session.
-type BISTResult = bist.Result
-
-// RunBIST executes a full signature-based BIST session: patterns from
-// src drive the circuit, responses compact into a MISR, and each fault is
-// judged by signature comparison (aliasing reported explicitly).
-func RunBIST(c *Circuit, faults []Fault, src PatternSource, patterns int) (*BISTResult, error) {
-	return bist.Run(c, faults, src, patterns)
-}
-
 // SimOptions configures fault simulation.
 type SimOptions = fsim.Options
 
@@ -278,12 +239,6 @@ func NewCOP(c *Circuit, opts COPOptions) *COP { return testability.NewCOP(c, opt
 func NewCOPMeasured(c *Circuit, src PatternSource, patterns int, opts COPOptions) (*COP, error) {
 	return testability.NewCOPMeasured(c, src, patterns, opts)
 }
-
-// SCOAP holds the integer SCOAP testability measures.
-type SCOAP = testability.SCOAP
-
-// NewSCOAP computes the SCOAP measures.
-func NewSCOAP(c *Circuit) *SCOAP { return testability.NewSCOAP(c) }
 
 // TestCounts holds the Hayes–Friedman minimal test counts of a
 // fanout-free circuit.
@@ -386,24 +341,6 @@ func GenerateTestsContext(ctx context.Context, c *Circuit, faults []Fault, opts 
 // without losing coverage over the fault list.
 func CompactTests(c *Circuit, faults []Fault, vecs [][]bool) [][]bool {
 	return atpg.CompactTests(c, faults, vecs)
-}
-
-// Dictionary is a precomputed fault dictionary for diagnosis.
-type Dictionary = diag.Dictionary
-
-// DictionaryLevel selects pass/fail or full-response syndromes.
-type DictionaryLevel = diag.Level
-
-// Dictionary resolutions.
-const (
-	PassFail     = diag.PassFail
-	FullResponse = diag.FullResponse
-)
-
-// BuildDictionary fault-simulates every fault against the test set and
-// records its syndrome for later diagnosis.
-func BuildDictionary(c *Circuit, faults []Fault, vecs [][]bool, level DictionaryLevel) (*Dictionary, error) {
-	return diag.Build(c, faults, vecs, level)
 }
 
 // SetCover is an instance of the Set Cover problem used by the hardness

@@ -74,10 +74,6 @@ func TestFacadeATPGAndTestability(t *testing.T) {
 	if p := co.Controllability(c.Outputs()[0]); p <= 0 || p >= 1 {
 		t.Errorf("implausible output probability %f", p)
 	}
-	sc := NewSCOAP(c)
-	if sc.CO[c.Outputs()[0]] != 0 {
-		t.Error("PO observability must be 0")
-	}
 	ts, err := GenerateTests(c, Faults(c), ATPGOptions{})
 	if err != nil {
 		t.Fatal(err)

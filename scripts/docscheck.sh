@@ -9,6 +9,10 @@
 #      a flag the tool has but the table lacks fails, and so does a
 #      flag the table lists but the tool no longer has.
 #
+# It also holds README's "go run ./examples/<name>" lines to the
+# directories under examples/, in both directions, and requires each
+# example to build and exit 0.
+#
 # Run from the repository root:  ./scripts/docscheck.sh
 # Exit code: 0 when the docs match, 1 on any drift.
 set -euo pipefail
@@ -98,8 +102,37 @@ if [ -x "$bindir/codelint" ]; then
   fi
 fi
 
+# The examples list: README's "go run ./examples/<name>" lines must name
+# exactly the directories under examples/, and every example must build
+# and exit 0.
+examples_ok=1
+actual_examples=$(for d in examples/*/; do basename "$d"; done | sort -u)
+documented_examples=$(sed -n 's|^go run \./examples/\([a-zA-Z0-9_-]*\).*|\1|p' "$readme" | sort -u)
+missing_examples=$(comm -23 <(printf '%s\n' "$actual_examples") <(printf '%s\n' "$documented_examples"))
+stale_examples=$(comm -13 <(printf '%s\n' "$actual_examples") <(printf '%s\n' "$documented_examples"))
+if [ -n "$missing_examples" ]; then
+  err "examples missing from $readme: $(echo "$missing_examples" | tr '\n' ' ')"
+  examples_ok=0
+fi
+if [ -n "$stale_examples" ]; then
+  err "examples listed in $readme but absent from examples/: $(echo "$stale_examples" | tr '\n' ' ')"
+  examples_ok=0
+fi
+for ex in $actual_examples; do
+  if ! go build -o "$bindir/example-$ex" "./examples/$ex"; then
+    err "examples/$ex does not build"
+    examples_ok=0
+  elif ! "$bindir/example-$ex" >/dev/null; then
+    err "examples/$ex exited non-zero"
+    examples_ok=0
+  fi
+done
+if [ "$examples_ok" -eq 1 ]; then
+  say "docscheck: examples ok ($(printf '%s\n' "$actual_examples" | wc -l) built and ran)"
+fi
+
 if [ "$fail" -ne 0 ]; then
-  say "docscheck: FAILED — README.md flag tables and rule tables have drifted from the tools"
+  say "docscheck: FAILED — README.md flag tables, rule table or examples list have drifted from the code"
   exit 1
 fi
-say "docscheck: all flag tables match"
+say "docscheck: all flag tables, the rule table and the examples list match"
