@@ -407,12 +407,40 @@ func (p *parser) assemble(name string) (*netlist.Circuit, error) {
 	return netlist.Assemble(name, gates, outputs)
 }
 
+// writeChunk is the size of the buffer Write stages the text in.
+const writeChunk = 2048
+
 // Write emits the circuit in .bench format. Gates appear in topological
 // order so the output parses without forward references even in strict
-// readers.
+// readers. The text is staged in one buffer of writeChunk bytes, which
+// goes to w whenever a line leaves it at least half full, so writing a
+// circuit needs no buffer its size; a longer line grows the buffer.
 func Write(w io.Writer, c *netlist.Circuit) error {
-	_, err := w.Write(Append(nil, c))
+	var err error
+	rest := appendText(make([]byte, 0, writeChunk), c, func(b []byte) []byte {
+		if len(b) < writeChunk/2 {
+			return b
+		}
+		if err == nil {
+			_, err = w.Write(b)
+		}
+		return b[:0]
+	})
+	if err == nil {
+		_, err = w.Write(rest)
+	}
 	return err
+}
+
+// Size returns the length of the text Write emits, counted line by line
+// as each is formatted into one small buffer.
+func Size(c *netlist.Circuit) int {
+	n := 0
+	rest := appendText(make([]byte, 0, 256), c, func(b []byte) []byte {
+		n += len(b)
+		return b[:0]
+	})
+	return n + len(rest)
 }
 
 // Append appends the circuit's .bench text, exactly as Write emits it,
@@ -430,8 +458,16 @@ func Append(dst []byte, c *netlist.Circuit) []byte {
 			size += len(c.GateName(f)) + 2
 		}
 	}
-	dst = slices.Grow(dst, size)
+	return appendText(slices.Grow(dst, size), c, nil)
+}
 
+// appendText appends the circuit's .bench text to dst. A non-nil line
+// is handed the text after every line and returns the buffer to go on
+// in, so a caller can pass the text on in pieces.
+func appendText(dst []byte, c *netlist.Circuit, line func([]byte) []byte) []byte {
+	if line == nil {
+		line = func(b []byte) []byte { return b }
+	}
 	dst = append(dst, "# "...)
 	dst = append(dst, c.Name()...)
 	dst = append(dst, "\n# "...)
@@ -440,21 +476,21 @@ func Append(dst []byte, c *netlist.Circuit) []byte {
 	dst = strconv.AppendInt(dst, int64(c.NumOutputs()), 10)
 	dst = append(dst, " outputs, "...)
 	dst = strconv.AppendInt(dst, int64(c.NumGates()-c.NumInputs()), 10)
-	dst = append(dst, " gates\n"...)
+	dst = line(append(dst, " gates\n"...))
 	for _, in := range c.Inputs() {
 		dst = append(dst, "INPUT("...)
 		dst = append(dst, c.GateName(in)...)
-		dst = append(dst, ")\n"...)
+		dst = line(append(dst, ")\n"...))
 	}
 	// Outputs in ascending ID order: the output list holds each ID once.
 	for id := 0; id < c.NumGates(); id++ {
 		if c.IsOutput(id) {
 			dst = append(dst, "OUTPUT("...)
 			dst = append(dst, c.GateName(id)...)
-			dst = append(dst, ")\n"...)
+			dst = line(append(dst, ")\n"...))
 		}
 	}
-	dst = append(dst, '\n')
+	dst = line(append(dst, '\n'))
 	for _, id := range c.TopoOrder() {
 		g := c.Gate(id)
 		if g.Type == netlist.Input {
@@ -470,7 +506,7 @@ func Append(dst []byte, c *netlist.Circuit) []byte {
 			}
 			dst = append(dst, c.GateName(f)...)
 		}
-		dst = append(dst, ")\n"...)
+		dst = line(append(dst, ")\n"...))
 	}
 	return dst
 }

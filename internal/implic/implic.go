@@ -33,6 +33,7 @@ package implic
 
 import (
 	"context"
+	"math/bits"
 	"slices"
 
 	"repro/internal/netlist"
@@ -72,7 +73,13 @@ type Options struct {
 // dominator tree of one circuit. Build it once with New; all queries
 // are read-only afterwards except the lazily-computed redundancy pass.
 type Engine struct {
-	c       *netlist.Circuit
+	c *netlist.Circuit
+	// The circuit's gate types and fanins in flat arrays, for evalGate:
+	// gate g reads fanins[faninStart[g]:faninStart[g+1]].
+	types      []netlist.GateType
+	faninStart []int32
+	fanins     []int32
+
 	imp     [][]Lit // imp[l]: literals implied by l (sorted, l excluded)
 	learned [][]Lit // contrapositive edges replayed during propagation
 	nLearn  int
@@ -87,19 +94,16 @@ type Engine struct {
 	// lazily computed redundancy pass (redundancy.go)
 	redundant []RedundantFault
 
-	// Propagation state. Between runs val holds the base, the closure
-	// of the proven constants, and base lists its literals in ascending
-	// order. A run assigns on top of it: touched records the signals it
-	// assigned, pending the literals whose learned edges are not yet
-	// replayed, gq (with inq) the gates left to evaluate.
-	val      []int8
-	base     []Lit
-	spare    []Lit // the previous base's array, reused by commit
-	touched  []int32
-	pending  []Lit
-	gq       []int32
-	inq      []bool
-	conflict bool
+	// The engine's own propagation state: the build's sweeps run on it,
+	// and so does the first worker of the redundancy proofs. Between
+	// runs its val holds the base, the closure of the proven constants,
+	// and base lists the base's literals in ascending order.
+	state
+	base  []Lit
+	spare []Lit // the previous base's array, reused by commit
+	// runBits marks the signals of the last run while assigned merges
+	// them into the base; it is all zero between calls.
+	runBits []uint64
 
 	// What resume needs to bring a stored closure up to date: joined
 	// lists the signals in the order they entered the base (they never
@@ -113,6 +117,41 @@ type Engine struct {
 	// so post-build queries never observe a dead request context.
 	buildCtx  context.Context
 	buildDone <-chan struct{}
+}
+
+// state is one propagation over the engine's database. A run assigns
+// on top of the base held in val: touched records the signals it
+// assigned, pending the literals whose learned edges are not yet
+// replayed, gq (with inq) the gates left to evaluate. cone and marked
+// are a redundancy proof's fanout-cone scratch. After the build the
+// database is read-only, so states cloned from the engine's own can
+// propagate on different goroutines.
+type state struct {
+	e        *Engine
+	val      []int8
+	touched  []int32
+	pending  []Lit
+	gq       []int32
+	inq      []bool
+	conflict bool
+	cone     []bool
+	marked   []int32
+}
+
+// clone returns a state at the base that shares nothing with s. s must
+// be at the base too: between runs, with nothing touched. The clone's
+// worklists start as large as s's have grown, so they seldom grow.
+func (s *state) clone() *state {
+	return &state{
+		e:       s.e,
+		val:     slices.Clone(s.val),
+		touched: make([]int32, 0, cap(s.touched)),
+		pending: make([]Lit, 0, cap(s.pending)),
+		gq:      make([]int32, 0, cap(s.gq)),
+		inq:     make([]bool, len(s.inq)),
+		cone:    make([]bool, len(s.cone)),
+		marked:  make([]int32, 0, cap(s.marked)),
+	}
 }
 
 // New builds the engine: dominators, then LearnRounds+1 implication
@@ -130,16 +169,31 @@ func New(c *netlist.Circuit, opts Options) *Engine {
 func build(ctx context.Context, c *netlist.Circuit, opts Options) *Engine {
 	n := c.NumGates()
 	e := &Engine{
-		c:       c,
-		imp:     make([][]Lit, 2*n),
-		learned: make([][]Lit, 2*n),
-		consts:  make([]int8, n),
-		feas:    make([]bool, 2*n),
-		val:     make([]int8, n),
-		inq:     make([]bool, n),
-		seen:    make([]int32, 2*n),
-		mark:    make([]int32, 2*n),
+		c:          c,
+		types:      make([]netlist.GateType, n),
+		faninStart: make([]int32, n+1),
+		imp:        make([][]Lit, 2*n),
+		learned:    make([][]Lit, 2*n),
+		consts:     make([]int8, n),
+		feas:       make([]bool, 2*n),
+		runBits:    make([]uint64, (n+63)/64),
+		seen:       make([]int32, 2*n),
+		mark:       make([]int32, 2*n),
 	}
+	e.state = state{e: e, val: make([]int8, n), inq: make([]bool, n), cone: make([]bool, n)}
+	pins := 0
+	for id := 0; id < n; id++ {
+		pins += len(c.Fanin(id))
+	}
+	e.fanins = make([]int32, 0, pins)
+	for id := 0; id < n; id++ {
+		e.types[id] = c.Type(id)
+		e.faninStart[id] = int32(len(e.fanins))
+		for _, f := range c.Fanin(id) {
+			e.fanins = append(e.fanins, int32(f))
+		}
+	}
+	e.faninStart[n] = int32(len(e.fanins))
 	for i := range e.consts {
 		e.consts[i] = -1
 	}
@@ -300,20 +354,35 @@ func (e *Engine) commit() {
 
 // assigned appends to dst every literal assigned after the last run,
 // the base included, in ascending order and leaving out signal skip (-1
-// keeps all). The base is kept sorted and the run's own assignments are
-// sorted here, so one merge builds the list. dst is grown once, to hold
-// every literal, before the merge.
+// keeps all). The base is kept sorted; the run's signals are marked in
+// runBits and read back in ascending order, word by word over the span
+// they cover, as the merge goes. dst is grown once, to hold every
+// literal, before the merge.
 func (e *Engine) assigned(dst []Lit, skip int) []Lit {
 	dst = slices.Grow(dst, len(e.base)+len(e.touched))
-	slices.Sort(e.touched)
-	b, t := e.base, e.touched
-	for len(b) > 0 || len(t) > 0 {
-		var l Lit
-		if len(t) == 0 || (len(b) > 0 && b[0].Signal() < int(t[0])) {
-			l, b = b[0], b[1:]
-		} else {
-			l, t = MkLit(int(t[0]), e.val[t[0]] == 1), t[1:]
+	lo, hi := len(e.runBits), -1
+	for _, t := range e.touched {
+		w := int(t >> 6)
+		e.runBits[w] |= 1 << (t & 63)
+		lo, hi = min(lo, w), max(hi, w)
+	}
+	b := e.base
+	for w := lo; w <= hi; w++ {
+		for word := e.runBits[w]; word != 0; word &= word - 1 {
+			sig := w<<6 | bits.TrailingZeros64(word)
+			for len(b) > 0 && b[0].Signal() < sig {
+				if b[0].Signal() != skip {
+					dst = append(dst, b[0])
+				}
+				b = b[1:]
+			}
+			if sig != skip {
+				dst = append(dst, MkLit(sig, e.val[sig] == 1))
+			}
 		}
+		e.runBits[w] = 0
+	}
+	for _, l := range b {
 		if l.Signal() != skip {
 			dst = append(dst, l)
 		}
@@ -355,14 +424,14 @@ func (e *Engine) learn() bool {
 }
 
 // run propagates the seed literal on top of the base to a fixpoint,
-// leaving the assignment in e.val (-1 = unassigned), and reports whether
-// a conflict arose. Propagation reaches the same fixpoint, or the same
-// conflict, in any order, so starting from the base gives what
+// leaving the assignment in s.val (-1 = unassigned), and reports
+// whether a conflict arose. Propagation reaches the same fixpoint, or
+// the same conflict, in any order, so starting from the base gives what
 // propagating every constant along with the seed would. Callers must
-// call reset (or commit) afterwards.
-func (e *Engine) run(seed Lit) (conflict bool) {
-	e.assign(seed.Signal(), litVal(seed))
-	return e.propagate()
+// call reset (or, on the engine's own state, commit) afterwards.
+func (s *state) run(seed Lit) (conflict bool) {
+	s.assign(seed.Signal(), litVal(seed))
+	return s.propagate()
 }
 
 // resume is run(l) for a literal whose closure imp[l] is stored: it
@@ -375,51 +444,52 @@ func (e *Engine) run(seed Lit) (conflict bool) {
 // the base since. same reports that the fixpoint is exactly the stored
 // closure on the same base, so imp[l] needs no update. Callers must
 // call reset afterwards.
-func (e *Engine) resume(l Lit) (conflict, same bool) {
-	e.load(l)
+func (s *state) resume(l Lit) (conflict, same bool) {
+	e := s.e
+	s.load(l)
 	for _, y := range e.imp[l] {
-		e.load(y)
+		s.load(y)
 	}
-	if e.conflict {
+	if s.conflict {
 		return true, false
 	}
-	loaded := e.touched
-	for _, s := range loaded {
-		e.replayLearned(MkLit(int(s), e.val[s] == 1))
+	loaded := s.touched
+	for _, t := range loaded {
+		s.replayLearned(MkLit(int(t), s.val[t] == 1))
 	}
 	delta := e.joined[e.seen[l]:]
-	for _, s := range delta {
-		e.enqueue(int(s))
-		for _, g := range e.c.Fanout(int(s)) {
-			e.enqueue(g)
+	for _, t := range delta {
+		s.enqueue(int(t))
+		for _, g := range e.c.Fanout(int(t)) {
+			s.enqueue(g)
 		}
 	}
-	if e.propagate() {
+	if s.propagate() {
 		return true, false
 	}
-	return false, len(delta) == 0 && len(e.touched) == len(loaded)
+	return false, len(delta) == 0 && len(s.touched) == len(loaded)
 }
 
 // replayLearned assigns what y implies by the edges learned since the
 // last sweep.
-func (e *Engine) replayLearned(y Lit) {
-	for _, t := range e.learned[y][e.mark[y]:] {
-		e.assign(t.Signal(), litVal(t))
+func (s *state) replayLearned(y Lit) {
+	for _, t := range s.e.learned[y][s.e.mark[y]:] {
+		s.assign(t.Signal(), litVal(t))
 	}
 }
 
 // load assigns the literal of a stored closure. Unlike assign it queues
 // neither gates nor learned edges, since the closure was a fixpoint; a
 // literal contradicting the base records a conflict.
-func (e *Engine) load(y Lit) {
+func (s *state) load(y Lit) {
 	sig, v := y.Signal(), litVal(y)
-	switch e.val[sig] {
+	switch s.val[sig] {
 	case v:
 	case -1:
-		e.val[sig] = v
-		e.touched = append(e.touched, int32(sig))
+		s.val[sig] = v
+		s.touched = append(s.touched, int32(sig))
 	default:
-		e.conflict = true
+		s.conflict = true
 	}
 }
 
@@ -429,69 +499,69 @@ func litVal(l Lit) int8 { return int8(l & 1) }
 // assign sets sig to v and queues its learned edges, the gate itself and
 // its fanout gates; assigning the opposite of a known value records a
 // conflict.
-func (e *Engine) assign(sig int, v int8) {
-	switch e.val[sig] {
+func (s *state) assign(sig int, v int8) {
+	switch s.val[sig] {
 	case v:
 		return
 	case -1:
-		e.val[sig] = v
-		e.touched = append(e.touched, int32(sig))
-		e.pending = append(e.pending, MkLit(sig, v == 1))
-		e.enqueue(sig)
-		for _, g := range e.c.Fanout(sig) {
-			e.enqueue(g)
+		s.val[sig] = v
+		s.touched = append(s.touched, int32(sig))
+		s.pending = append(s.pending, MkLit(sig, v == 1))
+		s.enqueue(sig)
+		for _, g := range s.e.c.Fanout(sig) {
+			s.enqueue(g)
 		}
 	default:
-		e.conflict = true
+		s.conflict = true
 	}
 }
 
-func (e *Engine) enqueue(g int) {
-	if !e.inq[g] {
-		e.inq[g] = true
-		e.gq = append(e.gq, int32(g))
+func (s *state) enqueue(g int) {
+	if !s.inq[g] {
+		s.inq[g] = true
+		s.gq = append(s.gq, int32(g))
 	}
 }
 
 // propagate drains the worklists until a fixpoint or a conflict and
 // reports whether a conflict arose.
-func (e *Engine) propagate() bool {
+func (s *state) propagate() bool {
 	// Poll the build context every 1024 worklist steps: propagation is
 	// the hot inner loop of the sweeps, so the select is amortized the
 	// same way fsim amortizes its per-block poll.
 	steps := 0
-	for !e.conflict && (len(e.pending) > 0 || len(e.gq) > 0) {
+	for !s.conflict && (len(s.pending) > 0 || len(s.gq) > 0) {
 		if steps++; steps&1023 == 0 {
-			e.pollBuild()
+			s.e.pollBuild()
 		}
-		if n := len(e.pending); n > 0 {
-			l := e.pending[n-1]
-			e.pending = e.pending[:n-1]
-			for _, t := range e.learned[l] {
-				e.assign(t.Signal(), litVal(t))
+		if n := len(s.pending); n > 0 {
+			l := s.pending[n-1]
+			s.pending = s.pending[:n-1]
+			for _, t := range s.e.learned[l] {
+				s.assign(t.Signal(), litVal(t))
 			}
 			continue
 		}
-		g := int(e.gq[len(e.gq)-1])
-		e.gq = e.gq[:len(e.gq)-1]
-		e.inq[g] = false
-		e.evalGate(g)
+		g := int(s.gq[len(s.gq)-1])
+		s.gq = s.gq[:len(s.gq)-1]
+		s.inq[g] = false
+		s.evalGate(g)
 	}
-	return e.conflict
+	return s.conflict
 }
 
 // reset undoes the last run, restoring the base.
-func (e *Engine) reset() {
-	for _, t := range e.touched {
-		e.val[t] = -1
+func (s *state) reset() {
+	for _, t := range s.touched {
+		s.val[t] = -1
 	}
-	e.touched = e.touched[:0]
-	e.pending = e.pending[:0]
-	for _, g := range e.gq {
-		e.inq[g] = false
+	s.touched = s.touched[:0]
+	s.pending = s.pending[:0]
+	for _, g := range s.gq {
+		s.inq[g] = false
 	}
-	e.gq = e.gq[:0]
-	e.conflict = false
+	s.gq = s.gq[:0]
+	s.conflict = false
 }
 
 // evalGate applies the bidirectional gate rules of gate id under the
@@ -504,25 +574,26 @@ func (e *Engine) reset() {
 //     one unknown input and no controlling input justifies that input;
 //   - XOR/XNOR: all-but-one known pins determine the last, in either
 //     direction.
-func (e *Engine) evalGate(id int) {
-	t, fanin := e.c.Type(id), e.c.Fanin(id)
+func (s *state) evalGate(id int) {
+	e := s.e
+	t, fanin := e.types[id], e.fanins[e.faninStart[id]:e.faninStart[id+1]]
 	switch t {
 	case netlist.Input:
 	case netlist.Buf:
-		in := fanin[0]
-		if v := e.val[in]; v >= 0 {
-			e.assign(id, v)
+		in := int(fanin[0])
+		if v := s.val[in]; v >= 0 {
+			s.assign(id, v)
 		}
-		if v := e.val[id]; v >= 0 {
-			e.assign(in, v)
+		if v := s.val[id]; v >= 0 {
+			s.assign(in, v)
 		}
 	case netlist.Not:
-		in := fanin[0]
-		if v := e.val[in]; v >= 0 {
-			e.assign(id, 1-v)
+		in := int(fanin[0])
+		if v := s.val[in]; v >= 0 {
+			s.assign(id, 1-v)
 		}
-		if v := e.val[id]; v >= 0 {
-			e.assign(in, 1-v)
+		if v := s.val[id]; v >= 0 {
+			s.assign(in, 1-v)
 		}
 	case netlist.And, netlist.Nand, netlist.Or, netlist.Nor:
 		cv := int8(0) // controlling input value
@@ -536,37 +607,37 @@ func (e *Engine) evalGate(id int) {
 		unknown, last := 0, -1
 		anyCtl := false
 		for _, in := range fanin {
-			switch e.val[in] {
+			switch s.val[in] {
 			case -1:
 				unknown++
-				last = in
+				last = int(in)
 			case cv:
 				anyCtl = true
 			}
 		}
 		if anyCtl {
-			e.assign(id, ov)
+			s.assign(id, ov)
 		} else if unknown == 0 {
-			e.assign(id, 1-ov)
+			s.assign(id, 1-ov)
 		}
-		switch e.val[id] {
+		switch s.val[id] {
 		case 1 - ov:
 			for _, in := range fanin {
-				e.assign(in, 1-cv)
+				s.assign(int(in), 1-cv)
 			}
 		case ov:
 			if !anyCtl && unknown == 1 {
-				e.assign(last, cv)
+				s.assign(last, cv)
 			}
 		}
 	case netlist.Xor, netlist.Xnor:
 		unknown, last := 0, -1
 		acc := int8(0)
 		for _, in := range fanin {
-			switch e.val[in] {
+			switch s.val[in] {
 			case -1:
 				unknown++
-				last = in
+				last = int(in)
 			case 1:
 				acc ^= 1
 			}
@@ -576,10 +647,10 @@ func (e *Engine) evalGate(id int) {
 			inv = 1
 		}
 		if unknown == 0 {
-			e.assign(id, acc^inv)
+			s.assign(id, acc^inv)
 		} else if unknown == 1 {
-			if v := e.val[id]; v >= 0 {
-				e.assign(last, v^inv^acc)
+			if v := s.val[id]; v >= 0 {
+				s.assign(last, v^inv^acc)
 			}
 		}
 	}

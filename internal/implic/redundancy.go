@@ -3,9 +3,11 @@ package implic
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/fault"
 	"repro/internal/netlist"
+	"repro/internal/par"
 )
 
 // The static redundancy pass proves single stuck-at faults untestable by
@@ -84,17 +86,12 @@ func (e *Engine) RedundantSet() map[fault.Fault]bool {
 // that part. A fault outside fault.Universe is never proven. The pass
 // polls ctx once per fault and returns ctx.Err() once it is done.
 func (e *Engine) RedundantAmongContext(ctx context.Context, faults []fault.Fault) ([]bool, error) {
-	done := ctx.Done()
 	out := make([]bool, len(faults))
-	cone := make([]bool, e.c.NumGates())
-	var marked []int
-	for i, f := range faults {
-		select {
-		case <-done:
-			return nil, ctx.Err()
-		default:
-		}
-		out[i] = e.inUniverse(f) && e.prove(f, cone, &marked).kind != unproven
+	ok := e.proveEach(ctx.Done(), faults, func(i int, f fault.Fault, p proof) {
+		out[i] = p.kind != unproven
+	})
+	if !ok {
+		return nil, ctx.Err()
 	}
 	return out, nil
 }
@@ -116,20 +113,63 @@ func (e *Engine) inUniverse(f fault.Fault) bool {
 // computeRedundant runs the pass, polling done once per fault; it
 // returns ok=false when done fires first. A nil done never fires.
 func (e *Engine) computeRedundant(done <-chan struct{}) (out []RedundantFault, ok bool) {
-	out = []RedundantFault{}
-	cone := make([]bool, e.c.NumGates())
-	var marked []int
-	for _, f := range fault.Universe(e.c) {
-		select {
-		case <-done:
-			return nil, false
-		default:
+	universe := fault.Universe(e.c)
+	reasons := make([]string, len(universe))
+	if !e.proveEach(done, universe, func(i int, f fault.Fault, p proof) {
+		if p.kind != unproven {
+			reasons[i] = p.reason(e.c, f)
 		}
-		if p := e.prove(f, cone, &marked); p.kind != unproven {
-			out = append(out, RedundantFault{F: f, Reason: p.reason(e.c, f)})
+	}) {
+		return nil, false
+	}
+	out = []RedundantFault{}
+	for i, r := range reasons {
+		if r != "" {
+			out = append(out, RedundantFault{F: universe[i], Reason: r})
 		}
 	}
 	return out, true
+}
+
+// proofGrain is how many consecutive faults a proof worker takes at a
+// time: enough to keep the hand-out rare, few enough to balance the
+// workers.
+const proofGrain = 16
+
+// proveEach proves every fault of the universe among faults on every
+// core and calls found(i, faults[i], p) with each proof, from the
+// worker that made it; a fault outside the universe is unproven. Each
+// worker propagates on its own state over the shared database: the
+// first on the engine's own, the others on clones of it made before any
+// worker starts, while it still holds the bare base. Every proof starts
+// and ends at the base, so a proof does not depend on the worker that
+// made it. A worker polls done before each fault, and proveEach returns
+// false when one found it closed.
+func (e *Engine) proveEach(done <-chan struct{}, faults []fault.Fault, found func(i int, f fault.Fault, p proof)) bool {
+	states := make([]*state, par.Workers(len(faults)))
+	states[0] = &e.state
+	for w := 1; w < len(states); w++ {
+		states[w] = e.state.clone()
+	}
+	var stopped atomic.Bool
+	par.For(len(states), len(faults), proofGrain, func(w, i int) {
+		if stopped.Load() {
+			return
+		}
+		select {
+		case <-done:
+			stopped.Store(true)
+			return
+		default:
+		}
+		f := faults[i]
+		p := proof{}
+		if e.inUniverse(f) {
+			p = states[w].prove(f)
+		}
+		found(i, f, p)
+	})
+	return !stopped.Load()
 }
 
 // proofKind names the detection condition a redundancy proof refutes.
@@ -177,9 +217,10 @@ func (p proof) reason(c *netlist.Circuit, f fault.Fault) string {
 	return ""
 }
 
-// prove checks the three conditions for one fault of the universe. cone
-// and marked are caller-owned scratch for the fanout-cone marking.
-func (e *Engine) prove(f fault.Fault, cone []bool, marked *[]int) proof {
+// prove checks the three conditions for one fault of the universe on
+// state s, which it leaves at the base.
+func (s *state) prove(f fault.Fault) proof {
+	e := s.e
 	c := e.c
 	// site: the signal whose good value must oppose the stuck value.
 	site := f.Gate
@@ -213,8 +254,8 @@ func (e *Engine) prove(f fault.Fault, cone []bool, marked *[]int) proof {
 	// the conditions refer to fault-free values only. The excitation's
 	// closure is resumed from the build, and the side pins propagate on
 	// top of it.
-	defer e.reset()
-	conflict, _ := e.resume(want)
+	defer s.reset()
+	conflict, _ := s.resume(want)
 	if !conflict && !f.IsStem() {
 		if cvb, hasCtl := c.Type(f.Gate).ControllingValue(); hasCtl {
 			ncv := int8(1)
@@ -223,10 +264,10 @@ func (e *Engine) prove(f fault.Fault, cone []bool, marked *[]int) proof {
 			}
 			for pin, w := range c.Fanin(f.Gate) {
 				if pin != f.Pin {
-					e.assign(w, ncv)
+					s.assign(w, ncv)
 				}
 			}
-			conflict = e.propagate()
+			conflict = s.propagate()
 		}
 	}
 	if conflict {
@@ -234,60 +275,60 @@ func (e *Engine) prove(f fault.Fault, cone []bool, marked *[]int) proof {
 	}
 
 	// Mark the fanout cone of the corrupted signals.
-	*marked = (*marked)[:0]
-	mark := func(s int) {
-		if !cone[s] {
-			cone[s] = true
-			*marked = append(*marked, s)
-		}
-	}
-	mark(f.Gate)
-	for i := 0; i < len(*marked); i++ {
-		for _, g := range c.Fanout((*marked)[i]) {
-			mark(g)
+	s.marked = append(s.marked[:0], int32(f.Gate))
+	s.cone[f.Gate] = true
+	for i := 0; i < len(s.marked); i++ {
+		for _, g := range c.Fanout(int(s.marked[i])) {
+			if !s.cone[g] {
+				s.cone[g] = true
+				s.marked = append(s.marked, int32(g))
+			}
 		}
 	}
 	defer func() {
-		for _, s := range *marked {
-			cone[s] = false
+		for _, g := range s.marked {
+			s.cone[g] = false
 		}
 	}()
 
 	// For a branch fault the effect first crosses the consuming gate,
 	// whose other pins always carry fault-free values; then the
 	// dominator chain of that gate. For a stem fault the chain alone.
-	// check returns the side input of d (other than skipPin) held at
-	// its controlling value, or -1.
-	check := func(d int, skipPin int) int {
-		cvb, hasCtl := c.Type(d).ControllingValue()
-		if !hasCtl {
-			return -1 // XOR-likes and BUF/NOT never block
-		}
-		cv := int8(0)
-		if cvb {
-			cv = 1
-		}
-		for pin, w := range c.Fanin(d) {
-			if pin == skipPin || cone[w] {
-				continue
-			}
-			if e.val[w] == cv {
-				return w
-			}
-		}
-		return -1
-	}
 	if !f.IsStem() {
-		if w := check(f.Gate, f.Pin); w >= 0 {
+		if w := s.blockingSide(f.Gate, f.Pin); w >= 0 {
 			return proof{kind: blocked, dom: f.Gate, side: w}
 		}
 	}
-	for _, d := range e.Dominators(f.Gate) {
-		if w := check(d, -1); w >= 0 {
+	for d := e.idom[f.Gate]; d >= 0 && d != e.sink; d = e.idom[d] {
+		if w := s.blockingSide(d, -1); w >= 0 {
 			return proof{kind: blocked, dom: d, side: w}
 		}
 	}
 	return proof{}
+}
+
+// blockingSide returns the side input of gate d (other than pin
+// skipPin) outside the marked fanout cone that s holds at d's
+// controlling value, or -1.
+func (s *state) blockingSide(d int, skipPin int) int {
+	c := s.e.c
+	cvb, hasCtl := c.Type(d).ControllingValue()
+	if !hasCtl {
+		return -1 // XOR-likes and BUF/NOT never block
+	}
+	cv := int8(0)
+	if cvb {
+		cv = 1
+	}
+	for pin, w := range c.Fanin(d) {
+		if pin == skipPin || s.cone[w] {
+			continue
+		}
+		if s.val[w] == cv {
+			return w
+		}
+	}
+	return -1
 }
 
 // Collapse returns the engine-backed collapsed fault list: structural

@@ -3,8 +3,10 @@ package implic
 import (
 	"context"
 	"errors"
+	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/gen"
@@ -87,6 +89,44 @@ func TestRedundantAmongContextCanceled(t *testing.T) {
 	cancel()
 	if red, err := e.RedundantAmongContext(ctx, fault.Universe(c)); red != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("RedundantAmongContext on a canceled context: %v, %v; want nil and context.Canceled", red, err)
+	}
+}
+
+// TestRedundantAmongHonorsDeadline: a deadline that expires while the
+// workers prove faults ends the pass within the answer margin with the
+// context's error, and leaves no worker running. The engine is built
+// before the clock starts, so the deadline can only land among the
+// proofs. The fault list, the universe four times over, takes some
+// 1.8 s to prove on one core, far longer than the deadline on any
+// number of cores.
+func TestRedundantAmongHonorsDeadline(t *testing.T) {
+	c := gen.RandomDAG(1, 16, 1000, gen.DAGOptions{})
+	e := New(c, Options{})
+	universe := fault.Universe(c)
+	var faults []fault.Fault
+	for range 4 {
+		faults = append(faults, universe...)
+	}
+	base := slices.Clone(e.val)
+	start := runtime.NumGoroutine()
+	const budget = 5 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
+	defer cancel()
+	began := time.Now()
+	red, err := e.RedundantAmongContext(ctx, faults)
+	if d := time.Since(began); d > budget+250*time.Millisecond {
+		t.Errorf("deadline of %v honoured after %v", budget, d)
+	}
+	if red != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("RedundantAmongContext past its deadline: %d verdicts, %v; want nil and context.DeadlineExceeded", len(red), err)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > start; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the abort, %d before", runtime.NumGoroutine(), start)
+		}
+	}
+	if !slices.Equal(e.val, base) || len(e.touched) != 0 {
+		t.Error("the aborted pass left the engine's own state off the base")
 	}
 }
 

@@ -201,7 +201,7 @@ func checkConstants(c *netlist.Circuit, r *Report) {
 			Signal:   id,
 			Name:     c.GateName(id),
 			Message:  fmt.Sprintf("line is structurally stuck at %d for every input vector", bit),
-			Hint:     fmt.Sprintf("its s-a-%d fault is untestable; rewrite the cone or remove it (internal/opt)", bit),
+			Hint:     fmt.Sprintf("its s-a-%d fault is untestable; rewrite the cone or tie the line to its constant", bit),
 		})
 
 		// The stem always carries v, so s-a-v on the stem — and on every

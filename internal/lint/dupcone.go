@@ -50,7 +50,7 @@ func checkDuplicateCones(c *netlist.Circuit, r *Report) {
 				Signal:   id,
 				Name:     g.Name,
 				Message:  fmt.Sprintf("computes the same function as %s (duplicate cone)", c.GateName(rep)),
-				Hint:     "merge the cones (internal/opt structural CSE); duplicated faults are equivalent",
+				Hint:     "merge the cones into one gate; duplicated faults are equivalent",
 			})
 		} else {
 			byKey[key] = id

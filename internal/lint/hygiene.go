@@ -74,7 +74,7 @@ func checkHygiene(c *netlist.Circuit, opts Options, r *Report) {
 					Signal:   id,
 					Name:     c.GateName(id),
 					Message:  fmt.Sprintf("gate consumes signal %s on multiple pins", c.GateName(f)),
-					Hint:     "deduplicate the pins; see internal/opt idempotent collapse",
+					Hint:     "deduplicate the pins: a repeated input adds nothing to AND or OR and cancels in XOR",
 				})
 				reported = true
 			}

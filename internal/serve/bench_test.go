@@ -42,8 +42,8 @@ func hitPathServer(tb testing.TB) (*Server, []byte) {
 }
 
 // BenchmarkHitPath splits the cache-hit floor of one 2000-gate inline
-// /v1/plan body into stages. decode, parse, canon and hash are what the
-// full path runs before its cache lookup; decode-fallback decodes a body
+// /v1/plan body into stages. decode, parse and key (canonicalize and
+// hash) are what the full path runs before its cache lookup; decode-fallback decodes a body
 // that leaves the one-scan decoder late; memo is a whole in-process
 // handler call served through the key memo, and full is the same call
 // with the memo holding nothing, so it takes the full path against the
@@ -98,21 +98,14 @@ func BenchmarkHitPath(b *testing.B) {
 			}
 		}
 	})
-	var canon []byte
-	b.Run("canon", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			canon = canonicalNetlist(c)
-		}
-	})
 	keyOpts, _, _, err := parsePlan(req.Options)
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.Run("hash", func(b *testing.B) {
+	b.Run("key", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if hitPathSink, err = cacheKey("/v1/plan", canon, keyOpts); err != nil {
+			if hitPathSink, err = cacheKey("/v1/plan", c, keyOpts); err != nil {
 				b.Fatal(err)
 			}
 		}

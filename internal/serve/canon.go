@@ -99,25 +99,25 @@ func parseCircuit(req *netlistRequest) (*netlist.Circuit, error) {
 	}
 }
 
-// canonicalNetlist renders the circuit in canonical .bench form: the
-// content-addressed half of every cache key.
-func canonicalNetlist(c *netlist.Circuit) []byte { return bench.Append(nil, c) }
-
 // cacheKey derives the content address for one engine invocation:
-// SHA-256 over the endpoint name, the canonical netlist, and the
-// canonicalized (defaulted, timeout-stripped) options. opts must be a
-// struct so its JSON encoding has a fixed field order. The hashed
-// stream is "endpoint\nlen(canon)\n", canon, then the options JSON.
-func cacheKey(endpoint string, canon []byte, opts any) (string, error) {
+// SHA-256 over the endpoint name, the circuit's canonical .bench text
+// (what bench.Write emits), and the canonicalized (defaulted,
+// timeout-stripped) options. opts must be a struct so its JSON encoding
+// has a fixed field order. The hashed stream is "endpoint\nlen(canon)\n",
+// canon, then the options JSON. The text's length is counted first and
+// the text then written into the hash in pieces, so no key builds the
+// whole text.
+func cacheKey(endpoint string, c *netlist.Circuit, opts any) (string, error) {
 	oj, err := json.Marshal(opts)
 	if err != nil {
 		return "", fmt.Errorf("serve: canonicalize options: %w", err)
 	}
 	h := sha256.New()
 	hdr := append([]byte(endpoint), '\n')
-	hdr = strconv.AppendInt(hdr, int64(len(canon)), 10)
+	hdr = strconv.AppendInt(hdr, int64(bench.Size(c)), 10)
 	h.Write(append(hdr, '\n'))
-	h.Write(canon)
+	// A hash never fails to write.
+	_ = bench.Write(h, c)
 	h.Write(oj)
 	return hex.EncodeToString(h.Sum(nil)), nil
 }
@@ -155,7 +155,7 @@ func derive(endpoint string, parse parseFunc, body []byte, digest [sha256.Size]b
 	if err != nil {
 		return nil, err
 	}
-	if inv.key, err = cacheKey(endpoint, canonicalNetlist(inv.c), keyOpts); err != nil {
+	if inv.key, err = cacheKey(endpoint, inv.c, keyOpts); err != nil {
 		return nil, &requestError{status: http.StatusInternalServerError, msg: err.Error()}
 	}
 	return inv, nil

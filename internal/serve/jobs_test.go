@@ -170,7 +170,7 @@ func mustPlanKey(t *testing.T, spec string, keyOpts any) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := cacheKey("/v1/plan", canonicalNetlist(c), keyOpts)
+	key, err := cacheKey("/v1/plan", c, keyOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,8 +27,8 @@ func bodyDigest(endpoint string, body []byte) [sha256.Size]byte {
 
 // memoEntry is what the full path derived from one request body.
 type memoEntry struct {
-	// key is the result-cache key, cacheKey(endpoint, canonical
-	// netlist, canonical options).
+	// key is the result-cache key, cacheKey(endpoint, circuit,
+	// canonical options).
 	key string
 	// timeoutMS is the body's options.timeout_ms (0 = server default).
 	timeoutMS int

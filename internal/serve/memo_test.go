@@ -31,7 +31,7 @@ func memoized(s *Server, endpoint, body string) (memoEntry, bool) {
 }
 
 // fullPathKey derives body's cache key the long way, independently of
-// derive: cacheKey(endpoint, canonicalNetlist(c), keyOpts).
+// derive: cacheKey(endpoint, c, keyOpts).
 func fullPathKey(t *testing.T, s *Server, endpoint, body string) string {
 	t.Helper()
 	var req netlistRequest
@@ -46,7 +46,7 @@ func fullPathKey(t *testing.T, s *Server, endpoint, body string) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := cacheKey(endpoint, canonicalNetlist(c), keyOpts)
+	key, err := cacheKey(endpoint, c, keyOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

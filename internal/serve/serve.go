@@ -246,6 +246,20 @@ func (s *Server) engineHandler(name string, parse parseFunc) http.HandlerFunc {
 			s.metrics.inFlight.Add(-1)
 			s.metrics.record(name, status, time.Since(start).Milliseconds())
 		}()
+		// A panic outside the engine run (decoding, parsing or
+		// generating, canonicalizing, decoding options) is the server's
+		// fault as an engine panic is: answer it 500 with one JSON body,
+		// as execute does, rather than let net/http drop the connection.
+		// Each path below writes its answer last (the async path then
+		// only memoizes the key), so a panic recovered here has written
+		// nothing.
+		defer func() {
+			if r := recover(); r != nil {
+				fmt.Fprintf(os.Stderr, "serve: %s: request panic: %v\n%s", name, r, debug.Stack())
+				status = http.StatusInternalServerError
+				writeError(w, status, errRequestPanic.Error())
+			}
+		}()
 
 		if r.Method != http.MethodPost {
 			status = http.StatusMethodNotAllowed
@@ -309,6 +323,10 @@ func (s *Server) engineHandler(name string, parse parseFunc) http.HandlerFunc {
 // errEnginePanic is the error of an engine run that panicked. The
 // fault is the server's, not the request's, so it is answered 500.
 var errEnginePanic = errors.New("internal error: the engine failed on this request")
+
+// errRequestPanic answers a request whose handling panicked outside the
+// engine run.
+var errRequestPanic = errors.New("internal error: the server failed on this request")
 
 // writeFailure answers a failed engine request and returns its status:
 // the refused body's own status, 500 for an engine that panicked, 504

@@ -160,12 +160,11 @@ func TestConcurrentIdenticalRequests(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	canon := canonicalNetlist(c)
 	keyOpts, _, _, err := parsePlan(json.RawMessage(`{"planner":"observe","nop":3}`))
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := cacheKey("/v1/plan", canon, keyOpts)
+	key, err := cacheKey("/v1/plan", c, keyOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -694,5 +693,59 @@ func TestEnginePanicAnswers500(t *testing.T) {
 	}
 	if p := s.Stats().Pool; p.Running != 0 {
 		t.Errorf("pool after the panic: %+v, want no slot held", p)
+	}
+}
+
+// TestRequestPanicAnswers500: a panic before the engine runs, here in
+// the options parser, is answered 500 with one JSON body on both the
+// full path and a memoized body's re-materialization, holds no worker,
+// and is counted under its endpoint.
+func TestRequestPanicAnswers500(t *testing.T) {
+	s, _ := newTestServer(t, Config{})
+	var panicking atomic.Bool
+	parse := func(raw json.RawMessage) (any, int, runFunc, error) {
+		if panicking.Load() {
+			panic("parser fault")
+		}
+		return parsePlan(raw)
+	}
+	h := s.engineHandler("/v1/plan", parse)
+	body := `{"generate":"c17","options":{"planner":"observe"}}`
+	send := func() *httptest.ResponseRecorder {
+		rr := httptest.NewRecorder()
+		h.ServeHTTP(rr, httptest.NewRequest(http.MethodPost, "/v1/plan", strings.NewReader(body)))
+		return rr
+	}
+	check := func(what string, rr *httptest.ResponseRecorder) {
+		t.Helper()
+		dec := json.NewDecoder(rr.Body)
+		var e map[string]string
+		if err := dec.Decode(&e); rr.Code != http.StatusInternalServerError || err != nil || e["error"] == "" {
+			t.Fatalf("%s: status %d error %v body %v, want 500 with a JSON error", what, rr.Code, err, e)
+		}
+		if dec.More() {
+			t.Fatalf("%s: more than one JSON value in the body", what)
+		}
+	}
+	panicking.Store(true)
+	check("full path", send())
+	// Memoize the body, evict its result, and panic on the rebuild the
+	// memo hit needs.
+	panicking.Store(false)
+	if rr := send(); rr.Code != http.StatusOK {
+		t.Fatalf("status %d body %s, want 200", rr.Code, rr.Body)
+	}
+	s.cache = NewCache(1)
+	panicking.Store(true)
+	check("memo hit", send())
+	if p := s.Stats().Pool; p.Running != 0 {
+		t.Errorf("pool after the panics: %+v, want no slot held", p)
+	}
+	st := s.Stats()
+	if got := st.Endpoints["/v1/plan"].ByStatus["5xx"]; got != 2 {
+		t.Errorf("/v1/plan counted %d answers 5xx, want 2 (%+v)", got, st.Endpoints["/v1/plan"])
+	}
+	if st.InFlight != 0 {
+		t.Errorf("%d requests still in flight", st.InFlight)
 	}
 }

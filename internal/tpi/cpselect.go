@@ -3,10 +3,12 @@ package tpi
 import (
 	"context"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/fault"
 	"repro/internal/netlist"
+	"repro/internal/par"
 	"repro/internal/progress"
 	"repro/internal/testability"
 )
@@ -52,6 +54,11 @@ type CPOptions struct {
 // each iteration's winner is inserted. Control test inputs are assumed
 // driven by fresh equiprobable BIST inputs.
 //
+// The candidates are scored on every core, one overlay per worker. Each
+// score is written by the candidate's index and the winner is the first
+// strict maximum in candidate order, Control0 before Control1, so the
+// plan does not depend on the number of workers.
+//
 // Control point selection is where the NP-completeness bites (control
 // points interact through shared fanout cones), so this is a heuristic by
 // design; the 1987 DP applies to the problems in cutdp.go and opdp.go.
@@ -59,8 +66,11 @@ func PlanControlPointsGreedy(c *netlist.Circuit, faults []fault.Fault, k int, dt
 	return planControlPointsGreedy(context.Background(), c, faults, k, dth, opts)
 }
 
+// controlKinds are the kinds each candidate signal is scored with, in
+// the order ties between them break.
+var controlKinds = [...]netlist.TestPointKind{netlist.Control0, netlist.Control1}
+
 func planControlPointsGreedy(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, k int, dth float64, opts CPOptions) (*CPPlan, error) {
-	done := ctx.Done()
 	if k < 0 {
 		return nil, ErrBudgetNegative
 	}
@@ -70,7 +80,8 @@ func planControlPointsGreedy(ctx context.Context, c *netlist.Circuit, faults []f
 	}
 	plan := &CPPlan{TotalFaults: len(faults)}
 	// With no control point set, ov.COP is NewCOP of the current circuit;
-	// each iteration reads it before its first SetControlPoint.
+	// each iteration reads it before its first SetControlPoint and
+	// resets it to the circuit with the winner inserted.
 	ov := testability.NewOverlay(c, opts.COP)
 	plan.CoveredBefore = countCovered(&ov.COP, faults, dth)
 	covered := plan.CoveredBefore
@@ -78,22 +89,34 @@ func planControlPointsGreedy(ctx context.Context, c *netlist.Circuit, faults []f
 	report := progress.FromContext(ctx)
 	var points []netlist.TestPoint
 	cur := c
+	// gains[len(controlKinds)*i+j] is the coverage gain of candidate i
+	// with kind controlKinds[j]. overlays[w] is worker w's overlay: ov,
+	// or a clone of it that each iteration makes in the buffers of the
+	// one before, as ov reuses its own.
+	var gains []int
+	var overlays []*testability.Overlay
 	for len(points) < k {
 		if report != nil {
 			report("control-points", int64(len(points)), int64(k))
 		}
 		candidates := controlCandidates(ctx, cur, &ov.COP, faults, dth, maxCand)
+		gains = slices.Grow(gains[:0], len(controlKinds)*len(candidates))[:len(controlKinds)*len(candidates)]
+		workers := par.Workers(len(candidates))
+		for len(overlays) < workers {
+			overlays = append(overlays, nil)
+		}
+		overlays[0] = ov
+		for w := 1; w < workers; w++ {
+			overlays[w] = ov.Clone(overlays[w])
+		}
+		scoreCandidates(ctx, overlays[:workers], candidates, faults, dth, covered, gains)
+		plan.Evaluations += int64(len(gains))
 		bestGain := 0
 		var bestPoint netlist.TestPoint
-		for _, s := range candidates {
-			pollDone(ctx, done)
-			for _, kind := range [...]netlist.TestPointKind{netlist.Control0, netlist.Control1} {
-				ov.SetControlPoint(s, kind)
-				plan.Evaluations++
-				if v := countCovered(&ov.COP, faults, dth); v-covered > bestGain {
-					bestGain = v - covered
-					bestPoint = netlist.TestPoint{Signal: s, Kind: kind}
-				}
+		for i, gain := range gains {
+			if gain > bestGain {
+				bestGain = gain
+				bestPoint = netlist.TestPoint{Signal: candidates[i/len(controlKinds)], Kind: controlKinds[i%len(controlKinds)]}
 			}
 		}
 		if bestGain == 0 {
@@ -105,13 +128,33 @@ func planControlPointsGreedy(ctx context.Context, c *netlist.Circuit, faults []f
 		}
 		points = append(points, bestPoint)
 		cur = mod
-		ov = testability.NewOverlay(mod, opts.COP)
 		covered += bestGain
+		if len(points) < k {
+			ov.Reset(mod)
+		}
 	}
 	plan.Points = points
 	plan.CoveredAfter = covered
 	plan.Modified = cur
 	return plan, nil
+}
+
+// scoreCandidates sets gains[len(controlKinds)*i+j] to the number of
+// faults that candidate i with kind controlKinds[j] adds to covered,
+// on one worker per overlay: worker w sets its points on overlays[w],
+// and the overlays must be analyses of one circuit. Each worker polls
+// ctx once per candidate, and cancellation reaches the caller as the
+// ctxAbort panic.
+func scoreCandidates(ctx context.Context, overlays []*testability.Overlay, candidates []int, faults []fault.Fault, dth float64, covered int, gains []int) {
+	done := ctx.Done()
+	par.For(len(overlays), len(candidates), 1, func(w, i int) {
+		pollDone(ctx, done)
+		o := overlays[w]
+		for j, kind := range controlKinds {
+			o.SetControlPoint(candidates[i], kind)
+			gains[len(controlKinds)*i+j] = countCovered(&o.COP, faults, dth) - covered
+		}
+	})
 }
 
 // countCovered counts faults whose estimated detection probability meets

@@ -237,24 +237,26 @@ func TestHybridPlanOnRPResistant(t *testing.T) {
 
 // TestControlPointsHonorDeadline pins the deadline on a circuit where
 // the candidate search dominates unless it is linear: walking each hard
-// fault's fanin and fanout cones into a map, with no poll, answered this
+// fault's fanin and fanout cones into a map, with no poll, answered a
 // 500 ms deadline after 5.8 s. The marking sweeps are linear, and each
-// candidate evaluation polls.
+// candidate evaluation polls. The whole 3-point plan takes about 0.3 s
+// on two cores, so the deadline sits well inside it.
 func TestControlPointsHonorDeadline(t *testing.T) {
 	c, err := cli.Generate("dag:gates=9000,seed=3")
 	if err != nil {
 		t.Fatal(err)
 	}
 	faults := fault.CollapsedUniverse(c)
-	ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+	const budget = 50 * time.Millisecond
+	ctx, cancel := context.WithTimeout(context.Background(), budget)
 	defer cancel()
 	start := time.Now()
 	_, err = PlanControlPointsGreedyContext(ctx, c, faults, 3, 1.0/4096, CPOptions{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}
-	if d := time.Since(start); d > 750*time.Millisecond {
-		t.Errorf("deadline of 500ms honoured after %v", d)
+	if d := time.Since(start); d > budget+250*time.Millisecond {
+		t.Errorf("deadline of %v honoured after %v", budget, d)
 	}
 }
 
