@@ -26,6 +26,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -127,22 +128,22 @@ func run(stdout, stderr io.Writer, cfg config) (failed bool, err error) {
 
 	if cfg.memprofile != "" {
 		defer func() {
-			if err != nil {
-				return
+			if err == nil {
+				err = writeHeapProfile(cfg.memprofile)
 			}
-			err = writeHeapProfile(cfg.memprofile)
 		}()
 	}
 	if cfg.cpuprofile != "" {
-		f, err := os.Create(cfg.cpuprofile)
-		if err != nil {
-			return false, &cli.WriteError{Path: cfg.cpuprofile, Err: err}
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
+		var prof bytes.Buffer
+		if err := pprof.StartCPUProfile(&prof); err != nil {
 			return false, err
 		}
-		defer pprof.StopCPUProfile()
+		defer func() {
+			pprof.StopCPUProfile()
+			if err == nil {
+				err = writeProfile(cfg.cpuprofile, prof.Bytes())
+			}
+		}()
 	}
 
 	rep, err := perf.Run(perf.Suite(cfg.short), perf.Config{
@@ -290,14 +291,19 @@ func paramString(params map[string]string) string {
 // writeHeapProfile forces a GC for up-to-date accounting and writes
 // the heap profile.
 func writeHeapProfile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return &cli.WriteError{Path: path, Err: err}
-	}
-	defer f.Close()
 	runtime.GC()
-	if err := pprof.WriteHeapProfile(f); err != nil {
+	var prof bytes.Buffer
+	if err := pprof.WriteHeapProfile(&prof); err != nil {
 		return err
 	}
-	return f.Close()
+	return writeProfile(path, prof.Bytes())
+}
+
+// writeProfile writes a profile staged in memory to path: runtime/pprof
+// drops the errors of the writer it is given.
+func writeProfile(path string, prof []byte) error {
+	return cli.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(prof)
+		return err
+	})
 }

@@ -2,10 +2,13 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -93,8 +96,8 @@ func TestCheckRejectsBrokenReport(t *testing.T) {
 	if _, err := run(io.Discard, io.Discard, config{check: bad, tolerance: 10, minTime: time.Second}); err == nil {
 		t.Error("invalid report accepted")
 	}
-	if _, err := run(io.Discard, io.Discard, config{check: filepath.Join(dir, "absent.json"), tolerance: 10, minTime: time.Second}); err == nil {
-		t.Error("missing report accepted")
+	if _, err := run(io.Discard, io.Discard, config{check: filepath.Join(dir, "absent.json"), tolerance: 10, minTime: time.Second}); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("missing report: err = %v, want fs.ErrNotExist", err)
 	}
 }
 
@@ -118,6 +121,21 @@ func TestBaselineGateFails(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "slower") {
 		t.Errorf("violation output = %q", out.String())
+	}
+}
+
+// TestParamStringKeyOrder: the params column lists its pairs in key
+// order, whatever order the map yields them in.
+func TestParamStringKeyOrder(t *testing.T) {
+	params := map[string]string{}
+	var want []string
+	for i := 0; i < 26; i++ {
+		k := string(rune('a' + i))
+		params[k] = strconv.Itoa(i)
+		want = append(want, k+"="+strconv.Itoa(i))
+	}
+	if got := paramString(params); got != strings.Join(want, " ") {
+		t.Errorf("paramString = %q", got)
 	}
 }
 

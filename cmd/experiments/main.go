@@ -64,7 +64,7 @@ func run(ctx context.Context, quick bool, only, csvDir string, doLint bool) erro
 	}
 	if csvDir != "" {
 		if err := os.MkdirAll(csvDir, 0o755); err != nil {
-			return err
+			return &cli.WriteError{Path: csvDir, Err: err}
 		}
 	}
 	for _, e := range exp.Experiments() {

@@ -89,10 +89,8 @@ func run(ctx context.Context, benchPath, genSpec string, patterns int, seed uint
 		if err != nil {
 			return err
 		}
+		defer f.Close() // only read
 		vecs, err := pattern.ParseVectorText(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
 		if err != nil {
 			return err
 		}

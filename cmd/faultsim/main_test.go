@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"errors"
+	"io/fs"
 	"strings"
 
 	"os"
@@ -36,6 +37,9 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run(context.Background(), "", "c17", 64, 1, "file", "", 0, false, 0, false); err == nil {
 		t.Error("expected error for missing vector path")
+	}
+	if err := run(context.Background(), "", "c17", 64, 1, "file", filepath.Join(t.TempDir(), "absent.vec"), 0, false, 0, false); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("missing vector file: err = %v, want fs.ErrNotExist", err)
 	}
 	if err := run(context.Background(), "", "dag:inputs=32,gates=50", 64, 1, "counter", "", 0, false, 0, false); err == nil {
 		t.Error("expected error for counter with too many inputs")

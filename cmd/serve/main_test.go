@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"errors"
 	"io"
@@ -274,6 +275,71 @@ func TestShutdownOrderingDrainsBlockedSubscriber(t *testing.T) {
 			conn.Close()
 			t.Errorf("listener %s still accepts connections after shutdown", addr)
 		}
+	}
+}
+
+// TestRunReportsDrainTimeout: a request still running when the drain
+// window closes makes run return Shutdown's error, so the process does
+// not exit 0 with the request cut off.
+func TestRunReportsDrainTimeout(t *testing.T) {
+	if testing.Short() {
+		t.Skip("starts a real server and sends SIGTERM")
+	}
+	cfg := goodConfig()
+	cfg.addr = freeAddr(t)
+	cfg.workers = 1
+	cfg.drainTimeout = 100 * time.Millisecond
+	cfg.requestTimeout = time.Minute
+	sigs := make(chan os.Signal, 1)
+	signal.Notify(sigs, syscall.SIGTERM)
+	defer signal.Stop(sigs)
+
+	runErr := make(chan error, 1)
+	go func() { runErr <- run(cfg) }()
+	base := "http://" + cfg.addr
+	stats := func() (st serve.Stats, err error) {
+		resp, err := http.Get(base + "/v1/stats")
+		if err != nil {
+			return st, err
+		}
+		defer resp.Body.Close()
+		return st, json.NewDecoder(resp.Body).Decode(&st)
+	}
+	// A million patterns on 1500 gates hold the one worker for seconds;
+	// cancelling the request at the end stops the engine.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	deadline := time.Now().Add(10 * time.Second)
+	for _, err := stats(); err != nil; _, err = stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("server never came up: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	go func() {
+		req, _ := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/faultsim",
+			strings.NewReader(`{"generate":"dag:gates=1500,seed=1","options":{"patterns":1048576}}`))
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	for st, err := stats(); err != nil || st.Pool.Running == 0; st, err = stats() {
+		if time.Now().After(deadline) {
+			t.Fatalf("the request never reached the engine: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-runErr:
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("run returned %v after the drain window, want context.DeadlineExceeded", err)
+		}
+	case <-time.After(15 * time.Second):
+		t.Fatal("run did not return after the drain window")
 	}
 }
 

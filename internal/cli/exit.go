@@ -69,6 +69,12 @@ func WriteFile(path string, fn func(io.Writer) error) error {
 	if err != nil {
 		return &WriteError{Path: path, Err: err}
 	}
+	return writeClose(path, f, fn)
+}
+
+// writeClose is WriteFile after the create: it streams fn's output into
+// f and closes it. Tests hand it a file whose Close fails.
+func writeClose(path string, f io.WriteCloser, fn func(io.Writer) error) error {
 	werr := fn(f)
 	cerr := f.Close()
 	if werr != nil {

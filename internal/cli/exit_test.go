@@ -69,4 +69,20 @@ func TestWriteFile(t *testing.T) {
 	if !errors.As(err, &we) || !errors.Is(err, io.ErrShortWrite) {
 		t.Fatalf("err = %v, want *WriteError wrapping ErrShortWrite", err)
 	}
+
+	// So must a failed Close after every write succeeded.
+	err = writeClose(path, failClose{io.Discard}, func(w io.Writer) error {
+		_, err := io.WriteString(w, "hello")
+		return err
+	})
+	if !errors.As(err, &we) || !errors.Is(err, errClose) {
+		t.Fatalf("err = %v, want *WriteError wrapping %v", err, errClose)
+	}
 }
+
+var errClose = errors.New("close: disk full")
+
+// failClose is a file whose writes succeed and whose Close fails.
+type failClose struct{ io.Writer }
+
+func (failClose) Close() error { return errClose }

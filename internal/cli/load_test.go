@@ -1,6 +1,8 @@
 package cli
 
 import (
+	"errors"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"testing"
@@ -82,8 +84,8 @@ func TestLoadCircuitExclusive(t *testing.T) {
 	if _, err := LoadCircuit("", ""); err == nil {
 		t.Error("expected missing-source error")
 	}
-	if _, err := LoadCircuit("/nonexistent/file.bench", ""); err == nil {
-		t.Error("expected file error")
+	if _, err := LoadCircuit("/nonexistent/file.bench", ""); !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("missing file: err = %v, want fs.ErrNotExist", err)
 	}
 }
 

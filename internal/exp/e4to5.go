@@ -15,17 +15,14 @@ import (
 
 // testableFaults removes PODEM-proven-redundant faults from the collapsed
 // universe, the standard preprocessing step before coverage experiments
-// (aborted faults are conservatively kept).
+// (aborted faults are conservatively kept). Every fault of the universe
+// is in range, so GenerateContext fails only once ctx is done.
 func testableFaults(ctx context.Context, c *netlist.Circuit) ([]fault.Fault, error) {
 	var out []fault.Fault
 	for _, f := range fault.CollapsedUniverse(c) {
 		res, err := atpg.GenerateContext(ctx, c, f, atpg.Options{BacktrackLimit: 5000})
 		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return nil, cerr
-			}
-			out = append(out, f) // conservative: treat errors as testable
-			continue
+			return nil, err
 		}
 		if res.Status != atpg.Redundant {
 			out = append(out, f)

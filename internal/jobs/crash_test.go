@@ -3,10 +3,12 @@ package jobs
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -70,6 +72,47 @@ type memFS struct {
 	data  map[int][]byte
 	next  int
 	log   []fsOp
+	// failAt, when positive, makes the failAt-th operation that can
+	// fail (every one but Stat) return errInjected instead; failedIn
+	// names the store function that operation came from.
+	failAt, ops int
+	failedIn    string
+}
+
+var errInjected = errors.New("injected failure")
+
+// injected counts one operation that can fail and reports whether it
+// is the one to fail. Callers hold m.mu.
+func (m *memFS) injected() bool {
+	m.ops++
+	if m.ops != m.failAt {
+		return false
+	}
+	m.failedIn = storeSite()
+	return true
+}
+
+// storeSite names the outermost store function on the caller's stack,
+// openStore or a (*store) method, and the function that called it, as
+// in "appendState in newManager".
+func storeSite() string {
+	pcs := make([]uintptr, 32)
+	frames := runtime.CallersFrames(pcs[:runtime.Callers(2, pcs)])
+	site := ""
+	for {
+		f, more := frames.Next()
+		name := f.Function[strings.LastIndex(f.Function, "/")+1:]
+		switch {
+		case strings.HasPrefix(name, "jobs.(*store)."):
+			site = strings.TrimPrefix(name, "jobs.(*store).")
+		case name == "jobs.openStore":
+			site = "openStore"
+		case site != "":
+			return site + " in " + name[strings.LastIndex(name, ".")+1:]
+		case !more:
+			return ""
+		}
+	}
 }
 
 func newMemFS(dirs ...string) *memFS {
@@ -94,6 +137,9 @@ func (m *memFS) mark(kind opKind, id string) {
 func (m *memFS) OpenFile(name string, flag int, _ os.FileMode) (file, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.injected() {
+		return nil, errInjected
+	}
 	ino, ok := m.names[name]
 	switch {
 	case ok && ino == dirIno:
@@ -116,6 +162,9 @@ func (m *memFS) OpenFile(name string, flag int, _ os.FileMode) (file, error) {
 func (m *memFS) Rename(oldpath, newpath string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.injected() {
+		return errInjected
+	}
 	ino, ok := m.names[oldpath]
 	if !ok || ino == dirIno || m.names[filepath.Dir(newpath)] != dirIno {
 		return notExist("rename", oldpath)
@@ -129,6 +178,9 @@ func (m *memFS) Rename(oldpath, newpath string) error {
 func (m *memFS) Remove(name string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.injected() {
+		return errInjected
+	}
 	ino, ok := m.names[name]
 	if !ok || ino == dirIno {
 		return notExist("remove", name)
@@ -141,6 +193,9 @@ func (m *memFS) Remove(name string) error {
 func (m *memFS) MkdirAll(path string, _ os.FileMode) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.injected() {
+		return errInjected
+	}
 	var missing []string
 	for d := path; m.names[d] != dirIno; d = filepath.Dir(d) {
 		if _, ok := m.names[d]; ok {
@@ -158,6 +213,9 @@ func (m *memFS) MkdirAll(path string, _ os.FileMode) error {
 func (m *memFS) SyncDir(dir string) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.injected() {
+		return errInjected
+	}
 	if m.names[dir] != dirIno {
 		return notExist("sync", dir)
 	}
@@ -168,6 +226,9 @@ func (m *memFS) SyncDir(dir string) error {
 func (m *memFS) ReadDir(dir string) ([]string, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.injected() {
+		return nil, errInjected
+	}
 	if m.names[dir] != dirIno {
 		return nil, notExist("readdir", dir)
 	}
@@ -184,6 +245,9 @@ func (m *memFS) ReadDir(dir string) ([]string, error) {
 func (m *memFS) ReadFile(name string) ([]byte, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.injected() {
+		return nil, errInjected
+	}
 	ino, ok := m.names[name]
 	if !ok || ino == dirIno {
 		return nil, notExist("read", name)
@@ -209,6 +273,9 @@ type memFile struct {
 func (f *memFile) Write(b []byte) (int, error) {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
+	if f.fs.injected() {
+		return 0, errInjected
+	}
 	f.fs.data[f.ino] = append(f.fs.data[f.ino], b...)
 	f.fs.record(fsOp{kind: opWrite, ino: f.ino, data: append([]byte(nil), b...)})
 	return len(b), nil
@@ -217,11 +284,21 @@ func (f *memFile) Write(b []byte) (int, error) {
 func (f *memFile) Sync() error {
 	f.fs.mu.Lock()
 	defer f.fs.mu.Unlock()
+	if f.fs.injected() {
+		return errInjected
+	}
 	f.fs.record(fsOp{kind: opFsync, ino: f.ino})
 	return nil
 }
 
-func (f *memFile) Close() error { return nil }
+func (f *memFile) Close() error {
+	f.fs.mu.Lock()
+	defer f.fs.mu.Unlock()
+	if f.fs.injected() {
+		return errInjected
+	}
+	return nil
+}
 
 // crashModel replays a log prefix into what is durable and what is not.
 type crashModel struct {
@@ -500,6 +577,192 @@ func TestCrashStateEnumeration(t *testing.T) {
 		}
 	}
 	t.Logf("%d operations, %d crash states", len(script.log), states)
+}
+
+// TestStoreErrorEnumeration runs a script, fails one file operation of
+// it, and checks the outcome by the store function the failure came
+// from and its caller; it does so once for every operation the script
+// makes. The script submits jobs A, B and C with MaxJobs 1 and runs A
+// and B to done; C's run waits until Close cuts it off. Recovery then
+// runs twice on what is left: the first re-journals and re-runs C, the
+// second finds C done. The outcomes:
+//   - openStore, recover, or appendState in newManager (re-journaling
+//     a job to re-queue it): New returns an error;
+//   - appendCreate: Submit returns an error and keeps no job;
+//   - writeResult: the job ends failed, and recovers failed;
+//   - readResult: Result returns an error;
+//   - appendState in a transition, or appendProgress: the manager drops
+//     the error on purpose, so every job still ends done with its bytes
+//     and its last progress sample;
+//   - remove: the job submitted before the last still leaves the table,
+//     and its result blob stays for the next recovery to re-read.
+//
+// Every job recovery finds ends done with its bytes, unless it failed
+// or its Submit did: a rejected job's journal may be torn, as after a
+// crash before Submit returns.
+func TestStoreErrorEnumeration(t *testing.T) {
+	hit := map[string]bool{}
+	for at := 1; ; at++ {
+		fsys := newMemFS("/data")
+		fsys.failAt = at
+		problems := runFailingScript(fsys)
+		fsys.mu.Lock()
+		site, ops := fsys.failedIn, fsys.ops
+		fsys.mu.Unlock()
+		if ops < at {
+			break
+		}
+		hit[site] = true
+		for _, p := range problems {
+			t.Errorf("operation %d fails in %s: %s", at, site, p)
+		}
+	}
+	for _, site := range []string{
+		"openStore in newManager", "recover in newManager", "appendState in newManager",
+		"appendCreate in Submit", "appendState in transitionLocked", "appendProgress in updateProgress",
+		"writeResult in runJob", "readResult in Result", "remove in removeLocked",
+	} {
+		if !hit[site] {
+			t.Errorf("no failed operation came from %s", site)
+		}
+	}
+	m, err := newManager(crashConfig(nil), crashRunner, newMemFS("/data"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.Submit("/v1/plan", "key", []byte("{"), 0); err == nil {
+		t.Error("Submit journaled a request that is not JSON")
+	}
+}
+
+// runFailingScript runs the script of TestStoreErrorEnumeration on
+// fsys and returns what is wrong with the outcome.
+func runFailingScript(fsys *memFS) (problems []string) {
+	failedIn := func() string {
+		fsys.mu.Lock()
+		defer fsys.mu.Unlock()
+		return fsys.failedIn
+	}
+	fail := func(format string, args ...any) { problems = append(problems, fmt.Sprintf(format, args...)) }
+	// start runs New on fsys; it returns nil when New fails.
+	start := func(cfg Config, run Runner) *Manager {
+		before := failedIn()
+		m, err := newManager(cfg, run, fsys)
+		switch failedIn() {
+		case "openStore in newManager", "recover in newManager", "appendState in newManager":
+			if before == "" && err == nil {
+				fail("New returned no error")
+			}
+		default:
+			if err != nil {
+				fail("New returned %v", err)
+			}
+		}
+		return m
+	}
+	n := 0
+	cfg := crashConfig(func() string { n++; return fmt.Sprintf("n%d", n) })
+	cfg.MaxJobs = 1
+	m := start(cfg, func(ctx context.Context, spec Spec) ([]byte, error) {
+		if spec.Key == "key-c" {
+			<-ctx.Done()
+			return nil, ctx.Err()
+		}
+		return crashRunner(ctx, spec)
+	})
+	if m == nil {
+		return problems
+	}
+	want := map[string][]byte{}
+	failed := map[string]bool{}
+	prev := ""
+	for _, key := range []string{"key-a", "key-b", "key-c"} {
+		req := []byte(`{"generate":"` + key + `"}`)
+		before, held := failedIn(), len(m.List())
+		snap, err := m.Submit("/v1/plan", key, req, 0)
+		if rejected := before == "" && failedIn() == "appendCreate in Submit"; rejected != (err != nil) {
+			fail("Submit %s returned %v", key, err)
+		}
+		if err != nil {
+			if len(m.List()) != held {
+				fail("rejected job %s is in the table", key)
+			}
+			continue
+		}
+		want[snap.ID] = resultBytes(Spec{ID: snap.ID, Endpoint: "/v1/plan", Key: key, Request: req})
+		if prev != "" {
+			if _, ok := m.Get(prev); ok {
+				fail("job %s was not collected", prev)
+			}
+			if before == "" && failedIn() == "remove in removeLocked" && fsys.Stat(filepath.Join(crashStoreDir, prev+".res")) != nil {
+				fail("failed collection of job %s removed its result blob", prev)
+			}
+		}
+		prev = snap.ID
+		if key == "key-c" {
+			for snap.State == Queued {
+				var ch <-chan struct{}
+				if snap, ch, _ = m.Watch(snap.ID); snap.State == Queued {
+					<-ch
+				}
+			}
+			break
+		}
+		// Only the run calls writeResult; it may have begun already.
+		end := awaitTerminal(m, snap.ID)
+		failed[snap.ID] = before == "" && failedIn() == "writeResult in runJob"
+		switch {
+		case failed[snap.ID] && end.State != Failed:
+			fail("job %s ended %s, want failed", key, end.State)
+		case failed[snap.ID]:
+		case end.State != Done:
+			fail("job %s ended %s (%s), want done", key, end.State, end.Error)
+		case end.Progress == nil || *end.Progress != (Progress{Stage: "units", Done: 2, Total: 2}):
+			fail("job %s progress %v, want units 2/2", key, end.Progress)
+		default:
+			if got, err := m.Result(snap.ID); err != nil || !bytes.Equal(got, want[snap.ID]) {
+				fail("job %s result %q (err %v)", key, got, err)
+			}
+		}
+	}
+	m.Close()
+
+	for round := 0; round < 2; round++ {
+		before := failedIn()
+		r := start(crashConfig(nil), crashRunner)
+		if r == nil {
+			return problems
+		}
+		for _, snap := range r.List() {
+			end := awaitTerminal(r, snap.ID)
+			if end.State == Failed && before == "" && failedIn() == "writeResult in runJob" {
+				failed[snap.ID] = true
+			}
+			_, accepted := want[snap.ID]
+			switch {
+			case !accepted && end.State == Failed:
+			case failed[snap.ID]:
+				if end.State != Failed {
+					fail("failed job %s recovered %s", snap.ID, end.State)
+				}
+			case end.State != Done:
+				fail("job %s recovered %s (%s), want done", snap.ID, end.State, end.Error)
+			default:
+				before := failedIn()
+				got, err := r.Result(snap.ID)
+				if before == "" && failedIn() == "readResult in Result" {
+					if err == nil {
+						fail("Result of job %s returned no error", snap.ID)
+					}
+				} else if err != nil || accepted && !bytes.Equal(got, want[snap.ID]) {
+					fail("recovered job %s result %q (err %v), want %q", snap.ID, got, err, want[snap.ID])
+				}
+			}
+		}
+		r.Close()
+	}
+	return problems
 }
 
 // describeOp renders the last operation of a log prefix for failure

@@ -391,10 +391,8 @@ func TestDoneWithoutResultBlobFailsJob(t *testing.T) {
 	}
 }
 
-// TestCloseJoinsWorkers is the load-bearing test for the golint
-// goroutine allowlist entries on Manager.New: the worker and GC
-// goroutines spawned there must all be joined by Close, even with a
-// job in flight.
+// TestCloseJoinsWorkers: the worker and GC goroutines Manager.New
+// spawns must all be joined by Close, even with a job in flight.
 func TestCloseJoinsWorkers(t *testing.T) {
 	r := newTestRunner(true)
 	m, err := New(Config{Workers: 4}, r.run)
@@ -495,13 +493,17 @@ func TestRetentionGC(t *testing.T) {
 	}
 }
 
+// TestMaxJobsEvictsOldestTerminal: with more done jobs than MaxJobs,
+// the oldest go first. Twelve jobs finish a second apart, so the map the
+// sweep collects them from cannot pass for their order.
 func TestMaxJobsEvictsOldestTerminal(t *testing.T) {
 	clk := &fakeClock{}
 	clk.ms.Store(1_000_000)
 	r := newTestRunner(false)
-	m := newTestManager(t, Config{Workers: 1, MaxJobs: 2, Now: clk.now}, r.run)
+	const maxJobs = 6
+	m := newTestManager(t, Config{Workers: 1, MaxJobs: maxJobs, Now: clk.now}, r.run)
 	var ids []string
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 2*maxJobs; i++ {
 		s, err := m.Submit("/v1/plan", fmt.Sprintf("k%d", i), []byte(`{}`), 0)
 		if err != nil {
 			t.Fatalf("Submit %d: %v", i, err)
@@ -510,38 +512,41 @@ func TestMaxJobsEvictsOldestTerminal(t *testing.T) {
 		clk.advance(time.Second)
 		ids = append(ids, s.ID)
 	}
-	// The third submit's sweep ran while job 2 was queued; sweep again
-	// now that all three are terminal.
-	if _, err := m.Submit("/v1/plan", "k3", []byte(`{}`), 0); err != nil {
-		t.Fatalf("Submit k3: %v", err)
+	// The last submit's sweep ran while its job was queued; sweep again
+	// now that all are terminal. The new job takes one of the places.
+	if _, err := m.Submit("/v1/plan", "last", []byte(`{}`), 0); err != nil {
+		t.Fatalf("Submit last: %v", err)
 	}
-	if _, ok := m.Get(ids[0]); ok {
-		t.Error("oldest terminal job survived MaxJobs eviction")
-	}
-	if _, ok := m.Get(ids[2]); !ok {
-		t.Error("newest done job was evicted")
+	for i, id := range ids {
+		if _, ok := m.Get(id); ok != (i >= len(ids)-(maxJobs-1)) {
+			t.Errorf("done job %d of %d retained %v", i, len(ids), ok)
+		}
 	}
 }
 
+// TestListSortedByCreation: List returns the jobs oldest first, ties
+// broken by ID. Sixteen jobs are submitted newest first, two to a
+// millisecond, so the map they are listed from cannot pass for the
+// order.
 func TestListSortedByCreation(t *testing.T) {
-	clk := &fakeClock{}
-	clk.ms.Store(1_000_000)
-	r := newTestRunner(false)
-	m := newTestManager(t, Config{Workers: 1, Now: clk.now}, r.run)
-	var want []string
-	for i := 0; i < 3; i++ {
-		s, _ := m.Submit("/v1/plan", fmt.Sprintf("k%d", i), []byte(`{}`), 0)
-		waitState(t, m, s.ID, Done)
-		clk.advance(time.Second)
-		want = append(want, s.ID)
+	var now atomic.Int64
+	m := newTestManager(t, Config{Now: func() time.Time { return time.UnixMilli(now.Load()) }},
+		func(context.Context, Spec) ([]byte, error) { return nil, nil })
+	const jobs = 16
+	for i := 0; i < jobs; i++ {
+		now.Store(int64(jobs - i/2))
+		if _, err := m.Submit("/v1/plan", fmt.Sprintf("k%d", i), []byte(`{}`), 0); err != nil {
+			t.Fatal(err)
+		}
 	}
 	list := m.List()
-	if len(list) != 3 {
-		t.Fatalf("List len = %d, want 3", len(list))
+	if len(list) != jobs {
+		t.Fatalf("List len = %d, want %d", len(list), jobs)
 	}
-	for i, s := range list {
-		if s.ID != want[i] {
-			t.Errorf("List[%d] = %s, want %s", i, s.ID, want[i])
+	for i := 1; i < len(list); i++ {
+		a, b := list[i-1], list[i]
+		if a.CreatedUnixMS > b.CreatedUnixMS || a.CreatedUnixMS == b.CreatedUnixMS && a.ID >= b.ID {
+			t.Errorf("List[%d] = (%d, %s) before List[%d] = (%d, %s)", i-1, a.CreatedUnixMS, a.ID, i, b.CreatedUnixMS, b.ID)
 		}
 	}
 }

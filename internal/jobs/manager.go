@@ -556,8 +556,6 @@ func (m *Manager) removeLocked(j *job) {
 	delete(m.jobs, j.id)
 	m.expired.Add(1)
 	if m.st != nil {
-		// Best effort: a leftover file pair is re-read (and re-collected)
-		// on the next recovery, never served.
-		_ = m.st.remove(j.id)
+		m.st.remove(j.id)
 	}
 }

@@ -296,18 +296,17 @@ func (st *store) readResult(id string) ([]byte, error) {
 // remove deletes the job's journal and then its result blob (GC). The
 // journal's removal is synced first: if only the blob's unlink
 // survived a crash, recovery would find a done journal without its
-// blob and report the job failed.
-func (st *store) remove(id string) error {
+// blob and report the job failed. It is best effort: a step that fails
+// leaves the blob, so a leftover pair is re-read (and re-collected) on
+// the next recovery, never served.
+func (st *store) remove(id string) {
 	if err := st.fs.Remove(st.journalPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("jobs: remove journal: %w", err)
+		return
 	}
-	if err := st.syncDir(st.dir); err != nil {
-		return fmt.Errorf("jobs: sync journal dir: %w", err)
+	if st.syncDir(st.dir) != nil {
+		return
 	}
-	if err := st.fs.Remove(st.resultPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-		return fmt.Errorf("jobs: remove result: %w", err)
-	}
-	return nil
+	_ = st.fs.Remove(st.resultPath(id))
 }
 
 // recover replays every journal in the store directory and returns the

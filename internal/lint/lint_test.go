@@ -2,6 +2,7 @@ package lint
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,6 +10,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/fault"
+	"repro/internal/gen"
 	"repro/internal/netlist"
 )
 
@@ -177,6 +179,39 @@ func TestHighFanoutAndDepthThresholds(t *testing.T) {
 	r = Analyze(c, Options{MaxFanout: -1, MaxDepth: -1})
 	if len(r.ByRule(RuleHighFanout))+len(r.ByRule(RuleDeepLogic)) != 0 {
 		t.Errorf("disabled thresholds still fired: %v", r.Findings)
+	}
+}
+
+// TestHotspotsKeepHardestStems: with more hard stems than TopStems, T001
+// reports the hardest. A threshold of 1 makes every stem of
+// dag:gates=200 with a fault short of certain detection hard, far more
+// than the 5 kept, so keeping any others shows.
+func TestHotspotsKeepHardestStems(t *testing.T) {
+	c := gen.RandomDAG(1, 16, 200, gen.DAGOptions{})
+	hardProb := func(topStems int) map[int]float64 {
+		out := map[int]float64{}
+		r := Analyze(c, Options{HardThreshold: 1, TopStems: topStems, ImplicationGateLimit: -1})
+		for _, f := range r.ByRule(RuleHardStem) {
+			var p float64
+			if _, err := fmt.Sscanf(f.Message[strings.Index(f.Message, "detect prob ")+len("detect prob "):], "%e", &p); err != nil {
+				t.Fatalf("%q: %v", f.Message, err)
+			}
+			out[f.Signal] = p
+		}
+		return out
+	}
+	all, top := hardProb(1<<20), hardProb(5)
+	if len(top) != 5 || len(all) < 50 {
+		t.Fatalf("%d stems kept of %d hard, want 5 of at least 50", len(top), len(all))
+	}
+	kept := 0.0
+	for _, p := range top {
+		kept = max(kept, p)
+	}
+	for s, p := range all {
+		if _, ok := top[s]; !ok && p < kept {
+			t.Errorf("stem %d (prob %g) dropped, but a kept stem has prob %g", s, p, kept)
+		}
 	}
 }
 

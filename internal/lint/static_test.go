@@ -5,6 +5,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/fault"
 	"repro/internal/gen"
@@ -64,6 +65,24 @@ func TestAnalyzeContext(t *testing.T) {
 	cancel()
 	if r, err := AnalyzeContext(ctx, c, Options{}); r != nil || !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled AnalyzeContext = %v, %v; want nil, context.Canceled", r, err)
+	}
+}
+
+// TestAnalyzeContextDeadlineInRedundancyPass: mul:width=40 builds its
+// implication engine in about 20 ms and proves redundancy for about
+// 0.5 s, so a 100 ms deadline strikes in the proofs, which must end the
+// analysis with context.DeadlineExceeded.
+func TestAnalyzeContextDeadlineInRedundancyPass(t *testing.T) {
+	c := gen.Multiplier(40)
+	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	r, err := AnalyzeContext(ctx, c, Options{ImplicationGateLimit: c.NumGates()})
+	if r != nil || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("AnalyzeContext = %v, %v; want nil, context.DeadlineExceeded", r, err)
+	}
+	if d := time.Since(start); d > 350*time.Millisecond {
+		t.Errorf("deadline of 100ms honoured after %v", d)
 	}
 }
 

@@ -284,6 +284,33 @@ func TestStatsAndString(t *testing.T) {
 	}
 }
 
+// TestStringListsTypesInOrder: String lists the gate counts in
+// GateType order. The types first appear here in an order no rotation
+// of which is sorted, so the order of the map they are counted in
+// cannot pass for it.
+func TestStringListsTypesInOrder(t *testing.T) {
+	b := NewBuilder("mix")
+	a := b.Input("a")
+	c := b.Input("c")
+	g := b.Add(Xnor, "x", a, c)
+	g = b.Add(Not, "n", g)
+	g = b.Add(And, "d", g, a)
+	g = b.Add(Buf, "u", g)
+	g = b.Add(Or, "o", g, c)
+	g = b.Add(Nand, "m", g, a)
+	g = b.Add(Xor, "y", g, c)
+	g = b.Add(Nor, "z", g, a)
+	b.MarkOutput(g)
+	ckt, err := b.Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "mix: 10 gates (2 PI, 1 PO, depth 8; INPUT=2 BUF=1 NOT=1 AND=1 NAND=1 OR=1 NOR=1 XOR=1 XNOR=1)"
+	if got := ckt.String(); got != want {
+		t.Errorf("String() = %q\nwant       %q", got, want)
+	}
+}
+
 func TestWriteDot(t *testing.T) {
 	c := buildC17(t)
 	var sb strings.Builder

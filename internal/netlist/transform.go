@@ -65,6 +65,9 @@ func (c *Circuit) InsertTestPoints(points []TestPoint) (*Circuit, error) {
 		}
 	}
 	r := rewrite{c: c, gates: make([]Gate, len(c.gates), len(c.gates)+2*len(points))}
+	if len(points) > 0 {
+		r.taken = clashingNames(c.gates)
+	}
 	// The new circuit shares the receiver's fanin lists: both are
 	// immutable, and a consumer that gets rewired is given its own copy
 	// first.
@@ -115,7 +118,28 @@ func (c *Circuit) InsertTestPoints(points []TestPoint) (*Circuit, error) {
 type rewrite struct {
 	c     *Circuit
 	gates []Gate
-	anon  int // the last suffix a fresh name took, as Builder counts it
+	anon  int             // the last suffix a fresh name took, as Builder counts it
+	taken map[string]bool // the receiver's names an added name could equal
+}
+
+// clashingNames returns the names that contain "_op", "_tp" or "_cp",
+// as every name an insertion adds does: no other name can equal one.
+// It is nil when there are none.
+func clashingNames(gates []Gate) map[string]bool {
+	var taken map[string]bool
+	for _, g := range gates {
+		name := g.Name
+		for i := 0; i+2 < len(name); i++ {
+			if name[i] == '_' && name[i+2] == 'p' && (name[i+1] == 'o' || name[i+1] == 't' || name[i+1] == 'c') {
+				if taken == nil {
+					taken = make(map[string]bool)
+				}
+				taken[name] = true
+				break
+			}
+		}
+	}
+	return taken
 }
 
 // add appends a gate named preferred, or a fresh variant of it when the
@@ -125,10 +149,7 @@ type rewrite struct {
 // a count that never repeats, so no two names insertion makes are equal.
 func (r *rewrite) add(t GateType, preferred string, fanin ...int) int {
 	name := preferred
-	for {
-		if _, taken := r.c.GateByName(name); !taken {
-			break
-		}
+	for r.taken[name] {
 		r.anon++
 		name = fmt.Sprintf("%s_%d", preferred, r.anon)
 	}

@@ -92,6 +92,38 @@ func referenceInsertTestPoints(c *Circuit, points []TestPoint) (*Circuit, error)
 // the Builder-based reference builds: the same gates, names, fanins,
 // inputs, outputs and fanout. The receiver, whose fanin lists the result
 // shares, must come out unchanged.
+// TestInsertTestPointsAvoidsReceiverNames: an added name the receiver
+// already holds takes a fresh variant, as the reference names it.
+func TestInsertTestPointsAvoidsReceiverNames(t *testing.T) {
+	b := NewBuilder("taken")
+	x := b.Input("x")
+	y := b.Input("y")
+	g := b.AndGate("x_op0", x, y)
+	g = b.OrGate("x_cp1", g, y)
+	g = b.XorGate("x_tp1_1", g, x)
+	b.MarkOutput(g)
+	c := b.MustBuild()
+	points := []TestPoint{{x, Observe}, {x, Control1}, {x, FullCut}}
+	got, err := c.InsertTestPoints(points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := referenceInsertTestPoints(c, points)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for id := c.NumGates(); id < got.NumGates(); id++ {
+		names = append(names, got.GateName(id))
+		if w := want.GateName(id); got.GateName(id) != w {
+			t.Errorf("gate %d is %s, reference %s", id, got.GateName(id), w)
+		}
+	}
+	if w := []string{"x_op0_1", "x_tp1", "x_cp1_2", "x_op2", "x_tp2"}; !slices.Equal(names, w) {
+		t.Errorf("added names %v, want %v", names, w)
+	}
+}
+
 func TestInsertTestPointsMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 300; trial++ {

@@ -1,6 +1,8 @@
 package npc
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/fault"
@@ -132,11 +134,24 @@ func TestValidateRejectsBadInstances(t *testing.T) {
 	}
 }
 
+// TestRandomInstanceAlwaysValid: every instance validates, lists each
+// set in ascending order and repeats for its seed. The sets of up to 40
+// members tell the orders apart.
 func TestRandomInstanceAlwaysValid(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
-		sc := RandomInstance(seed, 8, 6, 4)
-		if err := sc.Validate(); err != nil {
-			t.Errorf("seed %d: %v", seed, err)
+		for _, shape := range [][3]int{{8, 6, 4}, {60, 6, 40}} {
+			sc := RandomInstance(seed, shape[0], shape[1], shape[2])
+			if err := sc.Validate(); err != nil {
+				t.Errorf("seed %d %v: %v", seed, shape, err)
+			}
+			for j, set := range sc.Sets {
+				if !sort.IntsAreSorted(set) {
+					t.Errorf("seed %d %v: set %d = %v, not ascending", seed, shape, j, set)
+				}
+			}
+			if again := RandomInstance(seed, shape[0], shape[1], shape[2]); !reflect.DeepEqual(again, sc) {
+				t.Errorf("seed %d %v: instances differ:\n%v\n%v", seed, shape, sc.Sets, again.Sets)
+			}
 		}
 	}
 }

@@ -15,8 +15,7 @@
 // order-of-magnitude regressions (see Compare).
 //
 // Wall-clock reads (time.Now/Since) are the measurement itself here,
-// not state an engine result depends on; the package carries a vetted
-// G004 allowlist entry for exactly that reason.
+// not state an engine result depends on.
 package perf
 
 // Group names for the canonical suite. Validate requires a report to

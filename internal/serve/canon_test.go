@@ -86,7 +86,7 @@ func TestCacheKeyAllocatesNoText(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return bytesPerRun(20, func() {
+		return bytesPerRun(1, 20, func() {
 			if _, err := cacheKey("/v1/plan", c, keyOpts); err != nil {
 				t.Fatal(err)
 			}

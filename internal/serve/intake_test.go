@@ -152,9 +152,10 @@ func FuzzEnvelopeMatchesJSON(f *testing.F) {
 	})
 }
 
-// bytesPerRun is the mean heap bytes one call of f allocates.
-func bytesPerRun(runs int, f func()) float64 {
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+// bytesPerRun is the mean heap bytes one call of f allocates with
+// GOMAXPROCS set to procs.
+func bytesPerRun(procs, runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
 	f()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -193,7 +194,7 @@ func TestReadBodyBoundsPrealloc(t *testing.T) {
 		src := bytes.Repeat([]byte("x"), tc.sent)
 		r := httptest.NewRequest(http.MethodPost, "/v1/plan", nil)
 		r.ContentLength = 8 << 20
-		if n := bytesPerRun(10, func() {
+		if n := bytesPerRun(1, 10, func() {
 			r.Body = io.NopCloser(bytes.NewReader(src))
 			if _, err := readBody(nil, r, 8<<20); err != nil {
 				t.Fatal(err)
@@ -207,7 +208,7 @@ func TestReadBodyBoundsPrealloc(t *testing.T) {
 		src := text[:size]
 		for _, declared := range []int64{int64(size), -1} {
 			var body []byte
-			n := bytesPerRun(5, func() { body = readSized(t, src, declared) })
+			n := bytesPerRun(1, 5, func() { body = readSized(t, src, declared) })
 			if !bytes.Equal(body, src) {
 				t.Fatalf("size %d, declared %d: read %d bytes, not the body", size, declared, len(body))
 			}
@@ -332,7 +333,7 @@ func TestMemoHitAllocatesAboutTheBody(t *testing.T) {
 			t.Fatalf("status %d X-Cache %q, want a 200 hit", rr.Code, rr.Header().Get("X-Cache"))
 		}
 	}
-	n := bytesPerRun(20, serve)
+	n := bytesPerRun(1, 20, serve)
 	t.Logf("memo hit on a %d-byte body allocated %.0f bytes", len(body), n)
 	if n >= 1.5*float64(len(body)) {
 		t.Errorf("memo hit on a %d-byte body allocated %.0f bytes, want under 1.5 times the body", len(body), n)

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -88,7 +87,6 @@ func (m *Metrics) Snapshot() map[string]EndpointSnapshot {
 		names = append(names, n)
 	}
 	m.mu.Unlock()
-	sort.Strings(names)
 
 	out := make(map[string]EndpointSnapshot, len(names))
 	for _, n := range names {

@@ -164,25 +164,44 @@ func TestEventStreamFlushesThroughWrapper(t *testing.T) {
 	}
 }
 
+// noFlusher passes writes to w but can neither flush nor unwrap.
+type noFlusher struct{ w *failingWriter }
+
+func (n noFlusher) Header() http.Header         { return n.w.Header() }
+func (n noFlusher) Write(b []byte) (int, error) { return n.w.Write(b) }
+func (n noFlusher) WriteHeader(code int)        { n.w.WriteHeader(code) }
+
 // TestEventStreamStopsAtFailedWrite streams to a writer that fails
 // after N bytes: at once, and after the first line. After the first
-// failed write the handler must return without another call.
+// failed write the handler must return without another call. A writer
+// that takes every write but cannot flush must get the first line only.
 func TestEventStreamStopsAtFailedWrite(t *testing.T) {
-	for _, row := range []string{"first-line", "second-line"} {
+	for _, row := range []string{"first-line", "second-line", "unflushable"} {
 		t.Run(row, func(t *testing.T) {
 			s, id, release := gatedJob(t, Config{})
 			w := &failingWriter{header: http.Header{}, first: release}
-			if row == "second-line" {
-				// The engine is held, so the first line is exactly the
-				// current snapshot.
-				snap, _ := s.jobs.Get(id)
-				b, err := json.Marshal(snap)
-				if err != nil {
-					t.Fatal(err)
-				}
-				w.limit = len(b) + 1
+			// The engine is held, so the first line is exactly the
+			// current snapshot.
+			snap, _ := s.jobs.Get(id)
+			b, err := json.Marshal(snap)
+			if err != nil {
+				t.Fatal(err)
 			}
-			serveRecovering(t, s.Handler(), w, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/events", nil))
+			var rw http.ResponseWriter = w
+			switch row {
+			case "second-line":
+				w.limit = len(b) + 1
+			case "unflushable":
+				w.limit = 1 << 20
+				rw = noFlusher{w}
+			}
+			serveRecovering(t, s.Handler(), rw, httptest.NewRequest(http.MethodGet, "/v1/jobs/"+id+"/events", nil))
+			if row == "unflushable" {
+				if w.written != len(b)+1 {
+					t.Errorf("handler wrote %d bytes to a writer it cannot flush, want the first line's %d", w.written, len(b)+1)
+				}
+				return
+			}
 			if !w.failed {
 				t.Fatal("the writer never failed; the stream wrote too little to test")
 			}

@@ -65,9 +65,9 @@ func PlanObservationPointsDPContext(ctx context.Context, c *netlist.Circuit, fau
 }
 
 // PlanControlPointsGreedyContext is PlanControlPointsGreedy with
-// cancellation: the context is polled once per candidate evaluation (the
-// unit of work that dominates the greedy loop) and between the candidate
-// search's marking sweeps. It returns nil and ctx.Err() when cancelled.
+// cancellation: the context is polled once per candidate evaluation, the
+// unit of work that dominates the greedy loop. It returns nil and
+// ctx.Err() when cancelled.
 func PlanControlPointsGreedyContext(ctx context.Context, c *netlist.Circuit, faults []fault.Fault, k int, dth float64, opts CPOptions) (plan *CPPlan, err error) {
 	defer recoverCtx(&err)
 	return planControlPointsGreedy(ctx, c, faults, k, dth, opts)

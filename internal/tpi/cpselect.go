@@ -99,7 +99,7 @@ func planControlPointsGreedy(ctx context.Context, c *netlist.Circuit, faults []f
 		if report != nil {
 			report("control-points", int64(len(points)), int64(k))
 		}
-		candidates := controlCandidates(ctx, cur, &ov.COP, faults, dth, maxCand)
+		candidates := controlCandidates(cur, &ov.COP, faults, dth, maxCand)
 		gains = slices.Grow(gains[:0], len(controlKinds)*len(candidates))[:len(controlKinds)*len(candidates)]
 		workers := par.Workers(len(candidates))
 		for len(overlays) < workers {
@@ -175,21 +175,20 @@ func countCovered(co *testability.COP, faults []fault.Fault, dth float64) int {
 // extreme their signal probability is, capped at maxCand. One reverse
 // topological sweep marks the gates that reach a hard fault's gate and
 // one forward sweep the gates reached from one, so the cost is linear in
-// the circuit however many faults are hard.
-func controlCandidates(ctx context.Context, c *netlist.Circuit, co *testability.COP, faults []fault.Fault, dth float64, maxCand int) []int {
+// the circuit however many faults are hard. It does not poll: the
+// candidate scoring that follows polls once per candidate.
+func controlCandidates(c *netlist.Circuit, co *testability.COP, faults []fault.Fault, dth float64, maxCand int) []int {
 	// A hard fault's gate is in both of its own cones.
 	const (
 		inCone  = 1 << iota // reaches a hard fault's gate
 		outCone             // reached from a hard fault's gate
 	)
-	done := ctx.Done()
 	mark := make([]uint8, c.NumGates())
 	for _, f := range faults {
 		if co.DetectProb(f) < dth {
 			mark[f.Gate] = inCone | outCone
 		}
 	}
-	pollDone(ctx, done)
 	order := c.TopoOrder()
 	for i := len(order) - 1; i >= 0; i-- {
 		id := order[i]
@@ -210,7 +209,6 @@ func controlCandidates(ctx context.Context, c *netlist.Circuit, co *testability.
 			}
 		}
 	}
-	pollDone(ctx, done)
 	var cand []int
 	for g, m := range mark {
 		if m == 0 || c.Type(g) == netlist.Input {

@@ -298,7 +298,7 @@ func TestControlCandidatesMatchConeWalks(t *testing.T) {
 				}
 				return want[i] < want[j]
 			})
-			got := controlCandidates(context.Background(), c, co, faults, dth, c.NumGates())
+			got := controlCandidates(c, co, faults, dth, c.NumGates())
 			if !slices.Equal(got, want) {
 				t.Errorf("%s dth=%g: sweeps give %d candidates %v, cone walks %d %v", spec, dth, len(got), got, len(want), want)
 			}

@@ -3,6 +3,7 @@ package tpi
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"repro/internal/gen"
@@ -89,6 +90,10 @@ func TestPlanCutsDPNeverWorseThanGreedyOrRandom(t *testing.T) {
 			rnd, err := PlanCutsRandom(c, k, seed+100)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// The random baseline draws from its seed alone.
+			if again, err := PlanCutsRandom(c, k, seed+100); err != nil || !slices.Equal(again.Cuts, rnd.Cuts) {
+				t.Errorf("seed %d k %d: random cuts %v, then %v (err %v)", seed, k, rnd.Cuts, again.Cuts, err)
 			}
 			if dp.MaxCost > gr.MaxCost {
 				t.Errorf("seed %d k %d: DP %d worse than greedy %d", seed, k, dp.MaxCost, gr.MaxCost)

@@ -165,6 +165,11 @@ func TestOPDPNeverWorseThanGreedyOrRandom(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The random baseline draws from its seed alone: 4 of 70 gates
+		// drawn from any other source would not repeat.
+		if again, err := PlanObservationPointsRandom(c, faults, k, dth, seed, OPOptions{}); err != nil || !reflect.DeepEqual(again.Points, rnd.Points) {
+			t.Errorf("seed %d: random points %v, then %v (err %v)", seed, rnd.Points, again.Points, err)
+		}
 		if dp.CoveredAfter < gr.CoveredAfter {
 			t.Errorf("seed %d: DP %d worse than greedy %d", seed, dp.CoveredAfter, gr.CoveredAfter)
 		}

@@ -106,7 +106,7 @@ func TestScoreCandidatesHonorsDeadline(t *testing.T) {
 	const dth = 1.0 / 4096
 	ov := testability.NewOverlay(c, testability.COPOptions{})
 	covered := countCovered(&ov.COP, faults, dth)
-	candidates := controlCandidates(context.Background(), c, &ov.COP, faults, dth, c.NumGates())
+	candidates := controlCandidates(c, &ov.COP, faults, dth, c.NumGates())
 	if len(candidates) < 2000 {
 		t.Fatalf("%d candidates, want at least 2000", len(candidates))
 	}

@@ -79,29 +79,6 @@ for dir in cmd/*/; do
   fi
 done
 
-# The codelint rule table: README's "Code lint" section must list
-# exactly the rules the tool registers, as reported by `codelint -list`
-# (first column of each row), in both directions.
-if [ -x "$bindir/codelint" ]; then
-  actual_rules=$("$bindir/codelint" -list | awk '{print $1}' | sort -u)
-  documented_rules=$(sed -n 's/^| `\(G[0-9][0-9][0-9]\)`.*/\1/p' "$readme" | sort -u)
-  if [ -z "$documented_rules" ]; then
-    err "README.md has no codelint rule table (expected rows like '| \`G001\` ...')"
-  else
-    missing_rules=$(comm -23 <(printf '%s\n' "$actual_rules") <(printf '%s\n' "$documented_rules"))
-    stale_rules=$(comm -13 <(printf '%s\n' "$actual_rules") <(printf '%s\n' "$documented_rules"))
-    if [ -n "$missing_rules" ]; then
-      err "codelint rules registered but missing from $readme: $(echo "$missing_rules" | tr '\n' ' ')"
-    fi
-    if [ -n "$stale_rules" ]; then
-      err "codelint rules documented in $readme but not registered: $(echo "$stale_rules" | tr '\n' ' ')"
-    fi
-    if [ -z "$missing_rules" ] && [ -z "$stale_rules" ]; then
-      say "docscheck: codelint rule table ok ($(printf '%s\n' "$actual_rules" | wc -l) rules)"
-    fi
-  fi
-fi
-
 # The examples list: README's "go run ./examples/<name>" lines must name
 # exactly the directories under examples/, and every example must build
 # and exit 0.
@@ -132,7 +109,7 @@ if [ "$examples_ok" -eq 1 ]; then
 fi
 
 if [ "$fail" -ne 0 ]; then
-  say "docscheck: FAILED — README.md flag tables, rule table or examples list have drifted from the code"
+  say "docscheck: FAILED — README.md flag tables or examples list have drifted from the code"
   exit 1
 fi
-say "docscheck: all flag tables, the rule table and the examples list match"
+say "docscheck: all flag tables and the examples list match"
