@@ -34,7 +34,12 @@ func main() {
 
 func run(genSpec, outPath, format string, stats, doLint bool) error {
 	if genSpec == "" {
-		return fmt.Errorf("provide -gen <spec>; kinds: c17, tree, dag, cone, parity, rca, cmp, decoder, mul, rpr")
+		return cli.Usage(fmt.Errorf("provide -gen <spec>; kinds: c17, tree, dag, cone, parity, rca, cmp, decoder, mul, rpr"))
+	}
+	switch format {
+	case "bench", "verilog", "dot":
+	default:
+		return cli.Usage(fmt.Errorf("unknown format %q", format))
 	}
 	c, err := cli.Generate(genSpec)
 	if err != nil {
@@ -44,11 +49,6 @@ func run(genSpec, outPath, format string, stats, doLint bool) error {
 		if err := cli.LintCircuit(c, os.Stderr); err != nil {
 			return err
 		}
-	}
-	switch format {
-	case "bench", "verilog", "dot":
-	default:
-		return fmt.Errorf("unknown format %q", format)
 	}
 	emit := func(out io.Writer) error {
 		switch format {

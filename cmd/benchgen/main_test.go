@@ -1,8 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"repro/internal/cli"
 )
 
 func TestRunFormats(t *testing.T) {
@@ -15,11 +19,12 @@ func TestRunFormats(t *testing.T) {
 }
 
 func TestRunErrors(t *testing.T) {
-	if err := run("", "", "bench", false, false); err == nil {
-		t.Error("expected error with no spec")
+	if err := run("", "", "bench", false, false); cli.ExitCode(err) != cli.ExitUsage {
+		t.Errorf("no spec: %v, want a usage error", err)
 	}
-	if err := run("c17", "", "nope", false, false); err == nil {
-		t.Error("expected error for unknown format")
+	// The format is checked before the circuit is generated.
+	if err := run("bogus", "", "nope", false, false); cli.ExitCode(err) != cli.ExitUsage || !strings.Contains(fmt.Sprint(err), "format") {
+		t.Errorf("unknown format: %v, want a usage error naming the format", err)
 	}
 	if err := run("bogus", "", "bench", false, false); err == nil {
 		t.Error("expected error for bad spec")

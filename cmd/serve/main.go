@@ -224,12 +224,15 @@ func run(cfg config) error {
 	// outlives the drain window would otherwise hold the exit until the
 	// deadline and turn a clean SIGTERM into a failed shutdown.
 	s.DrainStreams()
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("shutdown: %w", err)
-	}
-	// Stop the job scheduler after the listener drains. Jobs cut off
-	// mid-run keep a running-state journal and are re-queued by the next
-	// process on the same -job-dir.
+	err = srv.Shutdown(shutdownCtx)
+	// Stop the job scheduler after the listener drains, or fails to.
+	// Jobs cut off mid-run keep a running-state journal and are
+	// re-queued by the next process on the same -job-dir.
 	s.Close()
+	if err != nil {
+		// Not %w: serve has no -timeout, so a drain that ran out of time
+		// is a failed shutdown (exit 1), not an expired deadline (exit 3).
+		return fmt.Errorf("shutdown: in-flight requests outlived -drain-timeout %v: %v", cfg.drainTimeout, err)
+	}
 	return nil
 }

@@ -5,12 +5,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/signal"
+	"runtime"
 	"strings"
 	"syscall"
 	"testing"
@@ -294,6 +296,7 @@ func TestRunReportsDrainTimeout(t *testing.T) {
 	signal.Notify(sigs, syscall.SIGTERM)
 	defer signal.Stop(sigs)
 
+	start := runtime.NumGoroutine()
 	runErr := make(chan error, 1)
 	go func() { runErr <- run(cfg) }()
 	base := "http://" + cfg.addr
@@ -335,11 +338,20 @@ func TestRunReportsDrainTimeout(t *testing.T) {
 	}
 	select {
 	case err := <-runErr:
-		if !errors.Is(err, context.DeadlineExceeded) {
-			t.Errorf("run returned %v after the drain window, want context.DeadlineExceeded", err)
+		if code := cli.ExitCode(err); code != cli.ExitFailure || !strings.Contains(fmt.Sprint(err), "drain") {
+			t.Errorf("run returned %v (exit %d) after the drain window, want a drain failure (exit %d)", err, code, cli.ExitFailure)
 		}
 	case <-time.After(15 * time.Second):
 		t.Fatal("run did not return after the drain window")
+	}
+	// The job manager is closed on this path too: once the request ends,
+	// every goroutine run started, the scheduler's among them, is gone.
+	cancel()
+	http.DefaultClient.CloseIdleConnections()
+	for deadline := time.Now().Add(10 * time.Second); runtime.NumGoroutine() > start; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after run returned, %d before it started: the job manager was left running", runtime.NumGoroutine(), start)
+		}
 	}
 }
 

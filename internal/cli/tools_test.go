@@ -112,8 +112,9 @@ func TestToolExitCodes(t *testing.T) {
 		{"bench/check/full-stdout", []string{"-json", "-check", base}, 1},
 
 		{"benchgen/ok", []string{"-gen", "c17"}, 0},
-		{"benchgen/bad-input", []string{"-gen", "c17", "-format", "nope"}, 1},
 		{"benchgen/usage", []string{"-gen", "bogus"}, 2},
+		{"benchgen/usage-format", []string{"-gen", "c17", "-format", "nope"}, 2},
+		{"benchgen/usage-no-gen", []string{"-format", "bench"}, 2},
 		{"benchgen/unwritable-o", []string{"-gen", "c17", "-o", unwritable}, 2},
 		{"benchgen/full-o", []string{"-gen", "c17", "-o", "/dev/full"}, 2},
 		{"benchgen/full-stdout", []string{"-gen", "c17"}, 1},

@@ -3,7 +3,12 @@ package implic
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
+	"time"
+
+	"repro/internal/gen"
+	"repro/internal/par"
 )
 
 // TestNewContextCanceledBeforeBuild: a context that is already done
@@ -79,6 +84,45 @@ func TestRedundantContext(t *testing.T) {
 	for i := range got {
 		if got[i] != want[i] {
 			t.Errorf("fault %d: %v, want %v", i, got[i], want[i])
+		}
+	}
+}
+
+// TestResumedSweepHonorsDeadline: a build deadline that has passed
+// while a resumed sweep forks ends the sweep within the answer margin
+// with the context's error, and leaves no worker running: the workers
+// poll the build context as they propagate, and par.For forwards the
+// first abort to the caller. The sweep is the second of a 2000-gate
+// DAG's build, called directly at GOMAXPROCS 2, so that it forks at
+// any GOMAXPROCS the suite runs with; the deadline is set before it
+// starts, so no timing decides where the abort lands.
+func TestResumedSweepHonorsDeadline(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	e := New(gen.RandomDAG(1, 16, 2000, gen.DAGOptions{}), Options{LearnRounds: -1})
+	e.learn()
+	e.rebuildBase()
+	if par.Workers(len(e.feas)/forkLits) < 2 {
+		t.Fatal("the resumed sweep would not fork")
+	}
+	ctx, cancel := context.WithDeadline(context.Background(), time.Now())
+	defer cancel()
+	e.buildCtx, e.buildDone = ctx, ctx.Done()
+	start := runtime.NumGoroutine()
+	began := time.Now()
+	err := func() (err error) {
+		defer recoverCtx(&err)
+		e.sweepResumed()
+		return nil
+	}()
+	if d := time.Since(began); d > 250*time.Millisecond {
+		t.Errorf("a passed deadline honoured after %v", d)
+	}
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("resumed sweep past its deadline: %v, want context.DeadlineExceeded", err)
+	}
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > start; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the abort, %d before", runtime.NumGoroutine(), start)
 		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"repro/internal/gen"
@@ -140,4 +141,62 @@ func TestGoldenEngine(t *testing.T) {
 			t.Errorf("row %d differs:\n got  %s\n want %s", i, got, want[i])
 		}
 	}
+}
+
+// TestEngineAgreesAcrossWorkerCounts: the resumed sweeps, learning and
+// the proofs run on GOMAXPROCS workers, and everything the engine
+// computes must be the same on one worker as on many. Each golden
+// circuit and twenty random DAGs, half with four inputs and so many
+// constants proven late, are built at GOMAXPROCS 1, 2 and 4 and must
+// give the same engineRow. The DAGs have 520 gates, enough literals
+// for the build's loops to fork onto four workers (forkLits). Some
+// resumed sweep must prove a constant in its parallel phase, so that
+// the rest of that sweep runs in literal order (fallsBack).
+func TestEngineAgreesAcrossWorkerCounts(t *testing.T) {
+	circuits := goldenCircuits()
+	for seed := int64(1); seed <= 10; seed++ {
+		for _, inputs := range []int{4, 16} {
+			circuits = append(circuits, goldenCircuit{
+				spec:  fmt.Sprintf("dag:inputs=%d,gates=520,seed=%d", inputs, seed),
+				build: func() *netlist.Circuit { return gen.RandomDAG(seed, inputs, 520, gen.DAGOptions{}) },
+			})
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	fellBack := false
+	for _, gc := range circuits {
+		if gc.long && testing.Short() {
+			continue
+		}
+		c := gc.build()
+		var rows []string
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			rows = append(rows, engineRow(gc.spec, New(c, Options{})))
+		}
+		if rows[0] != rows[1] || rows[0] != rows[2] {
+			t.Errorf("%s differs across worker counts:\n 1: %s\n 2: %s\n 4: %s", gc.spec, rows[0], rows[1], rows[2])
+		}
+		fellBack = fellBack || fallsBack(c)
+	}
+	if !fellBack {
+		t.Error("no resumed sweep proved a constant in its parallel phase; the literal-order rest of the sweep went untested")
+	}
+}
+
+// fallsBack reports whether the parallel phase of the second or third
+// sweep of c's default build proves a constant. It builds the sweeps
+// before the one it checks, then learns, rebuilds the base and runs
+// that sweep's parallel phase, as sweep would; a next literal short of
+// the last is where the sweep would go on in literal order.
+func fallsBack(c *netlist.Circuit) bool {
+	for _, rounds := range []int{-1, 1} {
+		e := New(c, Options{LearnRounds: rounds})
+		e.learn()
+		e.rebuildBase()
+		if _, next := e.sweepResumed(); next < len(e.feas) {
+			return true
+		}
+	}
+	return false
 }

@@ -139,18 +139,14 @@ const proofGrain = 16
 // proveEach proves every fault of the universe among faults on every
 // core and calls found(i, faults[i], p) with each proof, from the
 // worker that made it; a fault outside the universe is unproven. Each
-// worker propagates on its own state over the shared database: the
-// first on the engine's own, the others on clones of it made before any
-// worker starts, while it still holds the bare base. Every proof starts
-// and ends at the base, so a proof does not depend on the worker that
-// made it. A worker polls done before each fault, and proveEach returns
-// false when one found it closed.
+// worker propagates on its own state over the shared database, the
+// engine's worker states (workerStates), all at the base before any
+// worker starts. Every proof starts and ends at the base, so a proof
+// does not depend on the worker that made it. A worker polls done
+// before each fault, and proveEach returns false when one found it
+// closed.
 func (e *Engine) proveEach(done <-chan struct{}, faults []fault.Fault, found func(i int, f fault.Fault, p proof)) bool {
-	states := make([]*state, par.Workers(len(faults)))
-	states[0] = &e.state
-	for w := 1; w < len(states); w++ {
-		states[w] = e.state.clone()
-	}
+	states := e.workerStates(len(faults))
 	var stopped atomic.Bool
 	par.For(len(states), len(faults), proofGrain, func(w, i int) {
 		if stopped.Load() {

@@ -224,7 +224,7 @@ func TestSweepLearnAllocFree(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e := New(tc.c, Options{})
-			if got := testing.AllocsPerRun(3, func() { e.sweep() }); got != 0 {
+			if got := testing.AllocsPerRun(3, func() { e.sweep(true) }); got != 0 {
 				t.Errorf("a repeat sweep costs %.1f allocs, want 0", got)
 			}
 			if got := testing.AllocsPerRun(3, func() { e.learn() }); got != 0 {

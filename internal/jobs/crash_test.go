@@ -588,7 +588,8 @@ func TestCrashStateEnumeration(t *testing.T) {
 // second finds C done. The outcomes:
 //   - openStore, recover, or appendState in newManager (re-journaling
 //     a job to re-queue it): New returns an error;
-//   - appendCreate: Submit returns an error and keeps no job;
+//   - appendCreate: Submit returns an error, keeps no job and removes
+//     the journal, so recovery does not find the job either;
 //   - writeResult: the job ends failed, and recovers failed;
 //   - readResult: Result returns an error;
 //   - appendState in a transition, or appendProgress: the manager drops
@@ -597,9 +598,9 @@ func TestCrashStateEnumeration(t *testing.T) {
 //   - remove: the job submitted before the last still leaves the table,
 //     and its result blob stays for the next recovery to re-read.
 //
-// Every job recovery finds ends done with its bytes, unless it failed
-// or its Submit did: a rejected job's journal may be torn, as after a
-// crash before Submit returns.
+// Every job recovery finds was accepted, and ends done with its bytes
+// unless it failed. (A crash before Submit returns may still leave a
+// journal; TestCrashStateEnumeration covers that.)
 func TestStoreErrorEnumeration(t *testing.T) {
 	hit := map[string]bool{}
 	for at := 1; ; at++ {
@@ -741,7 +742,8 @@ func runFailingScript(fsys *memFS) (problems []string) {
 			}
 			_, accepted := want[snap.ID]
 			switch {
-			case !accepted && end.State == Failed:
+			case !accepted:
+				fail("rejected job %s recovered %s", snap.ID, end.State)
 			case failed[snap.ID]:
 				if end.State != Failed {
 					fail("failed job %s recovered %s", snap.ID, end.State)
@@ -755,7 +757,7 @@ func runFailingScript(fsys *memFS) (problems []string) {
 					if err == nil {
 						fail("Result of job %s returned no error", snap.ID)
 					}
-				} else if err != nil || accepted && !bytes.Equal(got, want[snap.ID]) {
+				} else if err != nil || !bytes.Equal(got, want[snap.ID]) {
 					fail("recovered job %s result %q (err %v), want %q", snap.ID, got, err, want[snap.ID])
 				}
 			}

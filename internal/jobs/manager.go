@@ -223,6 +223,9 @@ func (m *Manager) Submit(endpoint, key string, request []byte, timeout time.Dura
 	}
 	if m.st != nil {
 		if err := m.st.appendCreate(j); err != nil {
+			// The client gets no ID, so recovery must not find the job:
+			// a journal left here would come back failed or run.
+			m.st.remove(j.id)
 			m.mu.Unlock()
 			return Snapshot{}, err
 		}

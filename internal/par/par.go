@@ -1,9 +1,9 @@
 // Package par runs the independent items of one engine loop on every
 // core: the control planner's candidate scores and the implication
-// engine's redundancy proofs. Callers keep one scratch state per worker
-// and write each item's result by its index, so what a loop computes
-// does not depend on which worker ran which item or on how many
-// workers there were.
+// engine's resumed sweeps, learning and redundancy proofs. Callers keep
+// one scratch state per worker and write each item's result by its
+// index, so what a loop computes does not depend on which worker ran
+// which item or on how many workers there were.
 package par
 
 import (
@@ -26,15 +26,26 @@ func Workers(n int) int {
 // may use scratch indexed by w without locking. Items go out in blocks
 // of grain consecutive indices, each to the next worker that asks, so
 // the blocks of one worker interleave with the others'. With one worker
-// the caller takes every block in turn, so it runs every item in order.
+// the caller runs every item in order, in place: that path starts no
+// goroutine and allocates nothing, so a caller that passes a func value
+// it made once keeps its loop allocation-free.
 //
 // A panic in fn stops the hand-out of blocks. Once every worker has
 // returned, For panics on the caller with the first panic's value, so a
 // caller's recover (a planner's cancellation, a server's engine-panic
 // answer) works as it would for a loop run in place.
 func For(workers, n, grain int, fn func(w, i int)) {
-	workers = max(1, min(workers, n))
-	grain = max(grain, 1)
+	if min(workers, n) <= 1 {
+		for i := range n {
+			fn(0, i)
+		}
+		return
+	}
+	fork(min(workers, n), n, max(grain, 1), fn)
+}
+
+// fork is For on two or more workers.
+func fork(workers, n, grain int, fn func(w, i int)) {
 	var (
 		next  atomic.Int64
 		wg    sync.WaitGroup

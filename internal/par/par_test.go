@@ -91,3 +91,20 @@ func TestForForwardsPanic(t *testing.T) {
 		}
 	}
 }
+
+// TestForOneWorkerAllocFree: with one worker For runs the items in
+// place, so a loop that hands it a func value made once allocates
+// nothing; the implication engine's repeat sweep and learn rely on it.
+func TestForOneWorkerAllocFree(t *testing.T) {
+	sum := 0
+	fn := func(w, i int) { sum += i }
+	if got := testing.AllocsPerRun(10, func() { For(1, 100, 8, fn) }); got != 0 {
+		t.Errorf("For on one worker costs %.1f allocs, want 0", got)
+	}
+	if got := testing.AllocsPerRun(10, func() { For(Workers(100), 100, 8, fn) }); got != 0 {
+		t.Errorf("For on Workers(100) under AllocsPerRun's GOMAXPROCS 1 costs %.1f allocs, want 0", got)
+	}
+	if sum == 0 {
+		t.Error("no item ran")
+	}
+}
